@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -56,12 +57,17 @@ using namespace biorank;
 
 namespace {
 
+/// Nearest-rank percentile: the value at 1-based rank ceil(q * n),
+/// clamped to [1, n] (bench_ledger's rule). The epsilon keeps a q * n
+/// that lands a rounding error above a whole rank on that rank.
 double Percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  size_t index = static_cast<size_t>(q * static_cast<double>(values.size()));
-  if (index >= values.size()) index = values.size() - 1;
-  return values[index];
+  const double rank =
+      std::ceil(q * static_cast<double>(values.size()) - 1e-9);
+  const size_t clamped = std::min(
+      values.size(), static_cast<size_t>(std::max(rank, 1.0)));
+  return values[clamped - 1];
 }
 
 double Mean(const std::vector<double>& values) {

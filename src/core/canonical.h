@@ -91,16 +91,34 @@ struct CanonicalCandidate {
 /// not one of the answers.
 ///
 /// `graph_csr`, when given, must be an unmasked flat snapshot of
-/// `query_graph.graph` (core/csr_snapshot.h); the per-target restriction
-/// traversal then runs over its packed arrays instead of the pointer
-/// adjacency. Callers canonicalizing many targets against one graph (the
-/// serving fan-out, ingest recanonicalization) build the snapshot once
-/// and pass it to every call; the produced candidate is identical either
-/// way.
+/// `query_graph.graph` (core/csr_snapshot.h). The restriction then runs
+/// target-first over its packed arrays: a backward BFS from `target`
+/// marks CoReach(target), a forward BFS from the source stays inside it,
+/// and the restricted graph is built from the kept nodes' out-segments,
+/// so an answer costs time proportional to its evidence subgraph rather
+/// than to the request graph. Callers canonicalizing many targets against
+/// one graph (the serving fan-out, ingest recanonicalization) build the
+/// snapshot once and pass it to every call. Without a snapshot the
+/// restriction walks the pointer graph (RestrictToQueryRelevantSubgraph),
+/// the reference the snapshot path is tested against; the produced
+/// candidate is identical either way.
 Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options = {},
     const CsrSnapshot* graph_csr = nullptr);
+
+/// CanonicalizeCandidate's input checks for a batch of targets: the query
+/// graph validates and every target is one of its answers.
+Status ValidateCanonicalizeTargets(const QueryGraph& query_graph,
+                                   const std::vector<NodeId>& targets);
+
+/// CanonicalizeCandidate without its input checks, for batch callers
+/// (RankingService::CanonicalizeTargets) that run
+/// ValidateCanonicalizeTargets once for all their targets. `query_graph`
+/// and `target` must pass those checks.
+CanonicalCandidate CanonicalizeValidatedCandidate(
+    const QueryGraph& query_graph, NodeId target,
+    const CanonicalizeOptions& options, const CsrSnapshot* graph_csr);
 
 /// Canonical key of a query graph as-is (no restriction, no reduction).
 /// The graph must validate; all answers are marked with the target role.

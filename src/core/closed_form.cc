@@ -13,11 +13,7 @@ Result<double> ClosedFormReliability(const QueryGraph& query_graph,
     return Status::InvalidArgument("closed form: invalid target");
   }
 
-  QueryGraph single;
-  single.graph = graph;
-  single.source = query_graph.source;
-  single.answers = {target};
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(single);
+  QueryGraph sub = RestrictToQueryRelevantSubgraph(query_graph, {target});
   ReduceQueryGraph(sub);
 
   NodeId s = sub.source;

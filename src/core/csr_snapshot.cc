@@ -125,70 +125,4 @@ Result<CsrQuerySnapshot> BuildCsrQuerySnapshot(const QueryGraph& query_graph) {
   return qs;
 }
 
-std::vector<bool> QueryRelevantMask(const CsrSnapshot& csr, NodeId source,
-                                    const std::vector<NodeId>& answers) {
-  const uint32_t n = csr.num_nodes();
-  const size_t capacity = csr.dense_id.size();
-  std::vector<bool> keep(capacity, false);
-  if (source >= 0 && static_cast<size_t>(source) < capacity) {
-    keep[static_cast<size_t>(source)] = true;
-  }
-
-  auto dense_of = [&](NodeId id) -> uint32_t {
-    if (id < 0 || static_cast<size_t>(id) >= capacity) return kCsrInvalid;
-    return csr.dense_id[static_cast<size_t>(id)];
-  };
-
-  // Forward BFS from the source over the packed out-edges.
-  std::vector<bool> reach(n, false);
-  std::vector<uint32_t> stack;
-  const uint32_t src = dense_of(source);
-  if (src != kCsrInvalid) {
-    reach[src] = true;
-    stack.push_back(src);
-    while (!stack.empty()) {
-      const uint32_t x = stack.back();
-      stack.pop_back();
-      for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
-        const uint32_t y = csr.out_to[i];
-        if (!reach[y]) {
-          reach[y] = true;
-          stack.push_back(y);
-        }
-      }
-    }
-  }
-
-  // One backward BFS from all answers at once over the transposed CSR.
-  std::vector<bool> co(n, false);
-  std::vector<bool> wanted(n, false);
-  for (NodeId t : answers) {
-    const uint32_t dense = dense_of(t);
-    if (dense == kCsrInvalid) continue;
-    wanted[dense] = true;
-    if (!co[dense]) {
-      co[dense] = true;
-      stack.push_back(dense);
-    }
-  }
-  while (!stack.empty()) {
-    const uint32_t x = stack.back();
-    stack.pop_back();
-    for (uint32_t i = csr.in_offset[x]; i < csr.in_offset[x + 1]; ++i) {
-      const uint32_t y = csr.in_from[i];
-      if (!co[y]) {
-        co[y] = true;
-        stack.push_back(y);
-      }
-    }
-  }
-
-  for (uint32_t d = 0; d < n; ++d) {
-    if ((reach[d] && co[d]) || wanted[d]) {
-      keep[static_cast<size_t>(csr.orig_id[d])] = true;
-    }
-  }
-  return keep;
-}
-
 }  // namespace biorank

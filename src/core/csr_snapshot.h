@@ -115,15 +115,6 @@ struct CsrQuerySnapshot {
 /// when QueryGraph::Validate fails.
 Result<CsrQuerySnapshot> BuildCsrQuerySnapshot(const QueryGraph& query_graph);
 
-/// Membership mask (indexed by original NodeId) of the query-relevant
-/// subgraph: Reach(source) ∩ ∪_t CoReach(t), plus the source and every
-/// valid answer — computed by forward/backward BFS over the flat arrays.
-/// `csr` must be an unmasked snapshot of the graph the ids refer to.
-/// Bit-for-bit identical to the mask RestrictToQueryRelevantSubgraph
-/// derives on the pointer graph (asserted by the differential suite).
-std::vector<bool> QueryRelevantMask(const CsrSnapshot& csr, NodeId source,
-                                    const std::vector<NodeId>& answers);
-
 }  // namespace biorank
 
 #endif  // BIORANK_CORE_CSR_SNAPSHOT_H_

@@ -176,41 +176,6 @@ ProbabilisticEntityGraph InducedSubgraph(const ProbabilisticEntityGraph& graph,
   return sub;
 }
 
-namespace {
-
-/// Shared tail of the restriction overloads: record the mask, build the
-/// induced subgraph, and remap source + answers to the dense ids.
-QueryGraph FinishRestriction(const QueryGraph& query_graph,
-                             const std::vector<NodeId>& answers,
-                             const std::vector<bool>& keep,
-                             std::vector<bool>* kept_nodes) {
-  const ProbabilisticEntityGraph& graph = query_graph.graph;
-  if (kept_nodes != nullptr) *kept_nodes = keep;
-  std::vector<NodeId> old_to_new;
-  QueryGraph result;
-  result.graph = InducedSubgraph(graph, keep, &old_to_new);
-  result.source = old_to_new[query_graph.source];
-  for (NodeId t : answers) {
-    if (graph.IsValidNode(t)) result.answers.push_back(old_to_new[t]);
-  }
-  return result;
-}
-
-}  // namespace
-
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph) {
-  return RestrictToQueryRelevantSubgraph(query_graph, query_graph.answers);
-}
-
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           const CsrSnapshot& graph_csr,
-                                           std::vector<bool>* kept_nodes) {
-  std::vector<bool> keep =
-      QueryRelevantMask(graph_csr, query_graph.source, answers);
-  return FinishRestriction(query_graph, answers, keep, kept_nodes);
-}
-
 QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
                                            const std::vector<NodeId>& answers,
                                            std::vector<bool>* kept_nodes) {
@@ -248,7 +213,15 @@ QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
     if (!graph.IsValidNode(i)) continue;
     if ((reach[i] && co[i]) || wanted[i]) keep[i] = true;
   }
-  return FinishRestriction(query_graph, answers, keep, kept_nodes);
+  if (kept_nodes != nullptr) *kept_nodes = keep;
+  std::vector<NodeId> old_to_new;
+  QueryGraph result;
+  result.graph = InducedSubgraph(graph, keep, &old_to_new);
+  result.source = old_to_new[query_graph.source];
+  for (NodeId t : answers) {
+    if (graph.IsValidNode(t)) result.answers.push_back(old_to_new[t]);
+  }
+  return result;
 }
 
 std::string ToDot(const QueryGraph& query_graph) {

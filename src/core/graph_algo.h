@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/csr_snapshot.h"
 #include "core/graph.h"
 #include "core/query_graph.h"
 #include "util/status.h"
@@ -46,35 +45,18 @@ ProbabilisticEntityGraph InducedSubgraph(const ProbabilisticEntityGraph& graph,
                                          const std::vector<bool>& keep,
                                          std::vector<NodeId>* old_to_new);
 
-/// Restricts a query graph to the union over all answers t of the nodes
-/// lying on some source -> t path (i.e. Reach(source) intersected with the
-/// union of CoReach(t)). Answers unreachable from the source are kept as
-/// isolated nodes so that every input answer remains a valid (score-0)
-/// answer in the output.
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph);
-
-/// Same, but restricting to the given answer subset instead of
-/// `query_graph.answers` (the output's answer set is `answers`). Lets
-/// per-candidate callers (core/canonical.h) restrict to one target
-/// without first copying the whole graph just to swap the answer list.
+/// Restricts a query graph to the union over the given answers t (often
+/// one target, or `query_graph.answers`) of the nodes lying on some
+/// source -> t path (i.e. Reach(source) intersected with the union of
+/// CoReach(t)); the output's answer set is `answers`. Answers unreachable
+/// from the source are kept as isolated nodes so that every input answer
+/// remains a valid (score-0) answer in the output.
 /// `kept_nodes` (optional out-param) receives the membership mask of the
 /// restriction, indexed by *original* NodeId — the provenance record the
-/// ingest layer's dependency index is built from.
+/// ingest layer's dependency index is built from. Canonicalization's
+/// snapshot restriction (core/canonical.h) is tested against this one.
 QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
                                            const std::vector<NodeId>& answers,
-                                           std::vector<bool>* kept_nodes =
-                                               nullptr);
-
-/// Same restriction, but the membership mask is computed by BFS over a
-/// prebuilt flat snapshot of `query_graph.graph` (core/csr_snapshot.h)
-/// instead of walking the pointer graph's tombstone-filtered adjacency.
-/// `graph_csr` must be an unmasked snapshot of exactly that graph — the
-/// per-candidate fan-out in canonicalization builds it once per request
-/// and reuses it for every target. The produced mask, subgraph, and
-/// answer mapping are identical to the pointer overload's.
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           const CsrSnapshot& graph_csr,
                                            std::vector<bool>* kept_nodes =
                                                nullptr);
 

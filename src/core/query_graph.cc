@@ -1,7 +1,6 @@
 #include "core/query_graph.h"
 
 #include <cstdlib>
-#include <unordered_set>
 
 namespace biorank {
 
@@ -9,7 +8,7 @@ Status QueryGraph::Validate() const {
   if (!graph.IsValidNode(source)) {
     return Status::InvalidArgument("query graph: source node is not alive");
   }
-  std::unordered_set<NodeId> seen;
+  std::vector<bool> seen(static_cast<size_t>(graph.node_capacity()), false);
   for (NodeId a : answers) {
     if (!graph.IsValidNode(a)) {
       return Status::InvalidArgument("query graph: answer node " +
@@ -19,10 +18,11 @@ Status QueryGraph::Validate() const {
       return Status::InvalidArgument(
           "query graph: source cannot be an answer");
     }
-    if (!seen.insert(a).second) {
+    if (seen[static_cast<size_t>(a)]) {
       return Status::InvalidArgument("query graph: duplicate answer node " +
                                      std::to_string(a));
     }
+    seen[static_cast<size_t>(a)] = true;
   }
   return Status::OK();
 }

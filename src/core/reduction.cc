@@ -1,6 +1,7 @@
 #include "core/reduction.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace biorank {
@@ -8,8 +9,10 @@ namespace biorank {
 namespace {
 
 /// One full pass of all enabled rules. Returns true if anything changed.
+/// `by_target` is scratch space shared by the passes of one reduction.
 bool ReductionPass(QueryGraph& query_graph, const ReductionOptions& options,
                    const std::vector<bool>& protected_nodes,
+                   std::vector<std::pair<NodeId, EdgeId>>& by_target,
                    ReductionStats& stats) {
   ProbabilisticEntityGraph& graph = query_graph.graph;
   bool changed = false;
@@ -30,17 +33,29 @@ bool ReductionPass(QueryGraph& query_graph, const ReductionOptions& options,
   if (options.merge_parallel) {
     for (NodeId x = 0; x < graph.node_capacity(); ++x) {
       if (!graph.IsValidNode(x)) continue;
-      std::unordered_map<NodeId, std::vector<EdgeId>> by_target;
+      // Adjacency lists append in EdgeId order, so sorting (target, edge)
+      // pairs groups parallel edges and keeps each group in adjacency
+      // order: the order the product folds in, which fixes its bits.
+      by_target.clear();
       graph.ForEachOutEdge(
-          x, [&](EdgeId e) { by_target[graph.edge(e).to].push_back(e); });
-      for (auto& [target, edges] : by_target) {
-        if (edges.size() < 2) continue;
+          x, [&](EdgeId e) { by_target.emplace_back(graph.edge(e).to, e); });
+      std::sort(by_target.begin(), by_target.end());
+      for (size_t i = 0, j = 0; i < by_target.size(); i = j) {
+        while (j < by_target.size() &&
+               by_target[j].first == by_target[i].first) {
+          ++j;
+        }
+        if (j - i < 2) continue;
         double fail_all = 1.0;
-        for (EdgeId e : edges) fail_all *= 1.0 - graph.edge(e).q;
+        for (size_t k = i; k < j; ++k) {
+          fail_all *= 1.0 - graph.edge(by_target[k].second).q;
+        }
         // Keep the first edge, fold the others into it.
-        graph.SetEdgeProb(edges[0], 1.0 - fail_all);
-        for (size_t i = 1; i < edges.size(); ++i) graph.RemoveEdge(edges[i]);
-        stats.parallel_merges += static_cast<int>(edges.size()) - 1;
+        graph.SetEdgeProb(by_target[i].second, 1.0 - fail_all);
+        for (size_t k = i + 1; k < j; ++k) {
+          graph.RemoveEdge(by_target[k].second);
+        }
+        stats.parallel_merges += static_cast<int>(j - i) - 1;
         changed = true;
       }
     }
@@ -50,13 +65,15 @@ bool ReductionPass(QueryGraph& query_graph, const ReductionOptions& options,
   if (options.collapse_serial) {
     for (NodeId x = 0; x < graph.node_capacity(); ++x) {
       if (!graph.IsValidNode(x) || protected_nodes[x]) continue;
-      std::vector<EdgeId> in = graph.InEdges(x);
-      std::vector<EdgeId> out = graph.OutEdges(x);
-      if (in.size() != 1 || out.size() != 1) continue;
-      NodeId y = graph.edge(in[0]).from;
-      NodeId z = graph.edge(out[0]).to;
+      if (graph.InDegree(x) != 1 || graph.OutDegree(x) != 1) continue;
+      EdgeId in = -1;
+      EdgeId out = -1;
+      graph.ForEachInEdge(x, [&](EdgeId e) { in = e; });
+      graph.ForEachOutEdge(x, [&](EdgeId e) { out = e; });
+      NodeId y = graph.edge(in).from;
+      NodeId z = graph.edge(out).to;
       if (y == x || z == x) continue;  // Self-loop shapes; other rules apply.
-      double q = graph.edge(in[0]).q * graph.node(x).p * graph.edge(out[0]).q;
+      double q = graph.edge(in).q * graph.node(x).p * graph.edge(out).q;
       graph.RemoveNode(x);  // Also removes both incident edges.
       if (y != z) {
         graph.AddEdge(y, z, q).value();
@@ -123,7 +140,9 @@ ReductionStats ReduceQueryGraph(QueryGraph& query_graph,
     if (t >= 0 && t < graph.node_capacity()) protected_nodes[t] = true;
   }
 
-  while (ReductionPass(query_graph, options, protected_nodes, stats)) {
+  std::vector<std::pair<NodeId, EdgeId>> by_target;
+  while (ReductionPass(query_graph, options, protected_nodes, by_target,
+                       stats)) {
     ++stats.passes;
   }
 

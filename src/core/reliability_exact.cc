@@ -188,11 +188,8 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
   }
 
   // Work on the single-target query graph restricted to relevant nodes.
-  QueryGraph single;
-  single.graph = query_graph.graph;
-  single.source = query_graph.source;
-  single.answers = {target};
-  QueryGraph restricted = RestrictToQueryRelevantSubgraph(single);
+  QueryGraph restricted =
+      RestrictToQueryRelevantSubgraph(query_graph, {target});
 
   // Remove node failures so the recursion only conditions edges.
   ReifiedGraph reified = ReifyNodeFailures(restricted);

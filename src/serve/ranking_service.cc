@@ -59,6 +59,7 @@ Status RankingService::CanonicalizeTargets(
     const QueryGraph& graph, const std::vector<NodeId>& targets,
     const CanonicalizeOptions& canonicalize,
     std::vector<CanonicalCandidate>& out, const CsrSnapshot* graph_csr) {
+  BIORANK_RETURN_IF_ERROR(ValidateCanonicalizeTargets(graph, targets));
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
   const int max_parallelism = options_.num_threads == 0
@@ -66,22 +67,13 @@ Status RankingService::CanonicalizeTargets(
                                   : options_.num_threads;
   out.clear();
   out.resize(targets.size());
-  std::vector<Status> status(targets.size());
   pool.ParallelFor(
       static_cast<int64_t>(targets.size()),
       [&](int, int64_t i) {
-        Result<CanonicalCandidate> canonical = CanonicalizeCandidate(
+        out[static_cast<size_t>(i)] = CanonicalizeValidatedCandidate(
             graph, targets[static_cast<size_t>(i)], canonicalize, graph_csr);
-        if (canonical.ok()) {
-          out[static_cast<size_t>(i)] = std::move(canonical.value());
-        } else {
-          status[static_cast<size_t>(i)] = canonical.status();
-        }
       },
       max_parallelism);
-  for (const Status& s : status) {
-    BIORANK_RETURN_IF_ERROR(s);
-  }
   return Status::OK();
 }
 

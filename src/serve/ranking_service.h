@@ -221,7 +221,10 @@ class RankingService {
 
   /// Canonicalizes `targets` of `graph` in parallel over the
   /// service-configured pool (pure per target; deterministic at any
-  /// thread count), writing `out[i]` for `targets[i]`. RankTopK's phase
+  /// thread count), writing `out[i]` for `targets[i]`. The graph and the
+  /// targets' membership in its answer set are checked once for the
+  /// batch (ValidateCanonicalizeTargets), then every target is
+  /// canonicalized unchecked. RankTopK's phase
   /// 1 and the ingest applier's dirty-answer re-canonicalization share
   /// this one fan-out, so pool selection, parallelism caps, and error
   /// propagation cannot drift apart. `graph_csr`, when non-null, is an

@@ -1,14 +1,25 @@
 // Canonical keys for reduced per-answer subgraphs: isomorphic graphs
 // must collide (that is the cache's sharing opportunity), distinct
-// probabilistic graphs must not, and the canonical rebuild must preserve
-// reliability exactly.
+// probabilistic graphs must not, the canonical rebuild must preserve
+// reliability exactly, and the keys themselves must not drift (golden
+// fixture).
 
 #include "core/canonical.h"
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "api/server.h"
 #include "core/query_graph.h"
 #include "core/reliability_exact.h"
+#include "integrate/scenario_harness.h"
+#include "testing/random_graphs.h"
 
 namespace biorank {
 namespace {
@@ -121,6 +132,10 @@ TEST(CanonicalTest, NonAnswerTargetIsRejected) {
   Result<CanonicalCandidate> c = CanonicalizeCandidate(g, g.source);
   EXPECT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
+  for (NodeId outside : {kInvalidNode, g.graph.node_capacity()}) {
+    EXPECT_EQ(CanonicalizeCandidate(g, outside).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(CanonicalTest, WholeGraphKeyInvariantUnderInsertionOrder) {
@@ -131,6 +146,90 @@ TEST(CanonicalTest, WholeGraphKeyInvariantUnderInsertionOrder) {
   ASSERT_TRUE(ka.ok() && kb.ok());
   EXPECT_EQ(ka.value().repr, kb.value().repr);
   EXPECT_EQ(Fnv1a64(ka.value().repr), ka.value().hash);
+}
+
+/// One golden-fixture line: graph name, target, key hash, the ten
+/// ReductionStats counters, and the provenance node and edge counts.
+std::string GoldenLine(const std::string& graph, NodeId target,
+                       const CanonicalCandidate& c) {
+  const ReductionStats& s = c.reduction_stats;
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "%s %d %016" PRIx64 " %d %d %d %d %d %d %d %d %d %d %zu %zu",
+                graph.c_str(), target, c.key.hash, s.nodes_before,
+                s.edges_before, s.nodes_after, s.edges_after,
+                s.sink_deletions, s.orphan_deletions, s.serial_collapses,
+                s.parallel_merges, s.self_loop_deletions, s.passes,
+                c.provenance.nodes.size(), c.provenance.edges.size());
+  return line;
+}
+
+constexpr char kGoldenHeader[] =
+    "# Canonical-key golden fixture, asserted by core_canonical_test. One\n"
+    "# line per (graph, answer): graph, target node, key.hash, the\n"
+    "# ReductionStats counters (nodes and edges before, nodes and edges\n"
+    "# after, sink, orphan, serial, parallel and self-loop counts, passes),\n"
+    "# provenance node and edge counts.\n";
+
+TEST(CanonicalGoldenTest, KeysStatsAndProvenanceMatchTheFixture) {
+  // Warm-boot snapshots, the restored reliability cache and the MC
+  // stream seeds (DeriveStreamSeed(seed, key.hash)) all depend on these
+  // keys, so a change that re-keys candidates must fail here. Graphs: the
+  // seeded restriction corpus (random graphs and delta-shaped copies) and
+  // the 20 Table-1 protein query graphs.
+  std::vector<std::pair<std::string, QueryGraph>> corpus;
+  std::vector<QueryGraph> seeded = testing::MakeRestrictionCorpus();
+  for (size_t i = 0; i < seeded.size(); ++i) {
+    corpus.emplace_back("seeded-" + std::to_string(i), std::move(seeded[i]));
+  }
+  api::Server server;
+  Result<std::vector<ScenarioQuery>> table1 =
+      server.harness().BuildQueries(ScenarioId::kScenario1WellKnown);
+  ASSERT_TRUE(table1.ok()) << table1.status();
+  for (ScenarioQuery& query : table1.value()) {
+    corpus.emplace_back(query.spec.gene_symbol, std::move(query.graph));
+  }
+
+  CanonicalizeOptions options;
+  options.collect_provenance = true;
+  std::vector<std::string> actual;
+  for (const auto& [name, graph] : corpus) {
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    for (NodeId target : graph.answers) {
+      Result<CanonicalCandidate> c =
+          CanonicalizeCandidate(graph, target, options, &csr);
+      Result<CanonicalCandidate> reference =
+          CanonicalizeCandidate(graph, target, options);
+      ASSERT_TRUE(c.ok() && reference.ok()) << name << " target " << target;
+      actual.push_back(GoldenLine(name, target, c.value()));
+      EXPECT_EQ(GoldenLine(name, target, reference.value()), actual.back())
+          << "the pointer restriction disagrees";
+    }
+  }
+
+  std::vector<std::string> expected;
+  std::ifstream fixture(BIORANK_TESTDATA_DIR "/canonical_golden.txt");
+  for (std::string line; std::getline(fixture, line);) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  if (actual != expected) {
+    // Only for an intentional re-key: diff this file, then copy it over
+    // tests/testdata/canonical_golden.txt.
+    std::ofstream out("canonical_golden.actual.txt");
+    out << kGoldenHeader;
+    for (const std::string& line : actual) out << line << "\n";
+  }
+  ASSERT_EQ(actual.size(), expected.size())
+      << "see canonical_golden.actual.txt";
+  size_t mismatches = 0;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    if (actual[i] != expected[i] && ++mismatches <= 5) {
+      ADD_FAILURE() << "expected " << expected[i] << "\n  actual   "
+                    << actual[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "candidates re-keyed; actual values in "
+                               "canonical_golden.actual.txt";
 }
 
 }  // namespace

@@ -23,35 +23,12 @@ using testing::CompareMcBackends;
 using testing::CompareRestrictionBackends;
 using testing::CompareTopKBackends;
 using testing::DiffResult;
-
-/// One graph per round, cycling through the three generators so the
-/// sweep covers DAGs, trees, and cyclic digraphs (self-loops included).
-QueryGraph GraphForRound(Rng& rng, int round) {
-  switch (round % 3) {
-    case 0: {
-      testing::RandomDagOptions options;
-      options.layers = 2 + round % 4;
-      options.nodes_per_layer = 3 + round % 5;
-      options.answers = 2 + round % 4;
-      options.edge_density = 0.3 + 0.02 * (round % 15);
-      options.skip_density = 0.1;
-      options.certain_nodes = (round % 6) == 0;
-      return testing::MakeRandomLayeredDag(rng, options);
-    }
-    case 1:
-      return testing::MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
-                                     (round % 4) == 1);
-    default:
-      return testing::MakeRandomDigraph(rng, 8 + round % 10,
-                                        0.2 + 0.01 * (round % 10),
-                                        2 + round % 3);
-  }
-}
+using testing::MakeRoundRobinGraph;
 
 TEST(CsrDifferentialTest, ReliabilityMcBitIdentical) {
   Rng rng(20260808);
   for (int round = 0; round < 50; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = MakeRoundRobinGraph(rng, round);
     for (int threads : {1, 4}) {
       DiffResult r = CompareMcBackends(query, /*trials=*/1500,
                                        /*seed=*/1000 + round, threads);
@@ -67,7 +44,7 @@ TEST(CsrDifferentialTest, ReliabilityMcNaiveModeBitIdentical) {
   // either backend because p == 0 short-circuits the Bernoulli).
   Rng rng(77);
   for (int round = 0; round < 25; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = MakeRoundRobinGraph(rng, round);
     for (int threads : {1, 4}) {
       DiffResult r =
           CompareMcBackends(query, /*trials=*/600, /*seed=*/31 + round,
@@ -81,7 +58,7 @@ TEST(CsrDifferentialTest, ReliabilityMcNaiveModeBitIdentical) {
 TEST(CsrDifferentialTest, TopKAdaptiveTrajectoryBitIdentical) {
   Rng rng(4242);
   for (int round = 0; round < 40; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = MakeRoundRobinGraph(rng, round);
     TopKOptions options;
     options.k = 2;
     options.batch_trials = 400;
@@ -99,7 +76,7 @@ TEST(CsrDifferentialTest, TopKAdaptiveTrajectoryBitIdentical) {
 TEST(CsrDifferentialTest, DiffusionBitIdentical) {
   Rng rng(1717);
   for (int round = 0; round < 50; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = MakeRoundRobinGraph(rng, round);
     DiffusionOptions options;
     options.max_iterations = 100;
     options.solver = (round % 2) == 0 ? DiffusionInnerSolver::kAnalytic
@@ -110,11 +87,12 @@ TEST(CsrDifferentialTest, DiffusionBitIdentical) {
 }
 
 TEST(CsrDifferentialTest, RestrictionAndCanonicalizationIdentical) {
-  Rng rng(5150);
-  for (int round = 0; round < 40; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
-    DiffResult r = CompareRestrictionBackends(query);
-    EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
+  // Every other corpus graph carries tombstoned and parallel edges, the
+  // shapes evidence deltas leave in live graphs.
+  const std::vector<QueryGraph> corpus = testing::MakeRestrictionCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    DiffResult r = CompareRestrictionBackends(corpus[i]);
+    EXPECT_TRUE(r.ok) << "corpus graph " << i << ": " << r.message;
   }
 }
 
@@ -123,7 +101,7 @@ TEST(CsrDifferentialTest, ShardGranularityInvariance) {
   // the same way (shard plan is part of the reproducibility key, not a
   // backend detail).
   Rng rng(62);
-  QueryGraph query = GraphForRound(rng, 0);
+  QueryGraph query = MakeRoundRobinGraph(rng, 0);
   for (int64_t shard_trials : {1, 7, 64, 512}) {
     McOptions mc;
     mc.trials = 999;

@@ -267,10 +267,6 @@ TEST(CsrSnapshotTest, KeptMaskMatchesInducedSubgraph) {
     EXPECT_EQ(masked.in_offset, reference.in_offset);
     EXPECT_EQ(masked.in_from, reference.in_from);
     EXPECT_EQ(masked.in_q, reference.in_q);
-
-    // The mask itself round-trips through the flat BFS variant.
-    CsrSnapshot full = BuildCsrSnapshot(query.graph);
-    EXPECT_EQ(QueryRelevantMask(full, query.source, query.answers), kept);
   }
 }
 

@@ -177,7 +177,7 @@ TEST(RestrictTest, DropsNodesOffAllPaths) {
   builder.Edge(mid, t, 0.5);
   builder.Edge(mid, stray, 0.5);
   QueryGraph g = std::move(builder).Build({t});
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(g);
+  QueryGraph sub = RestrictToQueryRelevantSubgraph(g, g.answers);
   EXPECT_EQ(sub.graph.num_nodes(), 3);  // s, mid, t.
   EXPECT_EQ(sub.graph.num_edges(), 2);
   EXPECT_EQ(sub.answers.size(), 1u);
@@ -191,7 +191,7 @@ TEST(RestrictTest, UnreachableAnswerKeptIsolated) {
   NodeId orphan_answer = builder.Node(0.7, "orphan");
   builder.Edge(s, t, 0.5);
   QueryGraph g = std::move(builder).Build({t, orphan_answer});
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(g);
+  QueryGraph sub = RestrictToQueryRelevantSubgraph(g, g.answers);
   EXPECT_EQ(sub.answers.size(), 2u);
   EXPECT_TRUE(sub.Validate().ok());
   // The orphan answer survives with no edges.

@@ -37,6 +37,49 @@ TEST(ReductionTest, ParallelMergeUsesInclusionExclusion) {
   EXPECT_NEAR(g.graph.edge(in[0]).q, 0.75, 1e-12);
 }
 
+TEST(ReductionTest, ParallelMergeFoldsInAdjacencyOrder) {
+  // 1 - prod(1 - q) rounds differently depending on which factor is
+  // folded last; for these q all three choices give different bits.
+  // Canonical keys (and every cache entry persisted under them) were
+  // recorded with the fold in adjacency order, which must hold even with
+  // another target's edge interleaved.
+  const double q[] = {0.15, 0.45, 0.05};
+  QueryGraphBuilder b;
+  NodeId t = b.Node(1.0, "t");
+  NodeId u = b.Node(1.0, "u");
+  b.Edge(b.Source(), t, q[0]);
+  b.Edge(b.Source(), u, 0.5);
+  b.Edge(b.Source(), t, q[1]);
+  b.Edge(b.Source(), t, q[2]);
+  QueryGraph g = std::move(b).Build({t, u});
+  ReductionStats stats = ReduceQueryGraph(g);
+  EXPECT_EQ(stats.parallel_merges, 2);
+  std::vector<EdgeId> in = g.graph.InEdges(t);
+  ASSERT_EQ(in.size(), 1u);
+  const double in_order = 1.0 - (1.0 - q[0]) * (1.0 - q[1]) * (1.0 - q[2]);
+  const double middle_last = 1.0 - (1.0 - q[0]) * (1.0 - q[2]) * (1.0 - q[1]);
+  const double first_last = 1.0 - (1.0 - q[2]) * (1.0 - q[1]) * (1.0 - q[0]);
+  ASSERT_NE(in_order, middle_last);
+  ASSERT_NE(in_order, first_last);
+  EXPECT_EQ(g.graph.edge(in[0]).q, in_order);
+}
+
+TEST(ReductionTest, FanOutNodeDoesNotCollapse) {
+  // x has one in-edge but two out-edges: not a serial node.
+  QueryGraphBuilder b;
+  NodeId x = b.Node(0.9, "x");
+  NodeId t1 = b.Node(1.0, "t1");
+  NodeId t2 = b.Node(1.0, "t2");
+  b.Edge(b.Source(), x, 0.5);
+  b.Edge(x, t1, 0.6);
+  b.Edge(x, t2, 0.7);
+  QueryGraph g = std::move(b).Build({t1, t2});
+  ReductionStats stats = ReduceQueryGraph(g);
+  EXPECT_EQ(stats.serial_collapses, 0);
+  EXPECT_TRUE(g.graph.IsValidNode(x));
+  EXPECT_EQ(g.graph.num_edges(), 3);
+}
+
 TEST(ReductionTest, SinkDeletionCascades) {
   QueryGraphBuilder b;
   NodeId t = b.Node(1.0, "t");

@@ -66,6 +66,29 @@ TEST(RankingServiceTest, FullRankingMatchesExactReliability) {
   }
 }
 
+TEST(RankingServiceTest, CanonicalizeTargetsChecksTheBatchUpFront) {
+  // The batch is validated once and every target is then canonicalized
+  // unchecked, so one bad target or an invalid graph fails the call.
+  QueryGraph g = MakeFig4aSerialParallel();
+  RankingService service;
+  const CsrSnapshot csr = BuildCsrSnapshot(g.graph);
+  std::vector<CanonicalCandidate> out;
+  ASSERT_TRUE(service.CanonicalizeTargets(g, g.answers, {}, out, &csr).ok());
+  ASSERT_EQ(out.size(), 1u);
+  Result<CanonicalCandidate> single = CanonicalizeCandidate(g, g.answers[0]);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(out[0].key.repr, single.value().key.repr);
+
+  EXPECT_EQ(service.CanonicalizeTargets(g, {g.answers[0], g.source}, {}, out,
+                                        &csr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  QueryGraph duplicated = g;
+  duplicated.answers.push_back(g.answers[0]);
+  EXPECT_FALSE(
+      service.CanonicalizeTargets(duplicated, g.answers, {}, out, &csr).ok());
+}
+
 TEST(RankingServiceTest, TopKIsSortedAndTruncated) {
   Rng rng(7);
   RandomDagOptions options;

@@ -50,9 +50,10 @@ DiffResult CompareTopKBackends(const QueryGraph& query_graph,
 DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
                                     const DiffusionOptions& base);
 
-/// Compares the query-relevant restriction of every answer between the
-/// pointer traversal and the CSR-mask overload: kept masks, canonical
-/// keys, and provenance footprints must match exactly.
+/// Canonicalizes every answer twice, restricting over the pointer graph
+/// (the reference) and target-first over a CSR snapshot: keys, canonical
+/// targets, reduction stats, the canonical graphs (bit for bit) and the
+/// provenance footprints must match exactly.
 DiffResult CompareRestrictionBackends(const QueryGraph& query_graph);
 
 }  // namespace biorank::testing

@@ -102,4 +102,62 @@ QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
   return std::move(builder).Build(answers);
 }
 
+QueryGraph MakeRoundRobinGraph(Rng& rng, int round) {
+  switch (round % 3) {
+    case 0: {
+      RandomDagOptions options;
+      options.layers = 2 + round % 4;
+      options.nodes_per_layer = 3 + round % 5;
+      options.answers = 2 + round % 4;
+      options.edge_density = 0.3 + 0.02 * (round % 15);
+      options.skip_density = 0.1;
+      options.certain_nodes = (round % 6) == 0;
+      return MakeRandomLayeredDag(rng, options);
+    }
+    case 1:
+      return MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
+                            (round % 4) == 1);
+    default:
+      return MakeRandomDigraph(rng, 8 + round % 10,
+                               0.2 + 0.01 * (round % 10), 2 + round % 3);
+  }
+}
+
+void ApplyDeltaShapes(Rng& rng, QueryGraph& query_graph) {
+  ProbabilisticEntityGraph& graph = query_graph.graph;
+  const EdgeId original_edges = graph.edge_capacity();
+  for (EdgeId e = 0; e < original_edges; ++e) {
+    if (!graph.IsValidEdge(e)) continue;
+    if (rng.NextBernoulli(0.15)) {
+      graph.RemoveEdge(e);
+    } else if (rng.NextBernoulli(0.2)) {
+      const GraphEdge edge = graph.edge(e);  // AddEdge may reallocate.
+      graph.AddEdge(edge.from, edge.to, rng.NextUniform(0.2, 1.0)).value();
+    }
+  }
+  const std::vector<NodeId> alive = graph.AliveNodes();
+  const NodeId from = alive[static_cast<size_t>(rng.NextBounded(alive.size()))];
+  const NodeId added = graph.AddNode(rng.NextUniform(0.3, 1.0));
+  graph.AddEdge(from, added, rng.NextUniform(0.2, 1.0)).value();
+  if (!query_graph.answers.empty()) {
+    const NodeId answer = query_graph.answers[static_cast<size_t>(
+        rng.NextBounded(query_graph.answers.size()))];
+    graph.AddEdge(added, answer, rng.NextUniform(0.2, 1.0)).value();
+  }
+}
+
+std::vector<QueryGraph> MakeRestrictionCorpus() {
+  std::vector<QueryGraph> corpus;
+  Rng rng(5150);
+  Rng shapes(5151);
+  for (int round = 0; round < 40; ++round) {
+    QueryGraph query = MakeRoundRobinGraph(rng, round);
+    QueryGraph shaped = query;
+    ApplyDeltaShapes(shapes, shaped);
+    corpus.push_back(std::move(query));
+    corpus.push_back(std::move(shaped));
+  }
+  return corpus;
+}
+
 }  // namespace biorank::testing

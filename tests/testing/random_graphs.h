@@ -40,6 +40,21 @@ QueryGraph MakeRandomTree(Rng& rng, int depth, int branching,
 QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
                              int num_answers);
 
+/// One graph per round, cycling through the three generators so a sweep
+/// covers DAGs, trees, and cyclic digraphs of varying size and density.
+QueryGraph MakeRoundRobinGraph(Rng& rng, int round);
+
+/// Reshapes `query_graph` the way evidence deltas do: tombstones some
+/// edges, adds a parallel copy (fresh probability) beside others, and
+/// appends a new node wired from an existing node into an answer. The
+/// source and answers stay valid.
+void ApplyDeltaShapes(Rng& rng, QueryGraph& query_graph);
+
+/// The seeded restriction/canonicalization corpus: 40 round-robin graphs,
+/// each followed by a delta-shaped copy. The CSR-vs-pointer differential
+/// suite and the canonical-key golden fixture both sweep it.
+std::vector<QueryGraph> MakeRestrictionCorpus();
+
 }  // namespace biorank::testing
 
 #endif  // BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
