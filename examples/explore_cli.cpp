@@ -187,7 +187,8 @@ int main(int argc, char** argv) {
               << graph.graph.num_edges() << " edges, "
               << graph.answers.size() << " candidate functions.\n\n";
     std::cout << "Top " << top_n << " functions by served reliability ("
-              << FormatCompact(r.timing.rank_s * 1e3, 3) << " ms, "
+              << FormatCompact((r.timing.rank_s + r.timing.refine_s) * 1e3, 3)
+              << " ms, "
               << r.stats.cache_hits << " cache hits, " << r.stats.pruned
               << " pruned):\n";
     for (size_t i = 0; i < r.top.size(); ++i) {

@@ -58,7 +58,9 @@ int main() {
                 query.relevant.count(answer.node) > 0 ? "yes" : ""});
   }
   top.Print(std::cout);
-  std::cout << "Serving: " << FormatCompact(response.timing.rank_s * 1e3, 3)
+  std::cout << "Serving: "
+            << FormatCompact(
+                   (response.timing.rank_s + response.timing.refine_s) * 1e3, 3)
             << " ms rank phase, " << response.stats.cache_hits
             << " cache hits / " << response.stats.cache_misses
             << " misses, " << response.stats.pruned

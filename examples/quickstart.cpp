@@ -71,7 +71,8 @@ int main() {
   }
   table.Print(std::cout);
   std::cout << "Timing: integrate " << FormatCompact(r.timing.integrate_s, 4)
-            << " s, rank " << FormatCompact(r.timing.rank_s, 4)
+            << " s, rank "
+            << FormatCompact(r.timing.rank_s + r.timing.refine_s, 4)
             << " s; scheduler saw " << r.stats.candidates << " candidates ("
             << r.stats.cache_hits << " cache hits, " << r.stats.pruned
             << " pruned by bounds).\n\n";

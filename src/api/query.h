@@ -143,8 +143,13 @@ struct RankedAnswer {
 struct PhaseTiming {
   double queue_s = 0.0;      ///< Waiting in the admission queue.
   double integrate_s = 0.0;  ///< Source fan-out + graph stitching.
-  double rank_s = 0.0;       ///< Serving-layer bounds + blocking top-k.
-  double refine_s = 0.0;     ///< Incremental anytime MC (this call's share).
+  /// Ranking prepare (canonicalize, cache lookup, bounds, top-k cut);
+  /// a session query's whole ranking pass.
+  double rank_s = 0.0;
+  /// Ranking advance (exact factoring and MC on the survivors), in both
+  /// modes: a blocking request's run to convergence, an anytime call's
+  /// share of refinement.
+  double refine_s = 0.0;
   double total_s = 0.0;
 };
 

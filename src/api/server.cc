@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -356,9 +357,11 @@ void Server::InitMetrics() {
   metrics_.integrate_seconds = reg.GetHistogram(
       "biorank_api_integrate_seconds", "Mediator crawl + graph stitching");
   metrics_.rank_seconds = reg.GetHistogram(
-      "biorank_api_rank_seconds", "Serving-layer bounds + blocking top-k");
+      "biorank_api_rank_seconds",
+      "Ranking prepare: canonicalize, cache lookup, bounds, top-k cut");
   metrics_.refine_seconds = reg.GetHistogram(
-      "biorank_api_refine_seconds", "Incremental anytime MC per call");
+      "biorank_api_refine_seconds",
+      "Ranking advance: exact factoring and MC on the survivors, per call");
   metrics_.apply_seconds = reg.GetHistogram(
       "biorank_ingest_apply_seconds", "Evidence-delta apply latency");
   // Gauges and the legacy Stats() structs (cache, admission) are
@@ -466,15 +469,16 @@ int ClampTopK(int top_k, int answers) {
   return top_k > 0 ? std::min(top_k, answers) : answers;
 }
 
-/// Converts a serve-layer result into the response's labeled answers +
+/// Converts a serve-layer ranking into the response's labeled answers +
 /// stats; `label(node)` supplies the answer label (graph lookup for
-/// one-shot requests, the session's captured labels for live queries).
+/// one-shot requests, captured labels for refinements and sessions).
 template <typename LabelFn>
-void FillRanked(const serve::TopKResult& top, LabelFn label,
+void FillRanked(const std::vector<serve::RankedCandidate>& top,
+                const serve::RequestStats& stats, LabelFn label,
                 QueryResponse& response) {
-  response.stats = top.stats;
-  response.top.reserve(top.top.size());
-  for (const serve::RankedCandidate& candidate : top.top) {
+  response.stats = stats;
+  response.top.reserve(top.size());
+  for (const serve::RankedCandidate& candidate : top) {
     RankedAnswer answer;
     answer.node = candidate.node;
     answer.label = label(candidate.node);
@@ -487,69 +491,35 @@ void FillRanked(const serve::TopKResult& top, LabelFn label,
   }
 }
 
-}  // namespace
-
-Status Server::RankAnswerSubset(const QueryGraph& graph,
-                                const std::vector<NodeId>& answers, int top_k,
-                                serve::RankingService& service,
-                                QueryResponse& response) {
-  int count = static_cast<int>(answers.size());
-  if (count == 0) return Status::OK();  // Nothing to rank.
-  Result<serve::TopKResult> top =
-      service.RankTopK(graph, answers, ClampTopK(top_k, count));
-  if (!top.ok()) return top.status();
-  FillRanked(top.value(),
-             [&graph](NodeId node) { return graph.graph.node(node).label; },
-             response);
-  return Status::OK();
-}
-
-Status Server::AdvanceRefinement(Refinement& refinement,
-                                 const QueryOptions& options,
-                                 SteadyClock::time_point deadline,
-                                 QueryResponse& response) {
-  serve::RankingService& service = refinement.private_service != nullptr
-                                       ? *refinement.private_service
-                                       : service_;
-  serve::RefinementState& state = refinement.state;
-  const SteadyClock::time_point refine_start = SteadyClock::now();
-  if (!state.complete()) {
-    if (options.mc_trial_budget > 0) {
-      // Budgeted increments: one per call, or — under a deadline —
-      // repeated until the ranking settles or the deadline fires.
-      const bool repeat = deadline != SteadyClock::time_point::max();
-      do {
-        Result<serve::Completeness> increment = serve::RefineIncrement(
-            service, state, options.mc_trial_budget, deadline);
-        if (!increment.ok()) return increment.status();
-      } while (repeat && !state.complete() && SteadyClock::now() < deadline);
-    } else if (deadline != SteadyClock::time_point::max() ||
-               options.mode == QueryMode::kBlocking) {
-      // No per-increment budget: refine each survivor to convergence,
-      // stopping between survivors if the deadline fires.
-      Result<serve::Completeness> increment =
-          serve::RefineIncrement(service, state, /*trial_budget=*/0,
-                                 deadline);
-      if (!increment.ok()) return increment.status();
-    }
-    // Anytime with no budget and no deadline spends nothing: the
-    // bounds-only ranking is the answer.
-  }
-  response.timing.refine_s = SecondsSince(refine_start);
-
-  serve::TopKResult view;
-  view.top = serve::CurrentRanking(state);
-  view.stats = state.stats;
-  const auto& labels = refinement.labels;
-  FillRanked(view,
-             [&labels](NodeId node) {
-               auto it = labels.find(node);
-               return it != labels.end() ? it->second : std::string();
-             },
-             response);
+/// The same for a pipeline state: its current ranking, cumulative stats
+/// and completeness.
+template <typename LabelFn>
+void FillRanked(const serve::RefinementState& state, LabelFn label,
+                QueryResponse& response) {
+  FillRanked(serve::CurrentRanking(state), state.stats, label, response);
   response.completeness = serve::Summarize(state);
+}
+
+/// Advances `state` under one call's per-survivor trial budget and
+/// deadline and stamps timing.refine_s.
+Status AdvanceWithin(serve::RankingService& service,
+                     serve::RefinementState& state, int64_t trial_budget,
+                     SteadyClock::time_point deadline, PhaseTiming& timing) {
+  const SteadyClock::time_point start = SteadyClock::now();
+  // A positive budget is one increment per call, repeated under a
+  // deadline until the ranking settles or the deadline fires; no budget
+  // refines every survivor to convergence, stopping between survivors
+  // at the deadline.
+  do {
+    BIORANK_RETURN_IF_ERROR(
+        serve::Advance(service, state, trial_budget, deadline));
+  } while (trial_budget > 0 && deadline != SteadyClock::time_point::max() &&
+           !state.complete() && SteadyClock::now() < deadline);
+  timing.refine_s = SecondsSince(start);
   return Status::OK();
 }
+
+}  // namespace
 
 Result<QueryResponse> Server::Query(const QueryRequest& request) {
   Tick();
@@ -612,75 +582,60 @@ Status Server::RankWithOptions(const QueryGraph& graph,
                                const QueryOptions& options,
                                SteadyClock::time_point deadline,
                                QueryResponse& response) {
-  const bool foreign_seed =
-      options.seed != 0 && options.seed != options_.ranking.seed;
-  if (options.mode == QueryMode::kBlocking) {
-    SteadyClock::time_point rank_start = SteadyClock::now();
-    Status ranked;
-    if (!foreign_seed) {
-      ranked = RankAnswerSubset(graph, answers, options.top_k, service_,
-                                response);
-    } else {
-      // A foreign MC seed changes every irreducible residue's value, so
-      // it must not read or publish through the shared cache; serve it
-      // from a request-private service instead.
-      serve::RankingServiceOptions foreign = options_.ranking;
-      foreign.seed = options.seed;
-      serve::RankingService private_service(foreign);
-      ranked = RankAnswerSubset(graph, answers, options.top_k,
-                                private_service, response);
-    }
-    if (!ranked.ok()) return ranked;
-    response.timing.rank_s = SecondsSince(rank_start);
-    // Blocking rankings are final by construction. The resolved/bounded
-    // split is derived from the scheduler counters (pruned counts unique
-    // canonicals, so request-local duplicates fold into one).
-    response.completeness.resolved =
-        response.stats.candidates - response.stats.pruned;
-    response.completeness.bounded = response.stats.pruned;
-    response.completeness.complete = true;
+  if (answers.empty()) {
+    response.completeness.complete = true;  // Nothing to rank.
     return Status::OK();
   }
-  // Anytime: deterministic bounds-first prepare, then whatever
-  // refinement the deadline/budget allows; unresolved answers come
-  // back as kRefining brackets behind a handle.
-  const int count = static_cast<int>(answers.size());
-  if (count == 0) {
-    response.completeness.complete = true;
-    return Status::OK();
-  }
-  auto refinement = std::make_shared<Refinement>();
-  if (foreign_seed) {
+  // A foreign MC seed changes every irreducible residue's value, so it
+  // must not read or publish through the shared cache; a request-private
+  // service serves it (and any refinement it leaves behind).
+  std::unique_ptr<serve::RankingService> private_service;
+  if (options.seed != 0 && options.seed != options_.ranking.seed) {
     serve::RankingServiceOptions foreign = options_.ranking;
     foreign.seed = options.seed;
-    refinement->private_service =
-        std::make_unique<serve::RankingService>(foreign);
+    private_service = std::make_unique<serve::RankingService>(foreign);
   }
-  serve::RankingService& service = refinement->private_service != nullptr
-                                       ? *refinement->private_service
-                                       : service_;
-  SteadyClock::time_point rank_start = SteadyClock::now();
-  Result<serve::RefinementState> prepared = serve::PrepareAnytime(
-      service, graph, answers, ClampTopK(options.top_k, count));
+  serve::RankingService& service =
+      private_service != nullptr ? *private_service : service_;
+  const SteadyClock::time_point rank_start = SteadyClock::now();
+  Result<serve::RefinementState> prepared = serve::Prepare(
+      service, graph, answers,
+      ClampTopK(options.top_k, static_cast<int>(answers.size())));
   if (!prepared.ok()) return prepared.status();
-  refinement->state = std::move(prepared.value());
+  serve::RefinementState& state = prepared.value();
   response.timing.rank_s = SecondsSince(rank_start);
-  refinement->labels.reserve(refinement->state.nodes.size());
-  for (NodeId node : refinement->state.nodes) {
+
+  // Blocking is anytime run to convergence. The one request that spends
+  // nothing is anytime with neither a trial budget nor a deadline: its
+  // bounds-only ranking is the answer.
+  const bool blocking = options.mode == QueryMode::kBlocking;
+  if (blocking || options.mc_trial_budget > 0 ||
+      deadline != SteadyClock::time_point::max()) {
+    BIORANK_RETURN_IF_ERROR(AdvanceWithin(
+        service, state, blocking ? 0 : options.mc_trial_budget,
+        blocking ? SteadyClock::time_point::max() : deadline,
+        response.timing));
+  }
+  FillRanked(state,
+             [&graph](NodeId node) { return graph.graph.node(node).label; },
+             response);
+  if (state.complete()) return Status::OK();
+
+  auto refinement = std::make_shared<Refinement>();
+  refinement->labels.reserve(state.nodes.size());
+  for (NodeId node : state.nodes) {
     refinement->labels.emplace(node, graph.graph.node(node).label);
   }
-  BIORANK_RETURN_IF_ERROR(
-      AdvanceRefinement(*refinement, options, deadline, response));
-  if (!refinement->state.complete()) {
-    RefinementHandle handle;
-    handle.id = next_refinement_id_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(refinements_mu_);
-      refinements_.emplace(handle.id, std::move(refinement));
-    }
-    metrics_.refinements_started->Add();
-    response.refinement = handle;
+  refinement->state = std::move(state);
+  refinement->private_service = std::move(private_service);
+  RefinementHandle handle;
+  handle.id = next_refinement_id_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(refinements_mu_);
+    refinements_.emplace(handle.id, std::move(refinement));
   }
+  metrics_.refinements_started->Add();
+  response.refinement = handle;
   return Status::OK();
 }
 
@@ -723,19 +678,25 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
     bool complete = false;
     {
       std::lock_guard<std::mutex> lock(refinement->mu);
-      QueryOptions increment = options;
-      increment.mode = QueryMode::kAnytime;  // Refine is inherently anytime…
-      if (!increment.has_deadline() && increment.mc_trial_budget <= 0) {
-        // …but a Refine with no budget and no deadline means "finish the
-        // job", not "do nothing" (the bounds-only phase already ran).
-        increment.mode = QueryMode::kBlocking;
-      }
+      serve::RankingService& service = refinement->private_service != nullptr
+                                           ? *refinement->private_service
+                                           : service_;
+      // The bounds-only phase already ran, so a Refine with no budget and
+      // no deadline finishes the job.
       Status advanced =
-          AdvanceRefinement(*refinement, increment, deadline, response);
+          AdvanceWithin(service, refinement->state, options.mc_trial_budget,
+                        deadline, response.timing);
       if (!advanced.ok()) {
         metrics_.errors->Add();
         return advanced;
       }
+      const auto& labels = refinement->labels;
+      FillRanked(refinement->state,
+                 [&labels](NodeId node) {
+                   auto it = labels.find(node);
+                   return it != labels.end() ? it->second : std::string();
+                 },
+                 response);
       complete = refinement->state.complete();
     }
     if (complete) {
@@ -820,14 +781,6 @@ Result<QueryResponse> Server::RankGraph(const QueryGraph& graph, int top_k) {
   QueryOptions options;
   options.top_k = top_k;
   return RankGraph(graph, graph.answers, options);
-}
-
-Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
-                                        const std::vector<NodeId>& answers,
-                                        int top_k) {
-  QueryOptions options;
-  options.top_k = top_k;
-  return RankGraph(graph, answers, options);
 }
 
 Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
@@ -944,7 +897,7 @@ Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
         live.live.applier->RankTopK(ClampTopK(top_k, answers));
     if (!top.ok()) return top.status();
     const auto& labels = live.live.answer_labels;
-    FillRanked(top.value(),
+    FillRanked(top.value().top, top.value().stats,
                [&labels](NodeId node) {
                  auto it = labels.find(node);
                  return it != labels.end() ? it->second : std::string();

@@ -165,12 +165,13 @@ class Server {
   /// when the server caps concurrency), mediator crawl, then (unless
   /// options.rank is false or the answer set is empty) a ranking pass
   /// through the shared service — or through a request-private service
-  /// when the request pins a foreign MC seed. kBlocking resolves every
-  /// survivor before returning; kAnytime returns the bounds-only ranking
-  /// plus whatever refinement the deadline/budget allowed, carrying a
-  /// RefinementHandle when answers are still open. A request whose
-  /// deadline passes while queued gets kDeadlineExceeded and no partial
-  /// answer.
+  /// when the request pins a foreign MC seed. Both modes run the one
+  /// serve pipeline (serve/refinement.h): kBlocking advances every
+  /// survivor to convergence before returning; kAnytime returns the
+  /// bounds-only ranking plus whatever refinement the deadline/budget
+  /// allowed, carrying a RefinementHandle when answers are still open. A
+  /// request whose deadline passes while queued gets kDeadlineExceeded
+  /// and no partial answer.
   Result<QueryResponse> Query(const QueryRequest& request);
 
   /// Advances a live anytime refinement by one increment (per-survivor
@@ -204,28 +205,23 @@ class Server {
   /// `result` is empty (the caller holds the graph).
   Result<QueryResponse> RankGraph(const QueryGraph& graph, int top_k);
 
-  /// Ranks only `answers` — a distinct subset of `graph.answers` — and
-  /// returns its top `top_k`. This is the shard-serving entry point: a
-  /// shard::ShardRouter partitions a query's answer set across N servers
-  /// and each shard ranks exactly the slice it owns, with values
-  /// bit-identical to the same answers inside an unsharded request
-  /// (every resolved value is a pure function of the candidate's
-  /// canonical key and the server's MC seed).
-  Result<QueryResponse> RankGraph(const QueryGraph& graph,
-                                  const std::vector<NodeId>& answers,
-                                  int top_k);
-
   /// The full-options form of RankGraph: the same admission gate and
   /// blocking/anytime dispatch as Query, minus the mediator crawl. An
   /// anytime call leaves a RefinementHandle exactly like an anytime
   /// Query; the refinement state owns its canonicalizations, so the
   /// caller's graph need not outlive the handle. The plain int-top_k
-  /// overloads above forward here with default (blocking, no-deadline)
+  /// overload above forwards here with default (blocking, no-deadline)
   /// options.
   Result<QueryResponse> RankGraph(const QueryGraph& graph,
                                   const QueryOptions& options);
 
-  /// Same, restricted to the `answers` subset (the shard slice).
+  /// Same, restricted to `answers` — a distinct subset of
+  /// `graph.answers` (anything else is kInvalidArgument). This is the
+  /// shard-serving entry point: a shard::ShardRouter partitions a query's
+  /// answer set across N servers and each shard ranks exactly the slice
+  /// it owns, with values bit-identical to the same answers inside an
+  /// unsharded request (every resolved value is a pure function of the
+  /// candidate's canonical key and the server's MC seed).
   Result<QueryResponse> RankGraph(const QueryGraph& graph,
                                   const std::vector<NodeId>& answers,
                                   const QueryOptions& options);
@@ -324,10 +320,11 @@ class Server {
     std::atomic<uint64_t> last_touch{0};
   };
 
-  /// One server-resident anytime refinement. The state owns its
+  /// One server-resident anytime refinement, registered only when an
+  /// anytime response still has open answers. The state owns its
   /// canonicalizations (self-contained reduced residues), so the
   /// original query graph does not stay resident; labels are captured
-  /// once at Query time. `private_service` is set when the request
+  /// once at registration. `private_service` is set when the request
   /// pinned a foreign MC seed (refinement must keep resolving under
   /// that seed, never through the shared cache).
   struct Refinement {
@@ -343,34 +340,21 @@ class Server {
   /// Handle lookup; touches the session's idle clock on success.
   Result<std::shared_ptr<Session>> FindSession(SessionId id, uint64_t now);
 
-  /// Ranks the `answers` subset of `graph` on `service` (k <= 0 ranks
-  /// all) and appends labeled answers + stats to `response`.
-  Status RankAnswerSubset(const QueryGraph& graph,
-                          const std::vector<NodeId>& answers, int top_k,
-                          serve::RankingService& service,
-                          QueryResponse& response);
-
   /// Evicts sessions idle for more than `min_idle_ops` at clock `now`.
   size_t EvictIdleLocked(uint64_t min_idle_ops, uint64_t now);
 
-  /// The ranking-mode dispatch shared by Query and the options-taking
-  /// RankGraph: blocking vs anytime, foreign-seed private service, and
-  /// refinement-handle registration. Fills the ranking half of
-  /// `response`; the caller already holds an admission ticket and owns
-  /// the timing/counter bookkeeping.
+  /// The ranking shared by Query and the options-taking RankGraph:
+  /// prepare on the shared (or a foreign-seed private) service, advance
+  /// per the request's mode/budget/deadline, and register a refinement
+  /// handle only when answers are still open. Fills the ranking half of
+  /// `response` (rank_s = prepare, refine_s = advance); the caller
+  /// already holds an admission ticket and owns the rest of the
+  /// timing/counter bookkeeping.
   Status RankWithOptions(const QueryGraph& graph,
                          const std::vector<NodeId>& answers,
                          const QueryOptions& options,
                          std::chrono::steady_clock::time_point deadline,
                          QueryResponse& response);
-
-  /// Runs the refinement loop for one Query/Refine call under the
-  /// caller's deadline/budget and fills the ranking/stats/completeness
-  /// half of `response`. Caller holds `refinement->mu`.
-  Status AdvanceRefinement(Refinement& refinement,
-                           const QueryOptions& options,
-                           std::chrono::steady_clock::time_point deadline,
-                           QueryResponse& response);
 
   /// The trace an entry point serves under: the caller's (options.trace)
   /// when set, a server-owned one when slow-query capture is armed,

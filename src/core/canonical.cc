@@ -1,8 +1,10 @@
 #include "core/canonical.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/graph_algo.h"
@@ -395,15 +397,21 @@ QueryGraph RestrictToTargetReference(const QueryGraph& query_graph,
 Status ValidateCanonicalizeTargets(const QueryGraph& query_graph,
                                    const std::vector<NodeId>& targets) {
   BIORANK_RETURN_IF_ERROR(query_graph.Validate());
+  // One mark per node: 1 = an answer, 2 = an answer already targeted.
   const NodeId capacity = query_graph.graph.node_capacity();
-  std::vector<bool> is_answer(static_cast<size_t>(capacity), false);
-  for (NodeId a : query_graph.answers) is_answer[static_cast<size_t>(a)] = true;
+  std::vector<uint8_t> mark(static_cast<size_t>(capacity), 0);
+  for (NodeId a : query_graph.answers) mark[static_cast<size_t>(a)] = 1;
   for (NodeId target : targets) {
     if (target < 0 || target >= capacity ||
-        !is_answer[static_cast<size_t>(target)]) {
+        mark[static_cast<size_t>(target)] == 0) {
       return Status::InvalidArgument(
           "canonical: target is not an answer node of the query graph");
     }
+    if (mark[static_cast<size_t>(target)] == 2) {
+      return Status::InvalidArgument("canonical: duplicate target " +
+                                     std::to_string(target));
+    }
+    mark[static_cast<size_t>(target)] = 2;
   }
   return Status::OK();
 }

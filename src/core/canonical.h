@@ -108,7 +108,8 @@ Result<CanonicalCandidate> CanonicalizeCandidate(
     const CsrSnapshot* graph_csr = nullptr);
 
 /// CanonicalizeCandidate's input checks for a batch of targets: the query
-/// graph validates and every target is one of its answers.
+/// graph validates, every target is one of its answers, and no target
+/// appears twice (a batch ranks a distinct subset of the answer set).
 Status ValidateCanonicalizeTargets(const QueryGraph& query_graph,
                                    const std::vector<NodeId>& targets);
 

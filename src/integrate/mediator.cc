@@ -276,24 +276,6 @@ Result<ExploratoryQueryResult> Mediator::Run(
   return result;
 }
 
-Result<RankedExploratoryResult> Mediator::RunRanked(
-    const ExploratoryQuery& query, int top_k,
-    serve::RankingService& service) const {
-  Result<ExploratoryQueryResult> run = Run(query);
-  if (!run.ok()) return run.status();
-  RankedExploratoryResult ranked;
-  ranked.result = std::move(run.value());
-  int answer_count =
-      static_cast<int>(ranked.result.query_graph.answers.size());
-  if (answer_count == 0) return ranked;  // Nothing to rank.
-  int k = top_k > 0 ? std::min(top_k, answer_count) : answer_count;
-  Result<serve::TopKResult> top =
-      service.RankTopK(ranked.result.query_graph, k);
-  if (!top.ok()) return top.status();
-  ranked.ranked = std::move(top.value());
-  return ranked;
-}
-
 Result<Mediator::LiveExploratoryQuery> Mediator::ServeLive(
     const ExploratoryQuery& query, serve::RankingService& service) const {
   Result<ExploratoryQueryResult> run = Run(query);

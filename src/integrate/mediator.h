@@ -44,13 +44,6 @@ struct ExploratoryQueryResult {
   int matched_proteins = 0;
 };
 
-/// A fully served exploratory query: the materialized query graph plus
-/// the serving layer's top-k reliability ranking and scheduler counters.
-struct RankedExploratoryResult {
-  ExploratoryQueryResult result;
-  serve::TopKResult ranked;
-};
-
 /// The BioRank mediator: executes exploratory queries against the source
 /// registry by crawling the Figure 1 integration plan and labeling every
 /// record node with p = ps * pr and every link edge with q = qs * qr
@@ -69,20 +62,11 @@ class Mediator {
   /// output AmiGO (GO terms). Anything else is Unimplemented.
   Result<ExploratoryQueryResult> Run(const ExploratoryQuery& query) const;
 
-  /// Runs an exploratory query and answers it through the serving layer:
-  /// the answer set is ranked by reliability via `service` (canonical
-  /// cache, deterministic bounds, top-k pruning). `top_k` <= 0 (or
-  /// anything larger than the answer set) ranks every answer. The
-  /// serving-layer knobs travel with the request (`api::QueryRequest`),
-  /// never inside the query shape itself.
-  Result<RankedExploratoryResult> RunRanked(
-      const ExploratoryQuery& query, int top_k,
-      serve::RankingService& service) const;
-
   /// A live served query: the materialized graph wrapped in an ingest
   /// UpdateApplier bound to `service`, plus the crawl bookkeeping. Where
-  /// RunRanked answers once and forgets, a live query stays resident so
-  /// evidence deltas can be applied between rankings.
+  /// a one-shot query (api::Server::Query) answers once and forgets, a
+  /// live query stays resident so evidence deltas can be applied between
+  /// rankings.
   struct LiveExploratoryQuery {
     std::unique_ptr<ingest::UpdateApplier> applier;
     /// GO-term ontology index -> answer node id (for building deltas and

@@ -1,30 +1,17 @@
 #include "serve/ranking_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
-#include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/reliability_exact.h"
 #include "core/reliability_mc.h"
 #include "core/trial_bound.h"
-#include "obs/trace.h"
+#include "serve/refinement.h"
 #include "util/rng.h"
 
 namespace biorank::serve {
-
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 RankingService::RankingService(RankingServiceOptions options)
     : options_(options), cache_(options.cache) {
@@ -55,27 +42,44 @@ RankingService::RankingService(RankingServiceOptions options)
   }
 }
 
+void RankingService::ParallelFor(int64_t n, const ThreadPool::ShardFn& fn) {
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
+  pool.ParallelFor(n, fn,
+                   options_.num_threads == 0
+                       ? ThreadPool::kUnlimitedParallelism
+                       : options_.num_threads);
+}
+
 Status RankingService::CanonicalizeTargets(
     const QueryGraph& graph, const std::vector<NodeId>& targets,
     const CanonicalizeOptions& canonicalize,
     std::vector<CanonicalCandidate>& out, const CsrSnapshot* graph_csr) {
   BIORANK_RETURN_IF_ERROR(ValidateCanonicalizeTargets(graph, targets));
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  const int max_parallelism = options_.num_threads == 0
-                                  ? ThreadPool::kUnlimitedParallelism
-                                  : options_.num_threads;
   out.clear();
   out.resize(targets.size());
-  pool.ParallelFor(
-      static_cast<int64_t>(targets.size()),
-      [&](int, int64_t i) {
-        out[static_cast<size_t>(i)] = CanonicalizeValidatedCandidate(
-            graph, targets[static_cast<size_t>(i)], canonicalize, graph_csr);
-      },
-      max_parallelism);
+  ParallelFor(static_cast<int64_t>(targets.size()), [&](int, int64_t i) {
+    out[static_cast<size_t>(i)] = CanonicalizeValidatedCandidate(
+        graph, targets[static_cast<size_t>(i)], canonicalize, graph_csr);
+  });
   return Status::OK();
 }
+
+namespace {
+
+/// A prepared state advanced to convergence, read off as a TopKResult.
+Result<TopKResult> Converge(RankingService& service,
+                            Result<RefinementState> prepared) {
+  if (!prepared.ok()) return prepared.status();
+  RefinementState& state = prepared.value();
+  BIORANK_RETURN_IF_ERROR(Advance(service, state, /*trial_budget=*/0));
+  TopKResult result;
+  result.top = CurrentRanking(state);
+  result.stats = state.stats;
+  return result;
+}
+
+}  // namespace
 
 Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
                                             int k) {
@@ -85,74 +89,18 @@ Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
 Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
                                             const std::vector<NodeId>& targets,
                                             int k) {
-  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
-  if (k < 1) return Status::InvalidArgument("serve: k must be >= 1");
-  if (mc_trials_ <= 0) {
-    // Also checked in RankPrepared; here it precedes the phase-1 fan-out
-    // so a misconfigured service fails in O(1), not O(answers).
-    return Status::InvalidArgument(
-        "serve: mc_epsilon must be in (0,1] and mc_delta in (0,1)");
-  }
-  const std::vector<NodeId>& answers = targets;
-  if (&targets != &query_graph.answers) {
-    BIORANK_RETURN_IF_ERROR(ValidateTargets(query_graph, targets));
-  }
-
-  // Phase 1 — canonicalize every candidate (pure per candidate, so the
-  // fan-out is deterministic at any thread count). One flat snapshot of
-  // the request graph serves every target's restriction traversal.
-  std::vector<CanonicalCandidate> canonicals;
-  {
-    obs::SpanScope span(obs::CurrentTrace(), "serve.canonicalize");
-    const CsrSnapshot request_csr = BuildCsrSnapshot(query_graph.graph);
-    BIORANK_RETURN_IF_ERROR(CanonicalizeTargets(query_graph, answers,
-                                                options_.canonicalize,
-                                                canonicals, &request_csr));
-    span.Counter("targets", static_cast<int64_t>(answers.size()));
-  }
-
-  std::vector<PreparedCandidate> prepared(answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    prepared[i].node = answers[i];
-    prepared[i].canonical = &canonicals[i];
-  }
-  return RankPrepared(prepared, k);
+  return Converge(*this, Prepare(*this, query_graph, targets, k));
 }
 
-Status RankingService::ValidateTargets(const QueryGraph& graph,
-                                       const std::vector<NodeId>& targets) {
-  // A shard's (or anytime request's) slice must be a distinct subset of
-  // the graph's answer set: anything else means the caller and the
-  // materialized graph disagree, which would silently rank the wrong
-  // universe.
-  std::unordered_set<NodeId> answer_set(graph.answers.begin(),
-                                        graph.answers.end());
-  std::unordered_set<NodeId> seen;
-  seen.reserve(targets.size());
-  for (NodeId target : targets) {
-    if (answer_set.find(target) == answer_set.end()) {
-      return Status::InvalidArgument(
-          "serve: ranking target " + std::to_string(target) +
-          " is not an answer of the query graph");
-    }
-    if (!seen.insert(target).second) {
-      return Status::InvalidArgument("serve: duplicate ranking target " +
-                                     std::to_string(target));
-    }
-  }
-  return Status::OK();
+Result<TopKResult> RankingService::RankPrepared(
+    const std::vector<PreparedCandidate>& candidates, int k) {
+  return Converge(*this, Prepare(*this, candidates, k));
 }
 
 Status RankingService::BuildUniqueStates(
     const std::vector<PreparedCandidate>& candidates,
     std::vector<UniqueState>& uniques, std::vector<int>& unique_index,
     RequestStats& stats) {
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  const int max_parallelism = options_.num_threads == 0
-                                  ? ThreadPool::kUnlimitedParallelism
-                                  : options_.num_threads;
-
   // Phase 2 — dedup by canonical repr and look the unique keys up in the
   // cache (sequential: hit/miss accounting and LRU order stay
   // deterministic). Request-local duplicates count as hits — they are
@@ -196,22 +144,19 @@ Status RankingService::BuildUniqueStates(
   for (size_t i = 0; i < uniques.size(); ++i) {
     if (!uniques[i].have_bounds) need_bounds.push_back(static_cast<int>(i));
   }
-  pool.ParallelFor(
-      static_cast<int64_t>(need_bounds.size()),
-      [&](int, int64_t j) {
-        UniqueState& u =
-            uniques[static_cast<size_t>(need_bounds[static_cast<size_t>(j)])];
-        Result<ReliabilityBounds> bounds = BoundReliability(
-            u.canonical->canonical, u.canonical->target, options_.bounds);
-        if (!bounds.ok()) {
-          u.status = bounds.status();
-          return;
-        }
-        u.entry.lower = bounds.value().lower;
-        u.entry.upper = bounds.value().upper;
-        u.have_bounds = true;
-      },
-      max_parallelism);
+  ParallelFor(static_cast<int64_t>(need_bounds.size()), [&](int, int64_t j) {
+    UniqueState& u =
+        uniques[static_cast<size_t>(need_bounds[static_cast<size_t>(j)])];
+    Result<ReliabilityBounds> bounds = BoundReliability(
+        u.canonical->canonical, u.canonical->target, options_.bounds);
+    if (!bounds.ok()) {
+      u.status = bounds.status();
+      return;
+    }
+    u.entry.lower = bounds.value().lower;
+    u.entry.upper = bounds.value().upper;
+    u.have_bounds = true;
+  });
   for (const UniqueState& u : uniques) {
     BIORANK_RETURN_IF_ERROR(u.status);
   }
@@ -366,152 +311,6 @@ void RankingService::PublishEntries(const std::vector<UniqueState>& uniques) {
     if (u.resolution == Resolution::kCacheValue) continue;  // Unchanged.
     cache_.Put(u.canonical->key, u.entry);
   }
-}
-
-Result<TopKResult> RankingService::RankPrepared(
-    const std::vector<PreparedCandidate>& candidates, int k) {
-  if (k < 1) return Status::InvalidArgument("serve: k must be >= 1");
-  if (mc_trials_ <= 0) {
-    return Status::InvalidArgument(
-        "serve: mc_epsilon must be in (0,1] and mc_delta in (0,1)");
-  }
-  for (const PreparedCandidate& c : candidates) {
-    if (c.canonical == nullptr) {
-      return Status::InvalidArgument(
-          "serve: prepared candidate without a canonicalization");
-    }
-  }
-
-  TopKResult result;
-  RequestStats& stats = result.stats;
-  stats.candidates = static_cast<int>(candidates.size());
-  if (candidates.empty()) return result;
-  k = std::min(k, static_cast<int>(candidates.size()));
-
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  const int max_parallelism = options_.num_threads == 0
-                                  ? ThreadPool::kUnlimitedParallelism
-                                  : options_.num_threads;
-
-  // Phases 2–3 — dedup, cache lookup, deterministic bounds.
-  std::vector<UniqueState> uniques;
-  std::vector<int> unique_index;
-  {
-    obs::SpanScope span(obs::CurrentTrace(), "serve.cache_bounds");
-    const auto bounds_start = std::chrono::steady_clock::now();
-    BIORANK_RETURN_IF_ERROR(
-        BuildUniqueStates(candidates, uniques, unique_index, stats));
-    if (metrics_.bounds_seconds != nullptr) {
-      metrics_.bounds_seconds->Observe(SecondsSince(bounds_start));
-    }
-    span.Counter("cache_hits", stats.cache_hits);
-    span.Counter("cache_misses", stats.cache_misses);
-  }
-
-  // Phases 4–5 — top-k cut and classification.
-  std::vector<int> survivors;
-  {
-    obs::SpanScope span(obs::CurrentTrace(), "serve.prune");
-    ClassifySurvivors(unique_index, uniques, k, stats, survivors);
-    span.Counter("pruned", stats.pruned);
-    span.Counter("bound_exact", stats.bound_exact);
-    span.Counter("survivors", static_cast<int64_t>(survivors.size()));
-  }
-
-  // Phase 6 — resolve the survivors: factoring on small reduced
-  // residues, Monte Carlo to convergence on the canonical-hash stream
-  // otherwise. Both are pure functions of the canonical key, so fan-out
-  // order is irrelevant; the MC seed never depends on request or
-  // candidate order. A survivor carrying a partial anytime tally resumes
-  // at its next shard — the remaining shards complete the same integer
-  // sum the from-scratch path computes, so the value is bit-identical.
-  {
-    // The fan-out runs on pool threads, which carry no thread-local
-    // trace binding; per-survivor spans attach to the resolve span by
-    // explicit parent index instead (the Trace itself is mutex-guarded).
-    obs::SpanScope resolve_span(obs::CurrentTrace(), "serve.resolve");
-    obs::Trace* trace = obs::CurrentTrace();
-    const int resolve_parent = resolve_span.index();
-    const auto mc_start = std::chrono::steady_clock::now();
-    pool.ParallelFor(
-        static_cast<int64_t>(survivors.size()),
-        [&](int, int64_t j) {
-          UniqueState& u =
-              uniques[static_cast<size_t>(survivors[static_cast<size_t>(j)])];
-          obs::SpanScope span(trace, "serve.mc_shards", resolve_parent);
-          Status st = TryResolveExact(u);
-          if (!st.ok()) {
-            u.status = st;
-            return;
-          }
-          if (u.entry.has_value) {
-            span.Counter("exact", 1);
-            return;
-          }
-          st = AdvanceMonteCarlo(u, /*trial_budget=*/0);
-          if (!st.ok()) {
-            u.status = st;
-            return;
-          }
-          span.Counter("trials", u.trials_spent);
-        },
-        max_parallelism);
-    if (metrics_.mc_seconds != nullptr && !survivors.empty()) {
-      metrics_.mc_seconds->Observe(SecondsSince(mc_start));
-    }
-    resolve_span.Counter("survivors", static_cast<int64_t>(survivors.size()));
-  }
-  for (const UniqueState& u : uniques) {
-    if (!u.status.ok()) return u.status;
-  }
-  for (int index : survivors) {
-    const UniqueState& u = uniques[static_cast<size_t>(index)];
-    if (u.resolution == Resolution::kExact) {
-      ++stats.exact;
-    } else {
-      ++stats.monte_carlo;
-      stats.mc_trials += u.trials_spent;
-    }
-  }
-
-  // Phase 7 — publish to the cache in unique order (sequential, so the
-  // cache's LRU state is a deterministic function of the request
-  // sequence). Pruned keys publish their bounds: the next request skips
-  // straight to the prune gate.
-  {
-    obs::SpanScope span(obs::CurrentTrace(), "serve.publish");
-    PublishEntries(uniques);
-  }
-
-  if (metrics_.candidates != nullptr) {
-    metrics_.candidates->Add(static_cast<uint64_t>(stats.candidates));
-    metrics_.pruned->Add(static_cast<uint64_t>(stats.pruned));
-    metrics_.bound_exact->Add(static_cast<uint64_t>(stats.bound_exact));
-    metrics_.exact->Add(static_cast<uint64_t>(stats.exact));
-    metrics_.monte_carlo->Add(static_cast<uint64_t>(stats.monte_carlo));
-    metrics_.mc_trials->Add(static_cast<uint64_t>(stats.mc_trials));
-  }
-
-  // Phase 8 — rank the resolved candidates and truncate to k.
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    const UniqueState& u = uniques[static_cast<size_t>(unique_index[ci])];
-    if (!u.entry.has_value) continue;  // Pruned: provably outside top k.
-    RankedCandidate ranked;
-    ranked.node = candidates[ci].node;
-    ranked.reliability = u.entry.value;
-    ranked.lower = u.entry.exact ? u.entry.value : u.entry.lower;
-    ranked.upper = u.entry.exact ? u.entry.value : u.entry.upper;
-    ranked.exact = u.entry.exact;
-    ranked.resolution = u.resolution;
-    result.top.push_back(ranked);
-  }
-  std::sort(result.top.begin(), result.top.end(),
-            [](const RankedCandidate& a, const RankedCandidate& b) {
-              return RanksBefore(a, b);
-            });
-  if (static_cast<int>(result.top.size()) > k) result.top.resize(k);
-  return result;
 }
 
 size_t RankingService::OnDelta(const std::vector<CanonicalKey>& stale_keys) {

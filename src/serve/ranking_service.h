@@ -12,6 +12,11 @@
 // off: every resolved value is a pure function of the candidate's
 // canonical key, and pruning only ever discards candidates that are
 // provably outside the top k.
+//
+// This file holds the service (cache, options, metrics) and the
+// per-phase primitives; serve/refinement.h composes them into the one
+// ranking pipeline (Prepare -> Advance -> CurrentRanking), of which
+// RankTopK and RankPrepared are the run-to-convergence case.
 
 #ifndef BIORANK_SERVE_RANKING_SERVICE_H_
 #define BIORANK_SERVE_RANKING_SERVICE_H_
@@ -151,18 +156,18 @@ struct TopKResult {
 /// ingest layer keeps one CanonicalCandidate per live answer across
 /// deltas and re-canonicalizes only the answers a delta dirtied; ranking
 /// through RankPrepared then skips phase 1 for every clean answer while
-/// sharing the bound/prune/resolve pipeline (and therefore bit-identical
-/// output) with RankTopK.
+/// running the same pipeline (and therefore producing bit-identical
+/// output) as RankTopK.
 struct PreparedCandidate {
   NodeId node = kInvalidNode;  ///< Answer id in the caller's graph.
   const CanonicalCandidate* canonical = nullptr;  ///< Non-null, caller-owned.
 };
 
 /// Per-unique-canonical-key resolution state. All resolution work happens
-/// at this level: candidates sharing a key share one computation. The
-/// blocking pipeline (RankPrepared) builds these transiently; the anytime
-/// path (serve/refinement.h) holds them across Refine increments — the
-/// entry's `trials`/`tally` pair is the resumable MC position.
+/// at this level: candidates sharing a key share one computation. A
+/// RefinementState (serve/refinement.h) holds these across Advance
+/// steps — the entry's `trials`/`tally` pair is the resumable MC
+/// position.
 struct UniqueState {
   const CanonicalCandidate* canonical = nullptr;
   CacheEntry entry;
@@ -182,7 +187,8 @@ class RankingService {
   explicit RankingService(RankingServiceOptions options = {});
 
   /// Ranks `query_graph`'s answer set by reliability and returns the top
-  /// k (clamped to the answer count; k < 1 is an error).
+  /// k (clamped to the answer count; k < 1 is an error): Prepare plus
+  /// one Advance to convergence (serve/refinement.h).
   Result<TopKResult> RankTopK(const QueryGraph& query_graph, int k);
 
   /// Ranks only `targets` — a distinct subset of `query_graph.answers` —
@@ -199,8 +205,8 @@ class RankingService {
   Result<TopKResult> RankTopK(const QueryGraph& query_graph,
                               const std::vector<NodeId>& targets, int k);
 
-  /// Same pipeline starting from caller-held canonicalizations (phases
-  /// 2-8 of RankTopK). Because every resolved value is a pure function of
+  /// Same pipeline starting from caller-held canonicalizations (RankTopK
+  /// minus phase 1). Because every resolved value is a pure function of
   /// the canonical key, the output for a graph is bit-identical whether
   /// the canonicals were computed fresh (RankTopK) or carried across
   /// deltas by the ingest layer.
@@ -221,30 +227,32 @@ class RankingService {
 
   /// Canonicalizes `targets` of `graph` in parallel over the
   /// service-configured pool (pure per target; deterministic at any
-  /// thread count), writing `out[i]` for `targets[i]`. The graph and the
-  /// targets' membership in its answer set are checked once for the
-  /// batch (ValidateCanonicalizeTargets), then every target is
-  /// canonicalized unchecked. RankTopK's phase
-  /// 1 and the ingest applier's dirty-answer re-canonicalization share
-  /// this one fan-out, so pool selection, parallelism caps, and error
-  /// propagation cannot drift apart. `graph_csr`, when non-null, is an
-  /// unmasked flat snapshot of `graph` shared read-only by every target's
-  /// restriction traversal (RankTopK builds one per request; the ingest
-  /// applier maintains one across deltas); null falls back to walking the
-  /// pointer graph per target.
+  /// thread count), writing `out[i]` for `targets[i]`. The graph, the
+  /// targets' membership in its answer set and their distinctness are
+  /// checked once for the batch (ValidateCanonicalizeTargets) — the one
+  /// validation a ranking request gets — then every target is
+  /// canonicalized unchecked. Prepare's phase 1 and the ingest applier's
+  /// dirty-answer re-canonicalization share this one fan-out, so pool
+  /// selection, parallelism caps, and error propagation cannot drift
+  /// apart. `graph_csr`, when non-null, is an unmasked flat snapshot of
+  /// `graph` shared read-only by every target's restriction traversal
+  /// (Prepare builds one per request; the ingest applier maintains one
+  /// across deltas); null falls back to walking the pointer graph per
+  /// target.
   Status CanonicalizeTargets(const QueryGraph& graph,
                              const std::vector<NodeId>& targets,
                              const CanonicalizeOptions& canonicalize,
                              std::vector<CanonicalCandidate>& out,
                              const CsrSnapshot* graph_csr = nullptr);
 
-  // --- Pipeline phases, exposed for the anytime path ------------------
+  // --- Pipeline phase primitives -------------------------------------
   //
-  // RankPrepared is recomposed from these four steps; serve/refinement.h
-  // calls them individually so the bounds-only prepare, each Refine
-  // increment, and the blocking path execute the *same* code — which is
+  // serve/refinement.h composes these into the one pipeline: Prepare
+  // runs BuildUniqueStates, ClassifySurvivors and PublishEntries; Advance
+  // fans TryResolveExact / AdvanceMonteCarlo out over the survivors.
+  // Every ranking, blocking or anytime, executes this same code, which is
   // what makes a fully-refined anytime ranking bit-identical to the
-  // one-shot answer.
+  // blocking answer.
 
   /// Phases 2–3: dedup `candidates` by canonical repr, look unique keys
   /// up in the cache (when the service cache is enabled), and compute
@@ -292,10 +300,9 @@ class RankingService {
   /// same key. No-op when the service cache is disabled.
   void PublishEntries(const std::vector<UniqueState>& uniques);
 
-  /// Validates that `targets` is a distinct subset of `graph.answers`
-  /// (the shard-serving and anytime entry contract).
-  static Status ValidateTargets(const QueryGraph& graph,
-                                const std::vector<NodeId>& targets);
+  /// Runs fn(slot, i) for i in [0, n) on the configured pool under the
+  /// configured parallelism cap — the one fan-out of every phase.
+  void ParallelFor(int64_t n, const ThreadPool::ShardFn& fn);
 
   ReliabilityCache& cache() { return cache_; }
   const ReliabilityCache& cache() const { return cache_; }
@@ -305,9 +312,9 @@ class RankingService {
   /// applied to the configured epsilon/delta).
   int64_t McTrialsPerCandidate() const { return mc_trials_; }
 
- private:
-  /// Resolved once at construction when options.registry is set; all
-  /// null otherwise (one branch per record site on the hot path).
+  /// The registry handles the pipeline records into. Resolved once at
+  /// construction when options.registry is set; all null otherwise (one
+  /// branch per record site on the hot path).
   struct Metrics {
     obs::Counter* candidates = nullptr;
     obs::Counter* pruned = nullptr;
@@ -318,7 +325,9 @@ class RankingService {
     obs::Histogram* bounds_seconds = nullptr;
     obs::Histogram* mc_seconds = nullptr;
   };
+  const Metrics& metrics() const { return metrics_; }
 
+ private:
   RankingServiceOptions options_;
   ReliabilityCache cache_;
   int64_t mc_trials_ = 0;

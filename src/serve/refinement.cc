@@ -9,117 +9,225 @@
 
 namespace biorank::serve {
 
-Result<RefinementState> PrepareAnytime(RankingService& service,
-                                       const QueryGraph& graph,
-                                       const std::vector<NodeId>& targets,
-                                       int k) {
-  BIORANK_RETURN_IF_ERROR(graph.Validate());
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+Status CheckRequest(const RankingService& service, int k) {
   if (k < 1) return Status::InvalidArgument("serve: k must be >= 1");
   if (service.McTrialsPerCandidate() <= 0) {
     return Status::InvalidArgument(
         "serve: mc_epsilon must be in (0,1] and mc_delta in (0,1)");
   }
-  if (&targets != &graph.answers) {
-    BIORANK_RETURN_IF_ERROR(RankingService::ValidateTargets(graph, targets));
+  return Status::OK();
+}
+
+/// Adds one step's scheduler counters (`after` - `before`) to the
+/// service's registry, if it has one.
+void RecordCounters(const RankingService& service, const RequestStats& before,
+                    const RequestStats& after) {
+  const RankingService::Metrics& m = service.metrics();
+  if (m.candidates == nullptr) return;
+  m.candidates->Add(
+      static_cast<uint64_t>(after.candidates - before.candidates));
+  m.pruned->Add(static_cast<uint64_t>(after.pruned - before.pruned));
+  m.bound_exact->Add(
+      static_cast<uint64_t>(after.bound_exact - before.bound_exact));
+  m.exact->Add(static_cast<uint64_t>(after.exact - before.exact));
+  m.monte_carlo->Add(
+      static_cast<uint64_t>(after.monte_carlo - before.monte_carlo));
+  m.mc_trials->Add(static_cast<uint64_t>(after.mc_trials - before.mc_trials));
+}
+
+/// Phases 2-5 over candidates whose canonicals are set, into a fresh
+/// `state`.
+Status PrepareCandidates(RankingService& service,
+                         const std::vector<PreparedCandidate>& candidates,
+                         int k, RefinementState& state) {
+  state.k = std::min(k, static_cast<int>(candidates.size()));
+  state.stats.candidates = static_cast<int>(candidates.size());
+  state.nodes.reserve(candidates.size());
+  for (const PreparedCandidate& c : candidates) state.nodes.push_back(c.node);
+  if (candidates.empty()) return Status::OK();
+
+  // Phases 2-3 — dedup, cache lookup, deterministic bounds.
+  {
+    obs::SpanScope span(obs::CurrentTrace(), "serve.cache_bounds");
+    const Clock::time_point start = Clock::now();
+    BIORANK_RETURN_IF_ERROR(service.BuildUniqueStates(
+        candidates, state.uniques, state.unique_index, state.stats));
+    if (service.metrics().bounds_seconds != nullptr) {
+      service.metrics().bounds_seconds->Observe(SecondsSince(start));
+    }
+    span.Counter("cache_hits", state.stats.cache_hits);
+    span.Counter("cache_misses", state.stats.cache_misses);
   }
 
-  RefinementState state;
-  state.k = std::min(k, static_cast<int>(targets.size()));
-  state.stats.candidates = static_cast<int>(targets.size());
-  if (targets.empty()) return state;
-  state.nodes = targets;
+  // Phases 4-5 — top-k cut and classification.
+  {
+    obs::SpanScope span(obs::CurrentTrace(), "serve.prune");
+    service.ClassifySurvivors(state.unique_index, state.uniques, state.k,
+                              state.stats, state.refinable);
+    span.Counter("pruned", state.stats.pruned);
+    span.Counter("bound_exact", state.stats.bound_exact);
+    span.Counter("survivors", static_cast<int64_t>(state.refinable.size()));
+  }
 
-  // Phase 1 — canonicalize (same fan-out as the blocking RankTopK; one
-  // flat snapshot serves every target's restriction traversal).
-  const CsrSnapshot request_csr = BuildCsrSnapshot(graph.graph);
-  BIORANK_RETURN_IF_ERROR(service.CanonicalizeTargets(
-      graph, targets, service.options().canonicalize, state.canonicals,
-      &request_csr));
+  // Phase 7 for the bounds: worth caching even if the state is never
+  // advanced — the next request on an isomorphic key skips straight to
+  // the prune gate.
+  {
+    obs::SpanScope span(obs::CurrentTrace(), "serve.publish");
+    service.PublishEntries(state.uniques);
+  }
+  RecordCounters(service, RequestStats(), state.stats);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<RefinementState> Prepare(RankingService& service,
+                                const QueryGraph& graph,
+                                const std::vector<NodeId>& targets, int k) {
+  // Checked before the phase-1 fan-out so a misconfigured request fails
+  // in O(1), not O(answers).
+  BIORANK_RETURN_IF_ERROR(CheckRequest(service, k));
+  RefinementState state;
+
+  // Phase 1 — canonicalize every target (pure per target, so the fan-out
+  // is deterministic at any thread count). One flat snapshot of the
+  // request graph serves every target's restriction traversal.
+  {
+    obs::SpanScope span(obs::CurrentTrace(), "serve.canonicalize");
+    const CsrSnapshot request_csr = BuildCsrSnapshot(graph.graph);
+    BIORANK_RETURN_IF_ERROR(service.CanonicalizeTargets(
+        graph, targets, service.options().canonicalize, state.canonicals,
+        &request_csr));
+    span.Counter("targets", static_cast<int64_t>(targets.size()));
+  }
   std::vector<PreparedCandidate> prepared(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     prepared[i].node = targets[i];
     prepared[i].canonical = &state.canonicals[i];
   }
-
-  // Phases 2–5 — the deterministic prefix, shared verbatim with the
-  // blocking pipeline. No factoring, no Monte Carlo.
-  BIORANK_RETURN_IF_ERROR(service.BuildUniqueStates(
-      prepared, state.uniques, state.unique_index, state.stats));
-  state.threshold = service.ClassifySurvivors(
-      state.unique_index, state.uniques, state.k, state.stats,
-      state.refinable);
-
-  // Phase 7 — bounds (and free bound-exact closures) are worth caching
-  // even if this handle is never refined: the next request on an
-  // isomorphic key skips straight to the prune gate.
-  service.PublishEntries(state.uniques);
+  BIORANK_RETURN_IF_ERROR(PrepareCandidates(service, prepared, k, state));
   return state;
 }
 
-Result<Completeness> RefineIncrement(
-    RankingService& service, RefinementState& state, int64_t trial_budget,
-    std::chrono::steady_clock::time_point deadline) {
-  const bool use_cache = service.options().enable_cache;
-  obs::SpanScope span(obs::CurrentTrace(), "serve.refine_increment");
-  const int64_t trials_before = state.stats.mc_trials;
-  std::vector<int> still;
-  still.reserve(state.refinable.size());
-  for (size_t idx = 0; idx < state.refinable.size(); ++idx) {
-    const int ui = state.refinable[idx];
-    UniqueState& u = state.uniques[static_cast<size_t>(ui)];
-    // The deadline is checked between survivors, never mid-shard: an
-    // increment that fires the deadline leaves a clean trials-so-far
-    // position, and whatever schedule of increments eventually covers
-    // the plan converges to the same integer sum.
-    if (std::chrono::steady_clock::now() >= deadline) {
-      still.push_back(ui);
-      continue;
+Result<RefinementState> Prepare(
+    RankingService& service, const std::vector<PreparedCandidate>& candidates,
+    int k) {
+  BIORANK_RETURN_IF_ERROR(CheckRequest(service, k));
+  for (const PreparedCandidate& c : candidates) {
+    if (c.canonical == nullptr) {
+      return Status::InvalidArgument(
+          "serve: prepared candidate without a canonicalization");
     }
+  }
+  RefinementState state;
+  BIORANK_RETURN_IF_ERROR(PrepareCandidates(service, candidates, k, state));
+  return state;
+}
 
-    bool adopted = false;
-    if (use_cache && !u.entry.has_value) {
-      // Adopt progress another handle (or a blocking request) published
-      // for this key. Values and tallies are pure functions of
-      // (canonical key, seed, trials), so adopting never changes the
-      // converged answer — it only skips coin flips already flipped.
+Status Advance(RankingService& service, RefinementState& state,
+               int64_t trial_budget, Clock::time_point deadline) {
+  if (state.complete()) return Status::OK();
+  const RequestStats before = state.stats;
+  std::vector<UniqueState>& uniques = state.uniques;
+  const std::vector<int>& refinable = state.refinable;
+  auto trials_spent = [&] {
+    int64_t sum = 0;
+    for (int ui : refinable) {
+      sum += uniques[static_cast<size_t>(ui)].trials_spent;
+    }
+    return sum;
+  };
+  const int64_t spent_before = trials_spent();
+
+  // Adopt progress another request published for a survivor's key.
+  // Values and tallies are pure functions of (canonical key, seed,
+  // trials), so adopting never changes the converged answer — it only
+  // skips coin flips already flipped. Sequential and in unique order, so
+  // the cache's LRU order stays a function of the request sequence.
+  if (service.options().enable_cache) {
+    for (int ui : refinable) {
+      UniqueState& u = uniques[static_cast<size_t>(ui)];
       std::optional<CacheEntry> got = service.cache().Get(u.canonical->key);
-      if (got.has_value() &&
-          (got->has_value || got->trials > u.entry.trials)) {
-        u.entry = *got;
-        if (u.entry.has_value) {
-          u.resolution = Resolution::kCacheValue;
-          ++state.stats.cache_hits;
-          adopted = true;
-        }
+      if (!got.has_value() ||
+          !(got->has_value || got->trials > u.entry.trials)) {
+        continue;
+      }
+      u.entry = *got;
+      if (u.entry.has_value) {
+        u.resolution = Resolution::kCacheValue;
+        ++state.stats.cache_hits;
       }
     }
+  }
 
-    if (!u.entry.has_value) {
-      BIORANK_RETURN_IF_ERROR(service.TryResolveExact(u));
+  // Phase 6 — resolve the survivors: factoring on small reduced
+  // residues, Monte Carlo on the canonical-hash stream otherwise. Both
+  // are pure functions of the canonical key, so fan-out order is
+  // irrelevant. The fan-out runs on pool threads, which carry no
+  // thread-local trace binding; per-survivor spans attach to the resolve
+  // span by explicit parent index instead.
+  {
+    obs::Trace* trace = obs::CurrentTrace();
+    obs::SpanScope resolve_span(trace, "serve.resolve");
+    const int resolve_parent = resolve_span.index();
+    const Clock::time_point start = Clock::now();
+    service.ParallelFor(
+        static_cast<int64_t>(refinable.size()), [&](int, int64_t j) {
+          UniqueState& u = uniques[static_cast<size_t>(
+              refinable[static_cast<size_t>(j)])];
+          // Past the deadline a survivor is skipped, never interrupted
+          // mid-shard, so it keeps a clean trials-so-far position.
+          if (u.entry.has_value || Clock::now() >= deadline) return;
+          obs::SpanScope span(trace, "serve.mc_shards", resolve_parent);
+          u.status = service.TryResolveExact(u);
+          if (!u.status.ok()) return;
+          if (u.entry.has_value) {
+            span.Counter("exact", 1);
+            return;
+          }
+          const int64_t spent = u.trials_spent;
+          u.status = service.AdvanceMonteCarlo(u, trial_budget);
+          span.Counter("trials", u.trials_spent - spent);
+        });
+    if (service.metrics().mc_seconds != nullptr) {
+      service.metrics().mc_seconds->Observe(SecondsSince(start));
     }
-    if (!u.entry.has_value) {
-      const int64_t spent_before = u.trials_spent;
-      BIORANK_RETURN_IF_ERROR(service.AdvanceMonteCarlo(u, trial_budget));
-      state.stats.mc_trials += u.trials_spent - spent_before;
-    }
-    if (use_cache && !adopted) {
-      service.cache().Put(u.canonical->key, u.entry);
-    }
+    resolve_span.Counter("survivors", static_cast<int64_t>(refinable.size()));
+  }
+  for (int ui : refinable) {
+    BIORANK_RETURN_IF_ERROR(uniques[static_cast<size_t>(ui)].status);
+  }
+  state.stats.mc_trials += trials_spent() - spent_before;
 
-    if (u.entry.has_value) {
-      if (u.resolution == Resolution::kExact) {
-        ++state.stats.exact;
-      } else if (u.resolution == Resolution::kMonteCarlo) {
-        ++state.stats.monte_carlo;
-      }
-    } else {
+  // Phase 7 — publish once per increment, in unique order. Partial
+  // tallies publish too: any later request on the key resumes from them.
+  {
+    obs::SpanScope span(obs::CurrentTrace(), "serve.publish");
+    service.PublishEntries(uniques);
+  }
+  std::vector<int> still;
+  for (int ui : refinable) {
+    const UniqueState& u = uniques[static_cast<size_t>(ui)];
+    if (!u.entry.has_value) {
       still.push_back(ui);
+    } else if (u.resolution == Resolution::kExact) {
+      ++state.stats.exact;
+    } else if (u.resolution == Resolution::kMonteCarlo) {
+      ++state.stats.monte_carlo;
     }
   }
   state.refinable.swap(still);
-  span.Counter("trials", state.stats.mc_trials - trials_before);
-  span.Counter("open", static_cast<int64_t>(state.refinable.size()));
-  return Summarize(state);
+  RecordCounters(service, before, state.stats);
+  return Status::OK();
 }
 
 std::vector<RankedCandidate> CurrentRanking(const RefinementState& state) {

@@ -1,23 +1,31 @@
-// Anytime top-k refinement: the resumable half of the serving pipeline.
+// The one ranking pipeline of the serving layer, as three resumable steps
+// over a RefinementState:
 //
-// A blocking RankPrepared call runs bounds -> prune -> exact/MC to
-// convergence in one shot. The anytime path splits that at the prune
-// gate: PrepareAnytime runs the deterministic phases only (canonicalize,
-// cache lookup, bounds, top-k cut, classification — no factoring, no
-// Monte Carlo), leaving a RefinementState whose survivors carry partial
-// integer MC tallies. Each RefineIncrement advances every unresolved
-// survivor by whole shards of the same deterministic trial schedule the
-// blocking path uses, so when the state reaches convergence the ranking
-// is bit-identical — value for value — to the blocking answer (this is
-// the Bernecker-style incremental-rank pruning from the ROADMAP, built
-// on the paper's bounds).
+//   Prepare        phases 1-5: canonicalize (or take caller-held
+//                  canonicals), dedup + cache lookup, deterministic
+//                  bounds, the top-k cut, classification. No factoring,
+//                  no Monte Carlo: a ranking read off the prepared state
+//                  is the pure bounds-only answer.
+//   Advance        phase 6: the survivors' exact-factoring / Monte Carlo
+//                  fan-out, by whole shards of the deterministic trial
+//                  schedule, stopping between survivors at a deadline.
+//   CurrentRanking phase 8: resolved candidates by value, still-refining
+//                  ones by bracket midpoint, sorted and truncated to k.
+//
+// Every ranking runs through these steps. A blocking ranking
+// (RankingService::RankTopK / RankPrepared, api::Server's blocking
+// Query and RankGraph) is Prepare plus one unbounded Advance; an anytime
+// request advances under its budget and deadline and keeps the state
+// behind a handle. This is the Bernecker-style incremental-rank pruning
+// (PAPERS.md) built on the paper's bounds, and blocking is the special
+// case that runs it to convergence — so the two can never disagree.
 //
 // Determinism contract: refinement state is keyed by (canonical key,
 // service seed, trials-so-far). Shard i of a survivor always draws from
 // the RNG stream derived from (seed, canonical hash, i) regardless of
 // which increment runs it, and tallies are integers, so any increment
 // schedule — one big step, many small ones, partly adopted from another
-// handle via the shared cache — sums to the same converged value.
+// request via the shared cache — sums to the same converged value.
 
 #ifndef BIORANK_SERVE_REFINEMENT_H_
 #define BIORANK_SERVE_REFINEMENT_H_
@@ -47,10 +55,11 @@ struct Completeness {
   bool complete = false;
 };
 
-/// Resumable state of one anytime ranking. Owns its canonicalizations
-/// (`uniques` hold pointers into `canonicals`, which stay valid under
-/// move — the vector's heap buffer moves wholesale — but not copy, so
-/// the type is move-only).
+/// Resumable state of one ranking. `uniques` point either into
+/// `canonicals` (prepared from a graph: the state owns its
+/// canonicalizations, which stay valid under move — the vector's heap
+/// buffer moves wholesale — but not copy, so the type is move-only) or
+/// into caller-held canonicals that must outlive the state.
 struct RefinementState {
   RefinementState() = default;
   RefinementState(RefinementState&&) = default;
@@ -60,48 +69,52 @@ struct RefinementState {
 
   int k = 0;                          ///< Requested (clamped) top-k.
   std::vector<NodeId> nodes;          ///< Per-candidate request node ids.
-  std::vector<CanonicalCandidate> canonicals;  ///< Per-candidate, owned.
+  std::vector<CanonicalCandidate> canonicals;  ///< Owned, or empty.
   std::vector<UniqueState> uniques;   ///< Per unique canonical key.
   std::vector<int> unique_index;      ///< Candidate -> unique position.
   std::vector<int> refinable;         ///< Uniques still needing exact/MC.
-  double threshold = 0.0;             ///< The prepare-time top-k cut.
-  RequestStats stats;                 ///< Accumulated across increments.
+  RequestStats stats;                 ///< Accumulated across steps.
 
   bool complete() const { return refinable.empty(); }
 };
 
-/// Runs the deterministic prefix of the pipeline — canonicalize,
-/// cache lookup, bounds, top-k cut, classify — and returns the resumable
-/// state. Spends no factoring or Monte Carlo work: a ranking read off
-/// this state is the pure bounds-only answer. `targets` must be a
-/// distinct subset of `graph.answers`; `k` is clamped to the target
-/// count. Bounds (and free bound-exact closures) are published to the
-/// service cache exactly like the blocking path's phase 7.
-Result<RefinementState> PrepareAnytime(RankingService& service,
-                                       const QueryGraph& graph,
-                                       const std::vector<NodeId>& targets,
-                                       int k);
+/// Prepares `targets` — a distinct subset of `graph.answers` — for
+/// ranking: canonicalizes them (the graph and targets are validated once,
+/// by RankingService::CanonicalizeTargets) and runs phases 2-5. `k` (>= 1)
+/// is clamped to the target count. Bounds and free bound-exact closures
+/// are published to the service cache, so even a state that is never
+/// advanced leaves the next request on an isomorphic key at the prune
+/// gate.
+Result<RefinementState> Prepare(RankingService& service,
+                                const QueryGraph& graph,
+                                const std::vector<NodeId>& targets, int k);
+
+/// Same from caller-held canonicalizations (the ingest layer keeps one
+/// per live answer across deltas); phases 2-5 only.
+Result<RefinementState> Prepare(
+    RankingService& service, const std::vector<PreparedCandidate>& candidates,
+    int k);
 
 /// Advances every unresolved survivor by up to `trial_budget` MC trials
-/// (rounded up to whole shards; <= 0 means run each survivor to
-/// convergence), trying exact factoring first where the residue is small
-/// enough. Survivors are visited in deterministic (unique) order; when
-/// `deadline` is in the past the sweep stops between survivors and the
-/// call returns with whatever progress was made. Progress is published
-/// to the service cache after each survivor, so concurrent handles on
-/// isomorphic candidates adopt each other's tallies instead of repeating
-/// coin flips. Returns the state's completeness after the increment.
-Result<Completeness> RefineIncrement(
-    RankingService& service, RefinementState& state, int64_t trial_budget,
-    std::chrono::steady_clock::time_point deadline =
-        std::chrono::steady_clock::time_point::max());
+/// (rounded up to whole shards; <= 0 runs each survivor to convergence),
+/// trying exact factoring first where the residue is small enough.
+/// Before the fan-out, survivors adopt any further progress another
+/// request published for their key (sequentially, in unique order, so
+/// the cache's LRU order stays a deterministic function of the request
+/// sequence). The fan-out runs on the service pool; once `deadline` has
+/// passed a survivor is skipped, never interrupted mid-shard, so it keeps
+/// a clean trials-so-far position. Progress is then published to the
+/// cache once, in unique order.
+Status Advance(RankingService& service, RefinementState& state,
+               int64_t trial_budget,
+               std::chrono::steady_clock::time_point deadline =
+                   std::chrono::steady_clock::time_point::max());
 
 /// The ranking the state supports right now: resolved candidates rank by
 /// value; still-refining survivors rank by their bracket midpoint with
 /// Resolution::kRefining and the open [lower, upper] attached; pruned
 /// candidates are omitted (provably outside the top k). Sorted by the
-/// one serving order (RanksBefore), truncated to the state's k. Once the
-/// state is complete this is bit-identical to the blocking ranking.
+/// one serving order (RanksBefore), truncated to the state's k.
 std::vector<RankedCandidate> CurrentRanking(const RefinementState& state);
 
 /// Completeness summary of the state (see Completeness).

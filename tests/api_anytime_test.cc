@@ -1,7 +1,8 @@
 // The anytime serving contract end to end: a kAnytime ranking with no
 // budget returns the pure bounds-only answer (zero exact/MC spend),
 // repeated Refine increments land bit-identically on the blocking
-// answer at any thread count with the cache on or off, deadlines come
+// answer at any thread count with the cache on or off (and agree with it
+// on completeness and the serve counters they feed), deadlines come
 // back as typed kDeadlineExceeded rejections with no partial answer,
 // and the refinement ledger survives cancellation and a concurrent
 // Refine/ApplyDelta hammer (run under TSan via the concurrency label).
@@ -18,11 +19,13 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/query.h"
 #include "api/server.h"
+#include "obs/metrics.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
 
@@ -187,6 +190,123 @@ TEST(ApiAnytimeTest, RefineWithoutBudgetFinishesTheJob) {
   ASSERT_TRUE(reference.ok()) << reference.status();
   EXPECT_EQ(RankingFingerprint(refined.value()),
             RankingFingerprint(reference.value()));
+}
+
+TEST(ApiAnytimeTest, BlockingCompletenessEqualsConvergedAnytimeOnEveryProtein) {
+  // Blocking is anytime run to convergence, so the two must report the
+  // same ranking and, field for field, the same completeness — per
+  // candidate, with request-local duplicates counted once each.
+  Server blocking_server;
+  Server anytime_server;
+  const ProteinUniverse& universe = blocking_server.universe();
+  int mismatches = 0;
+  for (int p = 0; p < universe.num_proteins(); ++p) {
+    const std::string& symbol = universe.protein(p).gene_symbol;
+    SCOPED_TRACE(symbol);
+    Result<QueryResponse> blocking =
+        blocking_server.Query(MakeProteinFunctionRequest(symbol, 10));
+    QueryRequest anytime_request = MakeProteinFunctionRequest(symbol, 10);
+    anytime_request.options.mode = QueryMode::kAnytime;
+    anytime_request.options.budget_s = 60.0;
+    Result<QueryResponse> anytime = anytime_server.Query(anytime_request);
+    ASSERT_EQ(blocking.ok(), anytime.ok());
+    if (!blocking.ok()) continue;
+    const serve::Completeness& b = blocking.value().completeness;
+    const serve::Completeness& a = anytime.value().completeness;
+    ASSERT_TRUE(a.complete);
+    ASSERT_FALSE(anytime.value().refinement.valid());
+    EXPECT_EQ(RankingFingerprint(blocking.value()),
+              RankingFingerprint(anytime.value()));
+    const bool same = b.resolved == a.resolved && b.bounded == a.bounded &&
+                      b.refining == a.refining &&
+                      b.widest_bracket == a.widest_bracket &&
+                      b.complete == a.complete;
+    EXPECT_TRUE(same) << "blocking resolved=" << b.resolved
+                      << " bounded=" << b.bounded << " vs anytime resolved="
+                      << a.resolved << " bounded=" << a.bounded;
+    if (!same) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << universe.num_proteins() << " proteins";
+}
+
+/// The serve-layer scheduler counters a ranking feeds.
+struct ServeCounters {
+  uint64_t candidates = 0;
+  uint64_t pruned = 0;
+  uint64_t exact = 0;
+  uint64_t monte_carlo = 0;
+  uint64_t mc_trials = 0;
+
+  bool operator==(const ServeCounters& o) const {
+    return std::tie(candidates, pruned, exact, monte_carlo, mc_trials) ==
+           std::tie(o.candidates, o.pruned, o.exact, o.monte_carlo,
+                    o.mc_trials);
+  }
+};
+
+ServeCounters ReadServeCounters(const Server& server) {
+  ServeCounters counters;
+  for (const obs::CounterSnapshot& c : server.MetricsSnapshot().counters) {
+    if (c.name == "biorank_serve_candidates_total") {
+      counters.candidates = c.value;
+    } else if (c.name == "biorank_serve_pruned_total") {
+      counters.pruned = c.value;
+    } else if (c.name == "biorank_serve_exact_total") {
+      counters.exact = c.value;
+    } else if (c.name == "biorank_serve_monte_carlo_total") {
+      counters.monte_carlo = c.value;
+    } else if (c.name == "biorank_serve_mc_trials_total") {
+      counters.mc_trials = c.value;
+    }
+  }
+  return counters;
+}
+
+ServeCounters Delta(const ServeCounters& before, const ServeCounters& after) {
+  return {after.candidates - before.candidates, after.pruned - before.pruned,
+          after.exact - before.exact, after.monte_carlo - before.monte_carlo,
+          after.mc_trials - before.mc_trials};
+}
+
+/// What the counters should have moved by for a response's stats.
+ServeCounters FromStats(const serve::RequestStats& stats) {
+  return {static_cast<uint64_t>(stats.candidates),
+          static_cast<uint64_t>(stats.pruned),
+          static_cast<uint64_t>(stats.exact),
+          static_cast<uint64_t>(stats.monte_carlo),
+          static_cast<uint64_t>(stats.mc_trials)};
+}
+
+TEST(ApiAnytimeTest, AnytimeFeedsTheServeCountersLikeBlocking) {
+  QueryGraph graph = McGraph(61);
+  Server blocking_server(McForcedOptions(1, true));
+  Server anytime_server(McForcedOptions(1, true));
+
+  const ServeCounters blocking_before = ReadServeCounters(blocking_server);
+  Result<QueryResponse> blocking =
+      blocking_server.RankGraph(graph, BlockingOptions(5));
+  ASSERT_TRUE(blocking.ok()) << blocking.status();
+  ASSERT_GT(blocking.value().stats.mc_trials, 0)
+      << "workload never exercised the MC path";
+  const ServeCounters blocking_delta =
+      Delta(blocking_before, ReadServeCounters(blocking_server));
+  EXPECT_EQ(blocking_delta, FromStats(blocking.value().stats));
+
+  // Bounds-only first, then increments to convergence: the counters
+  // follow every step, and their sum is the final cumulative stats.
+  const ServeCounters anytime_before = ReadServeCounters(anytime_server);
+  Result<QueryResponse> first =
+      anytime_server.RankGraph(graph, AnytimeOptions(5));
+  ASSERT_TRUE(first.ok()) << first.status();
+  QueryResponse converged =
+      RefineToConvergence(anytime_server, std::move(first).value(), 1024);
+  const ServeCounters anytime_delta =
+      Delta(anytime_before, ReadServeCounters(anytime_server));
+  EXPECT_EQ(anytime_delta, FromStats(converged.stats));
+
+  EXPECT_EQ(anytime_delta, blocking_delta);
+  EXPECT_EQ(RankingFingerprint(converged),
+            RankingFingerprint(blocking.value()));
 }
 
 TEST(ApiAnytimeTest, ForeignSeedAnytimeStaysOffTheSharedCache) {

@@ -175,6 +175,25 @@ TEST(ApiServerTest, RankGraphServesCallerProvidedGraphs) {
   EXPECT_EQ(response.value().result.query_graph.graph.num_nodes(), 0);
 }
 
+TEST(ApiServerTest, RankGraphRejectsDuplicateAndForeignAnswers) {
+  // The answer subset must be a distinct subset of the graph's answers,
+  // in either mode; the request is rejected before any ranking work.
+  Server& server = SharedServer();
+  QueryGraph graph = MakeFig4aSerialParallel();
+  const NodeId answer = graph.answers[0];
+  for (QueryMode mode : {QueryMode::kBlocking, QueryMode::kAnytime}) {
+    QueryOptions options;
+    options.mode = mode;
+    EXPECT_EQ(server.RankGraph(graph, {answer, answer}, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(server.RankGraph(graph, {graph.source}, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server.refinement_count(), 0u);
+}
+
 TEST(ApiServerTest, SessionLifecycle) {
   Server server;
   const std::string symbol = WellStudiedSymbol(server, 0);

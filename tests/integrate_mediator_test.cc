@@ -79,13 +79,6 @@ TEST_F(MediatorTest, RunErrorPathsAreTyped) {
   Result<ExploratoryQueryResult> empty = mediator_.Run(no_match);
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kNotFound);
-
-  // The ranked entry point surfaces the same statuses (no swallow).
-  serve::RankingService service;
-  EXPECT_EQ(mediator_.RunRanked(wrong_set, 5, service).status().code(),
-            StatusCode::kUnimplemented);
-  EXPECT_EQ(mediator_.RunRanked(no_match, 5, service).status().code(),
-            StatusCode::kNotFound);
 }
 
 TEST_F(MediatorTest, GraphValidatesAndHasAnswers) {
@@ -229,70 +222,71 @@ TEST_F(MediatorTest, PdbContributesSinkNodes) {
   GTEST_SKIP() << "no protein with PDB structures in this universe";
 }
 
-TEST_F(MediatorTest, RunRankedServesTopKThroughTheRankingService) {
-  const Protein& protein = universe_.protein(universe_.well_studied()[0]);
+TEST_F(MediatorTest, RunThenRankServesTopKThroughTheRankingService) {
+  // Mediator::Run + RankingService::RankTopK is the crawl-and-rank
+  // composition api::Server::Query serves.
+  ExploratoryQueryResult run = RunFor(universe_.well_studied()[0]);
+  ASSERT_FALSE(run.query_graph.answers.empty());
   serve::RankingService service;
-  Result<RankedExploratoryResult> ranked = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol), 5, service);
+  Result<serve::TopKResult> ranked = service.RankTopK(run.query_graph, 5);
   ASSERT_TRUE(ranked.ok()) << ranked.status();
-  EXPECT_FALSE(ranked.value().result.query_graph.answers.empty());
-  ASSERT_EQ(ranked.value().ranked.top.size(), 5u);
-  for (size_t i = 1; i < ranked.value().ranked.top.size(); ++i) {
-    EXPECT_GE(ranked.value().ranked.top[i - 1].reliability,
-              ranked.value().ranked.top[i].reliability);
+  ASSERT_EQ(ranked.value().top.size(), 5u);
+  for (size_t i = 1; i < ranked.value().top.size(); ++i) {
+    EXPECT_GE(ranked.value().top[i - 1].reliability,
+              ranked.value().top[i].reliability);
   }
-  // A repeated request is answered from the service's canonical cache.
-  Result<RankedExploratoryResult> again = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol), 5, service);
+  // A repeated query is answered from the service's canonical cache.
+  ExploratoryQueryResult rerun = RunFor(universe_.well_studied()[0]);
+  Result<serve::TopKResult> again = service.RankTopK(rerun.query_graph, 5);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().ranked.stats.cache_misses, 0);
+  EXPECT_EQ(again.value().stats.cache_misses, 0);
   for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(again.value().ranked.top[i].node,
-              ranked.value().ranked.top[i].node);
-    EXPECT_EQ(again.value().ranked.top[i].reliability,
-              ranked.value().ranked.top[i].reliability);
+    EXPECT_EQ(again.value().top[i].node, ranked.value().top[i].node);
+    EXPECT_EQ(again.value().top[i].reliability,
+              ranked.value().top[i].reliability);
   }
-  // k = 0 ranks the full answer set.
-  Result<RankedExploratoryResult> full = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol), 0, service);
-  ASSERT_TRUE(full.ok());
-  EXPECT_GE(full.value().ranked.top.size(), 5u);
 }
 
-TEST_F(MediatorTest, RunRankedKEdgeCases) {
-  const Protein& protein = universe_.protein(universe_.well_studied()[1]);
+TEST_F(MediatorTest, RunThenRankKEdgeCases) {
+  ExploratoryQueryResult run = RunFor(universe_.well_studied()[1]);
+  const QueryGraph& graph = run.query_graph;
+  const int answers = static_cast<int>(graph.answers.size());
+  ASSERT_GT(answers, 5);
   serve::RankingService service;
 
-  // k = 0 ranks the full answer set.
-  Result<RankedExploratoryResult> full = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol), 0, service);
+  // k equal to the answer count ranks the full answer set.
+  Result<serve::TopKResult> full = service.RankTopK(graph, answers);
   ASSERT_TRUE(full.ok()) << full.status();
-  size_t answers = full.value().result.query_graph.answers.size();
-  ASSERT_GT(answers, 0u);
-  EXPECT_EQ(full.value().ranked.top.size(), answers);
+  ASSERT_EQ(full.value().top.size(), static_cast<size_t>(answers));
 
   // k far beyond the answer count clamps to the answer count and yields
-  // the same ranking as k = 0.
-  Result<RankedExploratoryResult> huge = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol),
-      static_cast<int>(answers) + 1000, service);
+  // the same ranking.
+  Result<serve::TopKResult> huge = service.RankTopK(graph, answers + 1000);
   ASSERT_TRUE(huge.ok()) << huge.status();
-  ASSERT_EQ(huge.value().ranked.top.size(), answers);
-  for (size_t i = 0; i < answers; ++i) {
-    EXPECT_EQ(huge.value().ranked.top[i].node,
-              full.value().ranked.top[i].node);
-    EXPECT_EQ(huge.value().ranked.top[i].reliability,
-              full.value().ranked.top[i].reliability);
+  ASSERT_EQ(huge.value().top.size(), static_cast<size_t>(answers));
+  for (size_t i = 0; i < huge.value().top.size(); ++i) {
+    EXPECT_EQ(huge.value().top[i].node, full.value().top[i].node);
+    EXPECT_EQ(huge.value().top[i].reliability,
+              full.value().top[i].reliability);
   }
 
-  // Negative k behaves like 0 (RunRanked treats <= 0 as "rank all").
-  Result<RankedExploratoryResult> negative = mediator_.RunRanked(
-      MakeProteinFunctionQuery(protein.gene_symbol), -3, service);
-  ASSERT_TRUE(negative.ok()) << negative.status();
-  EXPECT_EQ(negative.value().ranked.top.size(), answers);
+  // A k below the answer count clamps the ranking to its k best.
+  Result<serve::TopKResult> top3 = service.RankTopK(graph, 3);
+  ASSERT_TRUE(top3.ok()) << top3.status();
+  ASSERT_EQ(top3.value().top.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(top3.value().top[i].node, full.value().top[i].node);
+  }
+
+  // k <= 0 is the caller's error at the service: "rank all" is spelled
+  // at the front door (QueryOptions::top_k <= 0), not here.
+  EXPECT_EQ(service.RankTopK(graph, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RankTopK(graph, -3).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST_F(MediatorTest, RunRankedEmptyQueryRelevantSubgraphAnswers) {
+TEST_F(MediatorTest, RankingKeepsAnswersWithEmptyQueryRelevantSubgraphs) {
   // Answers whose evidence subgraph is empty (reliability exactly 0)
   // must survive a full ranking: the mediator's graphs always support
   // every answer, so serve the request through the service on a

@@ -10,6 +10,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/query.h"
@@ -183,49 +184,64 @@ TEST(ObsTracingIntegrationTest, TracingOnVsOffIsBitIdentical) {
 
 TEST(ObsTracingIntegrationTest, SlowQueryCaptureHasNestedSpanTree) {
   api::Server& server = TracedServer();
-  // A fresh irreducible graph (not in the cache yet) so the capture
-  // shows real MC work, served with no caller trace: the server's own
-  // slow-query trace does the recording.
-  QueryGraph bridge = MakeFig4bWheatstoneBridge();
-  for (EdgeId e = 0; e < bridge.graph.num_edges(); ++e) {
-    ASSERT_TRUE(
-        bridge.graph.SetEdgeProb(e, bridge.graph.edge(e).q * 0.99).ok());
-  }
-  api::Result<api::QueryResponse> response =
-      server.RankGraph(bridge, api::QueryOptions());
-  ASSERT_TRUE(response.ok()) << response.status();
-  std::vector<obs::CapturedTrace> captured = server.slow_queries().Snapshot();
-  ASSERT_FALSE(captured.empty());
-  const obs::CapturedTrace& last = captured.back();
-  EXPECT_EQ(last.entry_point, "RankGraph");
-  // The tree: an api.rank_graph root whose descendants include the
-  // serve phases and at least one MC shard span.
-  ASSERT_FALSE(last.spans.empty());
-  EXPECT_EQ(last.spans[0].name, "api.rank_graph");
-  EXPECT_EQ(last.spans[0].parent, -1);
-  auto has = [&last](const std::string& name) {
-    for (const obs::Span& span : last.spans) {
-      if (span.name == name) return true;
+  // Blocking and anytime-run-to-convergence share one pipeline, so both
+  // must leave the same serve-phase spans.
+  api::QueryOptions blocking;
+  api::QueryOptions anytime;
+  anytime.mode = api::QueryMode::kAnytime;
+  anytime.budget_s = 60.0;
+  const std::pair<const char*, api::QueryOptions> inputs[] = {
+      {"blocking", blocking}, {"anytime", anytime}};
+  double scale = 0.99;
+  for (const auto& [mode, options] : inputs) {
+    SCOPED_TRACE(mode);
+    // A fresh irreducible graph (not in the cache yet) so the capture
+    // shows real MC work, served with no caller trace: the server's own
+    // slow-query trace does the recording.
+    QueryGraph bridge = MakeFig4bWheatstoneBridge();
+    for (EdgeId e = 0; e < bridge.graph.num_edges(); ++e) {
+      ASSERT_TRUE(
+          bridge.graph.SetEdgeProb(e, bridge.graph.edge(e).q * scale).ok());
     }
-    return false;
-  };
-  EXPECT_TRUE(has("api.rank"));
-  EXPECT_TRUE(has("serve.canonicalize"));
-  EXPECT_TRUE(has("serve.cache_bounds"));
-  EXPECT_TRUE(has("serve.prune"));
-  EXPECT_TRUE(has("serve.resolve"));
-  EXPECT_TRUE(has("serve.mc_shards"));
-  EXPECT_TRUE(has("serve.publish"));
-  // Every non-root span's parent is a valid earlier index — a tree,
-  // not a forest with dangling edges.
-  for (size_t i = 1; i < last.spans.size(); ++i) {
-    EXPECT_GE(last.spans[i].parent, 0) << last.spans[i].name;
-    EXPECT_LT(last.spans[i].parent, static_cast<int>(i))
-        << last.spans[i].name;
+    scale -= 0.01;
+    api::Result<api::QueryResponse> response =
+        server.RankGraph(bridge, options);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response.value().completeness.complete);
+    std::vector<obs::CapturedTrace> captured =
+        server.slow_queries().Snapshot();
+    ASSERT_FALSE(captured.empty());
+    const obs::CapturedTrace& last = captured.back();
+    EXPECT_EQ(last.entry_point, "RankGraph");
+    // The tree: an api.rank_graph root whose descendants include the
+    // serve phases and at least one MC shard span.
+    ASSERT_FALSE(last.spans.empty());
+    EXPECT_EQ(last.spans[0].name, "api.rank_graph");
+    EXPECT_EQ(last.spans[0].parent, -1);
+    auto has = [&last](const std::string& name) {
+      for (const obs::Span& span : last.spans) {
+        if (span.name == name) return true;
+      }
+      return false;
+    };
+    EXPECT_TRUE(has("api.rank"));
+    EXPECT_TRUE(has("serve.canonicalize"));
+    EXPECT_TRUE(has("serve.cache_bounds"));
+    EXPECT_TRUE(has("serve.prune"));
+    EXPECT_TRUE(has("serve.resolve"));
+    EXPECT_TRUE(has("serve.mc_shards"));
+    EXPECT_TRUE(has("serve.publish"));
+    // Every non-root span's parent is a valid earlier index — a tree,
+    // not a forest with dangling edges.
+    for (size_t i = 1; i < last.spans.size(); ++i) {
+      EXPECT_GE(last.spans[i].parent, 0) << last.spans[i].name;
+      EXPECT_LT(last.spans[i].parent, static_cast<int>(i))
+          << last.spans[i].name;
+    }
+    const std::string tree = obs::RenderTraceTree(last);
+    EXPECT_NE(tree.find("api.rank_graph"), std::string::npos);
+    EXPECT_NE(tree.find("serve.mc_shards"), std::string::npos);
   }
-  const std::string tree = obs::RenderTraceTree(last);
-  EXPECT_NE(tree.find("api.rank_graph"), std::string::npos);
-  EXPECT_NE(tree.find("serve.mc_shards"), std::string::npos);
   // Metrics agree that a capture happened.
   const std::string text = server.MetricsText();
   EXPECT_NE(text.find("biorank_api_slow_queries_total"), std::string::npos);

@@ -87,6 +87,10 @@ TEST(RankingServiceTest, CanonicalizeTargetsChecksTheBatchUpFront) {
   duplicated.answers.push_back(g.answers[0]);
   EXPECT_FALSE(
       service.CanonicalizeTargets(duplicated, g.answers, {}, out, &csr).ok());
+  EXPECT_EQ(service.CanonicalizeTargets(g, {g.answers[0], g.answers[0]}, {},
+                                        out, &csr)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RankingServiceTest, TopKIsSortedAndTruncated) {
@@ -259,6 +263,18 @@ TEST(RankingServiceTest, RankPreparedRejectsNullCanonicals) {
   prepared[0].node = 1;
   EXPECT_EQ(service.RankPrepared(prepared, 1).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(RankingServiceTest, DuplicateRankingTargetIsRejected) {
+  QueryGraph g = MakeFig4aSerialParallel();
+  RankingService service;
+  const NodeId answer = g.answers[0];
+  EXPECT_EQ(service.RankTopK(g, {answer, answer}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RankTopK(g, {g.source}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  // Rejected before any work: nothing reached the cache.
+  EXPECT_EQ(service.cache().Stats().entries, 0u);
 }
 
 TEST(RankingServiceTest, InvalidRequestsAreRejected) {
