@@ -122,7 +122,8 @@ std::string JsonReport::ToJson() const {
   // (mixed_hit_rate, deterministic_batch, session_rebuild_identical,
   // batch_s_mean, session/eviction counters); layout unchanged again.
   // v5: adds the shard scatter-gather metrics of bench_shard_scaling
-  // (merge/short-circuit counters); layout unchanged again.
+  // (merge/short-circuit counters; that bench is deleted); layout
+  // unchanged again.
   // v6: adds the anytime/admission fields — bench_api_server's
   // queue_s_total / anytime_refine_s / anytime_identical and the new
   // bench_open_loop report (blocking_p99_s, anytime_p99_s, p99_ratio,
@@ -131,7 +132,8 @@ std::string JsonReport::ToJson() const {
   // histogram-derived hist_p50_ms/hist_p99_ms of bench_api_server and
   // bench_open_loop (read from the shared biorank_api_query_seconds
   // histogram), bench_serve_topk's obs_overhead_ratio A/B measurement,
-  // and bench_shard_scaling's rpc_hist_count; layout unchanged again.
+  // and bench_shard_scaling's (deleted) rpc_hist_count; layout unchanged
+  // again.
   // v8: adds the durability fields — the new bench_durability report
   // (recovery_identical / hit_rate_preserved flags, recovery_seconds,
   // wal_appends_per_sec, checkpoint throughput counters); layout

@@ -13,7 +13,7 @@ job summary. Exit status is nonzero when
   * any per-bench acceptance assertion in BENCH_GATES fails — the one
     schema-driven source of truth for every report's correctness bits
     and floor metrics (bit-identity flags, cache hit-rate floors, the
-    CSR duel speedup, the shard-scaling floor). Most of these floors
+    CSR duel speedup, the open-loop SLO). Most of these floors
     are also enforced by the bench binary's own exit code; this gate
     re-checks them against the report the artifact actually carries, or
   * a baseline bench produced no report at all (a silently skipped bench
@@ -121,19 +121,6 @@ def csr_duel(metrics):
     return failures
 
 
-def shard_scaling_floor(metrics):
-    """Near-linear 1 -> 4 shard cold-throughput floor. The scatter only
-    parallelizes on >= 4 real cores; below that the sweep serializes and
-    the report says so (scaling_clamped) instead of failing hardware."""
-    if int(metrics.get("hardware_concurrency", 0)) < 4:
-        return []
-    scaling = float(metrics.get("scaling_1_to_4", 0.0))
-    if scaling < 2.0:
-        return [f"scaling_1_to_4 {scaling:.2f}x is below the 2.0x floor "
-                f"on a >=4-core runner"]
-    return []
-
-
 def open_loop_slo(metrics):
     """Anytime tail-latency SLO: p99 under half the mean blocking service
     time. On a single-core runner the service-time measurement itself is
@@ -198,15 +185,6 @@ BENCH_GATES = {
     "fig7_mc_convergence": [
         csr_duel,
     ],
-    "shard_scaling": [
-        flag("merged_bit_identical",
-             "sharded merge diverged from the unsharded reference"),
-        flag("query_path_identical",
-             "router Query path diverged from the monolith"),
-        shard_scaling_floor,
-        positive("shard_calls"),
-        positive("rpc_hist_count"),
-    ],
     "durability": [
         flag("recovery_identical",
              "warm-booted rankings diverged bitwise from the pre-kill "
@@ -227,7 +205,7 @@ BENCH_GATES = {
 TRACKED_METRICS = ("cache_hit_rate", "pruned_fraction", "trials_per_sec",
                    "preserved_hit_rate", "update_latency_ms_mean",
                    "mixed_hit_rate", "batch_s_mean", "csr_speedup",
-                   "scaling_1_to_4", "p99_ratio", "anytime_p99_s",
+                   "p99_ratio", "anytime_p99_s",
                    "queue_s_total", "anytime_refine_s",
                    "obs_overhead_ratio", "hist_p50_ms", "hist_p99_ms",
                    "metrics_exposed", "recovery_seconds",
@@ -239,14 +217,14 @@ TRACKED_METRICS = ("cache_hit_rate", "pruned_fraction", "trials_per_sec",
 # bench_api_server dumps its server's full Prometheus exposition next to
 # the JSON reports. This gate owns the *shape* of that surface: every
 # family name obeys the biorank_<layer>_<name> grammar (layer in
-# api/serve/shard/ingest/storage), counters end in _total, histograms end in
+# api/serve/ingest/storage), counters end in _total, histograms end in
 # _seconds and carry a complete cumulative _bucket series (with +Inf)
 # plus _sum and _count, and the api_server dump is wide enough (>= 20
 # families, >= 3 histograms) that a silently shrunken registry fails CI
 # instead of rotting.
 
 METRIC_NAME_RE = re.compile(
-    r"^biorank_(api|serve|shard|ingest|storage)(_[a-z0-9]+)+$")
+    r"^biorank_(api|serve|ingest|storage)(_[a-z0-9]+)+$")
 SAMPLE_LINE_RE = re.compile(
     r"^([A-Za-z_:][A-Za-z0-9_:]*)(\{[^}]*\})? (-?[0-9].*|[+-]?Inf|NaN)$")
 
@@ -324,7 +302,7 @@ def check_metrics_shape(run_dir: Path, current):
             if len(types) < 20:
                 failures.append(
                     f"{dump.name}: only {len(types)} metric families "
-                    f"(>= 20 required across api/serve/shard/ingest)")
+                    f"(>= 20 required across api/serve/ingest)")
             if histograms < 3:
                 failures.append(
                     f"{dump.name}: only {histograms} latency histograms "

@@ -52,9 +52,9 @@ enum class QueryMode {
   kAnytime,
 };
 
-/// Per-request serving knobs, factored out of QueryRequest so transports
-/// (shard fan-out, batch runners) forward one block instead of loose
-/// fields.
+/// Per-request serving knobs, factored out of QueryRequest so every
+/// entry point (Query, RankGraph, Refine) takes one block instead of
+/// loose fields.
 struct QueryOptions {
   /// How many top-ranked answers to return; <= 0 ranks the full answer
   /// set (both clamp to the answer count).
@@ -85,11 +85,9 @@ struct QueryOptions {
   /// refine to convergence or deadline, whichever first.
   int64_t mc_trial_budget = 0;
   /// Request tracing (obs/trace.h): when non-null, the serving layers
-  /// record nested spans (admit, integrate, bounds, prune, MC, shard
-  /// fan-out/merge, refinement increments) into this caller-owned
-  /// trace. Borrowed for the duration of the call; crossing the shard
-  /// Transport in-process forwards the pointer (a socket transport
-  /// would serialize only the trace id). Zero-perturbation contract:
+  /// record nested spans (admit, integrate, bounds, prune, MC,
+  /// refinement increments) into this caller-owned trace. Borrowed for
+  /// the duration of the call. Zero-perturbation contract:
   /// tracing only observes — rankings are bit-identical with or
   /// without it. Null (the default) costs one branch per span site.
   obs::Trace* trace = nullptr;

@@ -11,7 +11,6 @@
 #include "obs/export.h"
 #include "storage/codec.h"
 #include "util/file.h"
-#include "util/parallel.h"
 
 namespace biorank::api {
 
@@ -36,13 +35,10 @@ serve::RankingServiceOptions WithRegistry(serve::RankingServiceOptions ranking,
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      obs_registry_(options_.obs.registry != nullptr
-                        ? options_.obs.registry
-                        : std::make_shared<obs::Registry>()),
       universe_(ProteinUniverse::Generate(options_.universe)),
       registry_(universe_, options_.sources),
       mediator_(registry_, options_.mediator),
-      service_(WithRegistry(options_.ranking, obs_registry_.get())),
+      service_(WithRegistry(options_.ranking, &obs_registry_)),
       harness_(universe_, registry_, mediator_, options_.ranker),
       admission_(options_.admission),
       slow_log_(options_.obs.slow_trace_capacity,
@@ -150,7 +146,7 @@ Status Server::BootStorage() {
   // 2. WAL open: scans every complete record, truncates a torn tail.
   storage::WalOptions wal_options = options_.wal;
   if (wal_options.registry == nullptr) {
-    wal_options.registry = obs_registry_.get();
+    wal_options.registry = &obs_registry_;
   }
   Result<storage::Wal::OpenResult> opened =
       storage::Wal::Open(storage::WalPath(dir), fingerprint, wal_options);
@@ -297,7 +293,7 @@ Result<uint64_t> Server::LogSessionEventLocked(storage::WalRecordType type,
 }
 
 void Server::InitMetrics() {
-  obs::Registry& reg = *obs_registry_;
+  obs::Registry& reg = obs_registry_;
   metrics_.queries =
       reg.GetCounter("biorank_api_queries_total", "Query requests served OK");
   metrics_.batches = reg.GetCounter("biorank_api_batches_total",
@@ -450,15 +446,15 @@ void Server::MaybeCaptureSlow(const char* entry_point, const obs::Trace* trace,
 }
 
 std::string Server::MetricsText() const {
-  return obs::RenderPrometheusText(obs_registry_->TakeSnapshot());
+  return obs::RenderPrometheusText(obs_registry_.TakeSnapshot());
 }
 
 std::string Server::MetricsJson() const {
-  return obs::RenderJson(obs_registry_->TakeSnapshot());
+  return obs::RenderJson(obs_registry_.TakeSnapshot());
 }
 
 obs::Snapshot Server::MetricsSnapshot() const {
-  return obs_registry_->TakeSnapshot();
+  return obs_registry_.TakeSnapshot();
 }
 
 namespace {
@@ -559,9 +555,8 @@ Result<QueryResponse> Server::Query(const QueryRequest& request) {
     if (options.rank) {
       obs::SpanScope rank(tracing.trace, "api.rank");
       Status ranked =
-          RankWithOptions(response.result.query_graph,
-                          response.result.query_graph.answers, options,
-                          deadline, response);
+          RankWithOptions(response.result.query_graph, options, deadline,
+                          response);
       if (!ranked.ok()) {
         metrics_.errors->Add();
         return ranked;
@@ -578,10 +573,10 @@ Result<QueryResponse> Server::Query(const QueryRequest& request) {
 }
 
 Status Server::RankWithOptions(const QueryGraph& graph,
-                               const std::vector<NodeId>& answers,
                                const QueryOptions& options,
                                SteadyClock::time_point deadline,
                                QueryResponse& response) {
+  const std::vector<NodeId>& answers = graph.answers;
   if (answers.empty()) {
     response.completeness.complete = true;  // Nothing to rank.
     return Status::OK();
@@ -740,12 +735,6 @@ Result<std::vector<QueryResponse>> Server::RunBatch(
   metrics_.batches->Add();
   std::vector<QueryResponse> responses(batch.size());
   if (batch.empty()) return responses;
-  ThreadPool& pool = options_.ranking.pool != nullptr
-                         ? *options_.ranking.pool
-                         : ThreadPool::Global();
-  const int max_parallelism = options_.ranking.num_threads == 0
-                                  ? ThreadPool::kUnlimitedParallelism
-                                  : options_.ranking.num_threads;
   std::vector<Status> errors(batch.size());
   std::atomic<bool> failed{false};
   // Each request is independent and each ranking is a pure function of
@@ -753,22 +742,19 @@ Result<std::vector<QueryResponse>> Server::RunBatch(
   // so the fan-out is bit-identical to a serial loop. Per-request
   // parallelism collapses inline inside a shard (same-pool nesting), so
   // batch-level concurrency is the one fan-out.
-  pool.ParallelFor(
-      static_cast<int64_t>(batch.size()),
-      [&](int, int64_t i) {
-        Result<QueryResponse> response = Query(batch[static_cast<size_t>(i)]);
-        if (response.ok()) {
-          responses[static_cast<size_t>(i)] = std::move(response.value());
-          // Counted per served request (not in bulk on success) so the
-          // stats stay reconciled with `queries` when a batch fails
-          // partway: every request Query() served still shows up here.
-          metrics_.batch_requests->Add();
-        } else {
-          errors[static_cast<size_t>(i)] = response.status();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      },
-      max_parallelism);
+  service_.ParallelFor(static_cast<int64_t>(batch.size()), [&](int, int64_t i) {
+    Result<QueryResponse> response = Query(batch[static_cast<size_t>(i)]);
+    if (response.ok()) {
+      responses[static_cast<size_t>(i)] = std::move(response.value());
+      // Counted per served request (not in bulk on success) so the
+      // stats stay reconciled with `queries` when a batch fails
+      // partway: every request Query() served still shows up here.
+      metrics_.batch_requests->Add();
+    } else {
+      errors[static_cast<size_t>(i)] = response.status();
+      failed.store(true, std::memory_order_relaxed);
+    }
+  });
   if (failed.load(std::memory_order_relaxed)) {
     for (const Status& status : errors) {
       if (!status.ok()) return status;  // First (lowest-index) error wins.
@@ -780,16 +766,10 @@ Result<std::vector<QueryResponse>> Server::RunBatch(
 Result<QueryResponse> Server::RankGraph(const QueryGraph& graph, int top_k) {
   QueryOptions options;
   options.top_k = top_k;
-  return RankGraph(graph, graph.answers, options);
+  return RankGraph(graph, options);
 }
 
 Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
-                                        const QueryOptions& options) {
-  return RankGraph(graph, graph.answers, options);
-}
-
-Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
-                                        const std::vector<NodeId>& answers,
                                         const QueryOptions& options) {
   Tick();
   SteadyClock::time_point start = SteadyClock::now();
@@ -811,7 +791,7 @@ Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
     if (options.rank) {
       obs::SpanScope rank(tracing.trace, "api.rank");
       Status ranked =
-          RankWithOptions(graph, answers, options, deadline, response);
+          RankWithOptions(graph, options, deadline, response);
       if (!ranked.ok()) {
         metrics_.errors->Add();
         return ranked;

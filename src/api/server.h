@@ -18,7 +18,7 @@
 //               bit-identical to a from-scratch rebuild, and any number
 //               of sessions share the one canonical reliability cache.
 //   RankGraph — the serving facade for a caller-provided graph (benches,
-//               rebuild references).
+//               rebuild references): Query minus the mediator crawl.
 //
 // Thread safety: every public method may be called concurrently. The
 // registry is a mutex-guarded handle map holding shared_ptr sessions, so
@@ -59,13 +59,9 @@ namespace biorank::api {
 /// The server's observability knobs (obs/). Metrics are always on —
 /// handle-based recording is cheap enough to never gate — but tracing
 /// is opt-in per request (QueryOptions::trace) or threshold-triggered
-/// (slow_query_threshold_s).
+/// (slow_query_threshold_s). The server always owns its metrics
+/// registry; MetricsText/MetricsJson/MetricsSnapshot read it.
 struct ObservabilityOptions {
-  /// Metrics registry to record into; null (the default) gives the
-  /// server its own. Injected registries are shared with the caller:
-  /// the server registers collectors that read server state, so do not
-  /// snapshot the registry after the server is destroyed.
-  std::shared_ptr<obs::Registry> registry;
   /// Requests whose end-to-end latency reaches this many seconds keep
   /// their full span tree in the slow-query ring buffer. <= 0 (the
   /// default) disables capture — and with it the per-request Trace
@@ -211,19 +207,9 @@ class Server {
   /// Query; the refinement state owns its canonicalizations, so the
   /// caller's graph need not outlive the handle. The plain int-top_k
   /// overload above forwards here with default (blocking, no-deadline)
-  /// options.
+  /// options. `graph.answers` must be distinct non-source nodes of the
+  /// graph (anything else is kInvalidArgument).
   Result<QueryResponse> RankGraph(const QueryGraph& graph,
-                                  const QueryOptions& options);
-
-  /// Same, restricted to `answers` — a distinct subset of
-  /// `graph.answers` (anything else is kInvalidArgument). This is the
-  /// shard-serving entry point: a shard::ShardRouter partitions a query's
-  /// answer set across N servers and each shard ranks exactly the slice
-  /// it owns, with values bit-identical to the same answers inside an
-  /// unsharded request (every resolved value is a pure function of the
-  /// candidate's canonical key and the server's MC seed).
-  Result<QueryResponse> RankGraph(const QueryGraph& graph,
-                                  const std::vector<NodeId>& answers,
                                   const QueryOptions& options);
 
   /// Stands `request.query` up as a live session: the materialized graph
@@ -290,15 +276,10 @@ class Server {
   /// Prometheus text exposition format / as one JSON object. Spans
   /// api (request counters, phase latency histograms), serve
   /// (scheduler counters, bounds/MC histograms, cache), ingest (delta
-  /// counters, apply latency), and — when a shard::ShardRouter records
-  /// into this server's registry — the shard layer.
+  /// counters, apply latency) and, on durable servers, storage.
   std::string MetricsText() const;
   std::string MetricsJson() const;
   obs::Snapshot MetricsSnapshot() const;
-
-  /// The server's metrics registry (shard routers and benches record
-  /// into or read from it). Lives as long as the server.
-  obs::Registry& registry() const { return *obs_registry_; }
 
   /// Captured slow-query traces (empty unless
   /// ObservabilityOptions::slow_query_threshold_s is set).
@@ -351,7 +332,6 @@ class Server {
   /// already holds an admission ticket and owns the rest of the
   /// timing/counter bookkeeping.
   Status RankWithOptions(const QueryGraph& graph,
-                         const std::vector<NodeId>& answers,
                          const QueryOptions& options,
                          std::chrono::steady_clock::time_point deadline,
                          QueryResponse& response);
@@ -436,7 +416,7 @@ class Server {
   /// Declared before service_ so the ranking options can carry the
   /// registry pointer into the service's constructor. `registry_` was
   /// already taken (the SourceRegistry), hence the obs_ prefix.
-  std::shared_ptr<obs::Registry> obs_registry_;
+  obs::Registry obs_registry_;
   ProteinUniverse universe_;
   SourceRegistry registry_;
   Mediator mediator_;

@@ -166,16 +166,9 @@ Histogram* Registry::GetHistogram(const std::string& name,
   return entry.metric.get();
 }
 
-uint64_t Registry::AddCollector(Collector fn) {
+void Registry::AddCollector(Collector fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t token = next_collector_token_++;
-  collectors_.emplace(token, std::move(fn));
-  return token;
-}
-
-void Registry::RemoveCollector(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.erase(token);
+  collectors_.push_back(std::move(fn));
 }
 
 Snapshot Registry::TakeSnapshot() const {
@@ -202,7 +195,7 @@ Snapshot Registry::TakeSnapshot() const {
     h.sum = entry.metric->Sum();
     snapshot.histograms.push_back(std::move(h));
   }
-  for (const auto& [token, collect] : collectors_) collect(snapshot);
+  for (const Collector& collect : collectors_) collect(snapshot);
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::stable_sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
   std::stable_sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);

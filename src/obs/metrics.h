@@ -1,10 +1,7 @@
 // Process-local metrics registry: named counters, gauges, and
 // log-bucketed latency histograms with cheap handle-based recording on
-// hot paths. A Registry instance is owned by whoever fronts a
-// deployment (api::Server owns one per server; the shard router records
-// into its front server's registry) — deliberately NOT a process-global
-// singleton, because InProcessTransport stands up N servers in one
-// process and their metrics must not collide.
+// hot paths. Each api::Server owns one registry, so several servers in
+// one process (tests and benches build many) never mix their metrics.
 //
 // Recording contract (the hot-path side):
 //   - Counter::Add and Histogram::Observe are lock-free: relaxed
@@ -16,10 +13,9 @@
 //     resolve them once at construction, not per request.
 //
 // Snapshot contract (the reading side): TakeSnapshot() holds the
-// registry mutex, runs registered collector callbacks (the bridge from
-// legacy Stats() structs — CacheStats, AdmissionStats, RouterStats —
-// which remain the point-in-time snapshot views they always were), and
-// returns a self-contained Snapshot sorted by metric name. Individual
+// registry mutex, runs registered collector callbacks (the bridge for
+// point-in-time state such as the cache and admission-queue gauges),
+// and returns a self-contained Snapshot sorted by metric name. Individual
 // counter reads sum their slots with acquire ordering; a snapshot is a
 // consistent *list* of metrics, each atomically summed, not a global
 // atomic cut — the same contract Prometheus scrapes live with.
@@ -32,7 +28,7 @@
 //
 // Naming convention (enforced by the exporter tests, see
 // docs/ARCHITECTURE.md §9): biorank_<layer>_<name> with layer one of
-// api/serve/shard/ingest, counters suffixed _total, latency histograms
+// api/serve/ingest/storage, counters suffixed _total, latency histograms
 // suffixed _seconds.
 
 #ifndef BIORANK_OBS_METRICS_H_
@@ -185,9 +181,9 @@ struct Snapshot {
   }
 };
 
-/// A collector contributes derived metrics (typically a legacy Stats()
-/// struct flattened into counters/gauges) at snapshot time, under the
-/// registry lock. Collectors must not call back into the Registry.
+/// A collector contributes derived metrics (point-in-time state
+/// flattened into counters/gauges) at snapshot time, under the registry
+/// lock. Collectors must not call back into the Registry.
 using Collector = std::function<void(Snapshot&)>;
 
 /// The registry proper. Get* calls are idempotent: the first call for a
@@ -207,12 +203,10 @@ class Registry {
                           const std::string& help = "",
                           HistogramOptions options = HistogramOptions());
 
-  /// Registers a snapshot-time collector (see Collector above). The
-  /// returned token deregisters it — a component whose lifetime is
-  /// shorter than the registry's (e.g. a ShardRouter borrowing its
-  /// front server's registry) must RemoveCollector before dying.
-  uint64_t AddCollector(Collector fn);
-  void RemoveCollector(uint64_t token);
+  /// Registers a snapshot-time collector (see Collector above) for the
+  /// registry's lifetime; whatever it reads must live as long as the
+  /// registry.
+  void AddCollector(Collector fn);
 
   /// Locked point-in-time snapshot: native metrics first, then
   /// collectors, then a stable sort by name within each kind.
@@ -236,8 +230,7 @@ class Registry {
   std::map<std::string, CounterEntry> counters_;
   std::map<std::string, GaugeEntry> gauges_;
   std::map<std::string, HistogramEntry> histograms_;
-  std::map<uint64_t, Collector> collectors_;
-  uint64_t next_collector_token_ = 1;
+  std::vector<Collector> collectors_;
 };
 
 }  // namespace biorank::obs

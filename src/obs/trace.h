@@ -1,10 +1,8 @@
 // End-to-end request tracing: a Trace records a tree of named spans
 // (admit, canonicalize, cache, bounds, prune, factoring, MC shards,
-// shard fan-out/merge, refinement increments) with monotonic-clock
-// durations and per-span counters (trials run, candidates pruned,
-// cache hits). A Trace pointer rides inside api::QueryOptions and
-// crosses the shard Transport seam inside ShardQuery, so shard-side
-// spans attach to the parent trace.
+// refinement increments) with monotonic-clock durations and per-span
+// counters (trials run, candidates pruned, cache hits). A Trace pointer
+// rides inside api::QueryOptions into every serving layer.
 //
 // Zero-perturbation contract (asserted by obs_trace_test and the bench
 // bit-identity gates): tracing only *observes*. Spans record steady-
@@ -13,13 +11,14 @@
 // about the ranking. Tracing on vs. off is bit-identical for all
 // rankings.
 //
-// Threading: a Trace is mutex-guarded — shard scatter and batch
-// fan-out append spans from pool threads concurrently. Span nesting
-// within one thread is tracked by a thread-local (trace, span) binding
-// that SpanScope pushes/pops RAII-style; cross-thread attachment (the
-// shard seam) passes the parent span index explicitly. A SpanScope on
-// a null trace is a no-op costing one branch — the always-on hot path
-// pays only metric handles, never trace locks.
+// Threading: a Trace is mutex-guarded — MC fan-out and batch fan-out
+// append spans from pool threads concurrently. Span nesting within one
+// thread is tracked by a thread-local (trace, span) binding that
+// SpanScope pushes/pops RAII-style; cross-thread attachment (a pool
+// worker's serve.mc_shards span) passes the parent span index
+// explicitly. A SpanScope on a null trace is a no-op costing one
+// branch — the always-on hot path pays only metric handles, never
+// trace locks.
 //
 // SlowQueryLog is the threshold-triggered capture: the server offers
 // each finished trace with its total latency, and traces at or over
@@ -83,8 +82,9 @@ int CurrentSpanIndex();
 
 /// RAII span. The default constructor form nests under the thread's
 /// current binding when `trace` matches it (or roots otherwise); the
-/// explicit-parent form is the cross-thread attach used at the shard
-/// seam. While alive, the scope IS the thread's current binding.
+/// explicit-parent form is the cross-thread attach a pool worker uses
+/// (serve.mc_shards under the request's resolve span). While alive,
+/// the scope IS the thread's current binding.
 class SpanScope {
  public:
   SpanScope(Trace* trace, const std::string& name);

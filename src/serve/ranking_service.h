@@ -59,13 +59,8 @@ struct RankedCandidate {
 
 /// The one ranking order of the serving stack: descending reliability,
 /// ties broken by ascending answer node id (a strict total order — node
-/// ids are distinct within a request). The service's phase-8 sort and
-/// the shard router's cross-shard merge both compare through this
-/// template, so the monolith and a scatter–gather deployment can never
-/// disagree on tie-breaks. Works on any pair of candidate types exposing
-/// `reliability` and `node` (serve::RankedCandidate, api::RankedAnswer).
-template <typename CandidateA, typename CandidateB>
-inline bool RanksBefore(const CandidateA& a, const CandidateB& b) {
+/// ids are distinct within a request).
+inline bool RanksBefore(const RankedCandidate& a, const RankedCandidate& b) {
   if (a.reliability != b.reliability) return a.reliability > b.reliability;
   return a.node < b.node;
 }

@@ -257,10 +257,7 @@ std::vector<RankedCandidate> CurrentRanking(const RefinementState& state) {
     }
     top.push_back(ranked);
   }
-  std::sort(top.begin(), top.end(),
-            [](const RankedCandidate& a, const RankedCandidate& b) {
-              return RanksBefore(a, b);
-            });
+  std::sort(top.begin(), top.end(), RanksBefore);
   if (static_cast<int>(top.size()) > state.k) {
     top.resize(static_cast<size_t>(state.k));
   }

@@ -176,20 +176,26 @@ TEST(ApiServerTest, RankGraphServesCallerProvidedGraphs) {
 }
 
 TEST(ApiServerTest, RankGraphRejectsDuplicateAndForeignAnswers) {
-  // The answer subset must be a distinct subset of the graph's answers,
-  // in either mode; the request is rejected before any ranking work.
+  // The answer set must be distinct non-source nodes, in either mode;
+  // the request is rejected before any ranking work.
   Server& server = SharedServer();
-  QueryGraph graph = MakeFig4aSerialParallel();
-  const NodeId answer = graph.answers[0];
+  QueryGraph duplicate = MakeFig4aSerialParallel();
+  duplicate.answers.push_back(duplicate.answers[0]);
+  QueryGraph with_source = MakeFig4aSerialParallel();
+  with_source.answers.push_back(with_source.source);
   for (QueryMode mode : {QueryMode::kBlocking, QueryMode::kAnytime}) {
     QueryOptions options;
     options.mode = mode;
-    EXPECT_EQ(server.RankGraph(graph, {answer, answer}, options)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(server.RankGraph(graph, {graph.source}, options).status().code(),
-              StatusCode::kInvalidArgument);
+    Result<QueryResponse> dup = server.RankGraph(duplicate, options);
+    EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(dup.status().message().find("duplicate answer"),
+              std::string::npos)
+        << dup.status();
+    Result<QueryResponse> source = server.RankGraph(with_source, options);
+    EXPECT_EQ(source.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(source.status().message().find("source cannot be an answer"),
+              std::string::npos)
+        << source.status();
   }
   EXPECT_EQ(server.refinement_count(), 0u);
 }

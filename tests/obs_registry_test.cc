@@ -112,7 +112,7 @@ TEST(ObsRegistryTest, SnapshotIsSortedByNameAndCountsMetrics) {
   registry.GetCounter("biorank_serve_b_total");
   registry.GetCounter("biorank_api_a_total");
   registry.GetGauge("biorank_api_depth");
-  registry.GetHistogram("biorank_shard_rpc_seconds");
+  registry.GetHistogram("biorank_ingest_apply_seconds");
   Snapshot snapshot = registry.TakeSnapshot();
   ASSERT_EQ(snapshot.counters.size(), 2u);
   EXPECT_EQ(snapshot.counters[0].name, "biorank_api_a_total");
@@ -120,14 +120,15 @@ TEST(ObsRegistryTest, SnapshotIsSortedByNameAndCountsMetrics) {
   EXPECT_EQ(snapshot.MetricCount(), 4u);
 }
 
-TEST(ObsRegistryTest, CollectorsContributeAndCanBeRemoved) {
+TEST(ObsRegistryTest, CollectorsContributeAtEverySnapshot) {
   Registry registry;
-  uint64_t token = registry.AddCollector([](Snapshot& snapshot) {
+  registry.AddCollector([](Snapshot& snapshot) {
     snapshot.gauges.push_back({"biorank_api_derived", "from a collector", 5.0});
   });
   EXPECT_EQ(registry.TakeSnapshot().gauges.size(), 1u);
-  registry.RemoveCollector(token);
-  EXPECT_EQ(registry.TakeSnapshot().gauges.size(), 0u);
+  Snapshot again = registry.TakeSnapshot();
+  ASSERT_EQ(again.gauges.size(), 1u);
+  EXPECT_EQ(again.gauges[0].value, 5.0);
 }
 
 TEST(ObsExportTest, PrometheusTextIsWellFormed) {

@@ -66,10 +66,10 @@ TEST(ObsTraceTest, ExplicitParentAttachesAcrossThreads) {
   obs::Trace trace;
   obs::SpanScope root(&trace, "root");
   std::thread worker([&trace, parent = root.index()] {
-    // A pool thread has no binding for this trace; the seam passes the
-    // parent index explicitly and the scope binds from there.
+    // A pool thread has no binding for this trace; the fan-out passes
+    // the parent index explicitly and the scope binds from there.
     EXPECT_EQ(obs::CurrentTrace(), nullptr);
-    obs::SpanScope rpc(&trace, "shard.rpc", parent);
+    obs::SpanScope worker_span(&trace, "serve.mc_shards", parent);
     obs::SpanScope inner(&trace, "inner");  // nests via the new binding
     EXPECT_EQ(inner.index(), 2);
   });
@@ -77,7 +77,7 @@ TEST(ObsTraceTest, ExplicitParentAttachesAcrossThreads) {
   root.End();
   std::vector<obs::Span> spans = trace.Spans();
   ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[1].name, "shard.rpc");
+  EXPECT_EQ(spans[1].name, "serve.mc_shards");
   EXPECT_EQ(spans[1].parent, 0);
   EXPECT_EQ(spans[2].parent, 1);
 }
