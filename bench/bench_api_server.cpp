@@ -324,7 +324,10 @@ int main() {
   }
   size_t evicted = server.EvictIdleSessions(0);
 
-  api::ServerStats stats = server.Stats();
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  auto counter = [&metrics](const char* name) {
+    return static_cast<int64_t>(bench::CounterValue(metrics, name));
+  };
   double mixed_hit_rate = mixed.CacheHitRate();
   double update_ms_mean =
       updates == 0 ? 0.0 : update_ms_total / static_cast<double>(updates);
@@ -336,7 +339,7 @@ int main() {
   std::cout << "\nAggregate: mixed hit rate " << FormatDouble(mixed_hit_rate, 3)
             << " over " << mixed_batch_requests << " batched requests + "
             << mixed_session_queries << " session queries, "
-            << stats.deltas_applied << " deltas (mean "
+            << counter("biorank_ingest_deltas_total") << " deltas (mean "
             << FormatDouble(update_ms_mean, 3) << " ms), " << evicted
             << " sessions idle-evicted at shutdown.\n"
             << "RunBatch " << (deterministic_batch ? "bit-identical" : "DIVERGED")
@@ -355,21 +358,24 @@ int main() {
   report.SetMetric("k", k);
   report.SetMetric("phases", phases);
   report.SetMetric("graphs", static_cast<int64_t>(requests.size()));
-  report.SetMetric("batches", static_cast<int64_t>(stats.batches));
-  report.SetMetric("batch_requests", static_cast<int64_t>(stats.batch_requests));
+  report.SetMetric("batches", counter("biorank_api_batches_total"));
+  report.SetMetric("batch_requests",
+                   counter("biorank_api_batch_requests_total"));
   report.SetMetric("session_queries",
-                   static_cast<int64_t>(stats.session_queries));
-  report.SetMetric("deltas", static_cast<int64_t>(stats.deltas_applied));
+                   counter("biorank_api_session_queries_total"));
+  report.SetMetric("deltas", counter("biorank_ingest_deltas_total"));
   report.SetMetric("sessions_opened",
-                   static_cast<int64_t>(stats.sessions_opened));
+                   counter("biorank_api_sessions_opened_total"));
   report.SetMetric("sessions_evicted",
-                   static_cast<int64_t>(stats.sessions_evicted));
+                   counter("biorank_api_sessions_evicted_total"));
   report.SetMetric("mixed_hit_rate", mixed_hit_rate);
   report.SetMetric("batch_s_mean", batch_s_total / phases);
   report.SetMetric("update_ms_mean", update_ms_mean);
-  report.SetMetric("cache_entries", static_cast<int64_t>(stats.cache.entries));
+  report.SetMetric("cache_entries",
+                   static_cast<int64_t>(bench::GaugeValue(
+                       metrics, "biorank_serve_cache_entries")));
   report.SetMetric("cache_invalidations",
-                   static_cast<int64_t>(stats.cache.invalidations));
+                   counter("biorank_serve_cache_invalidations_total"));
   report.SetMetric("queue_s_total", queue_s_total);
   report.SetMetric("anytime_refine_s", anytime_refine_s);
   report.SetMetric("anytime_increments", anytime_increments);
@@ -381,16 +387,14 @@ int main() {
   // The served latency distribution, read back from the shared
   // biorank_api_query_seconds histogram — the same numbers a Prometheus
   // scrape of this server would report.
-  obs::Snapshot metrics_snapshot = server.MetricsSnapshot();
   report.SetMetric("metrics_exposed",
-                   static_cast<int64_t>(metrics_snapshot.MetricCount()));
-  for (const obs::HistogramSnapshot& h : metrics_snapshot.histograms) {
-    if (h.name == "biorank_api_query_seconds") {
-      report.SetMetric("hist_queries", static_cast<int64_t>(h.count));
-      report.SetMetric("hist_p50_ms", h.Quantile(0.5) * 1e3);
-      report.SetMetric("hist_p99_ms", h.Quantile(0.99) * 1e3);
-      report.SetMetric("hist_p999_ms", h.Quantile(0.999) * 1e3);
-    }
+                   static_cast<int64_t>(metrics.MetricCount()));
+  if (const obs::HistogramSnapshot* h =
+          metrics.FindHistogram("biorank_api_query_seconds")) {
+    report.SetMetric("hist_queries", static_cast<int64_t>(h->count));
+    report.SetMetric("hist_p50_ms", h->Quantile(0.5) * 1e3);
+    report.SetMetric("hist_p99_ms", h->Quantile(0.99) * 1e3);
+    report.SetMetric("hist_p999_ms", h->Quantile(0.999) * 1e3);
   }
   Status metrics_status =
       bench::WriteMetricsDump("api_server", server.MetricsText());

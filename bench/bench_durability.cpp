@@ -36,6 +36,7 @@
 #include "bench_json.h"
 #include "bench_util.h"
 #include "core/query_graph.h"
+#include "obs/metrics.h"
 #include "storage/codec.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
@@ -257,7 +258,7 @@ int main() {
   std::vector<std::vector<std::pair<NodeId, double>>> expected;
   if (!QueryPass(*server, sessions, k, &before_stats, &expected)) return 1;
   const double hit_rate_before = before_stats.CacheHitRate();
-  api::ServerStats pre_kill = server->Stats();
+  const obs::Snapshot pre_kill = server->MetricsSnapshot();
 
   // A representative WAL payload (one encoded session delta) for the
   // append-path microbench below, captured while the server is alive.
@@ -381,8 +382,11 @@ int main() {
   report.SetMetric("wal_appends_per_sec", wal_appends_per_sec);
   report.SetMetric("wal_mb_per_sec", wal_mb_per_sec);
   report.SetMetric("wal_records",
-                   static_cast<int64_t>(pre_kill.wal.records));
-  report.SetMetric("wal_syncs", static_cast<int64_t>(pre_kill.wal.syncs));
+                   static_cast<int64_t>(bench::CounterValue(
+                       pre_kill, "biorank_storage_wal_records_total")));
+  report.SetMetric("wal_syncs",
+                   static_cast<int64_t>(bench::CounterValue(
+                       pre_kill, "biorank_storage_wal_syncs_total")));
   report.Write();
 
   if (!recovery_identical || !hit_rate_preserved) return 1;

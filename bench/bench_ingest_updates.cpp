@@ -26,6 +26,7 @@
 #include "api/server.h"
 #include "bench_json.h"
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -271,7 +272,9 @@ int main() {
   double preserved_hit_rate = preserved_total.CacheHitRate();
   double update_ms_mean =
       updates == 0 ? 0.0 : update_ms_total / static_cast<double>(updates);
-  serve::CacheStats cache = server.Stats().cache;
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  const auto cache_entries = static_cast<int64_t>(
+      bench::GaugeValue(metrics, "biorank_serve_cache_entries"));
 
   std::cout << "\nAggregate: preserved hit rate "
             << FormatDouble(preserved_hit_rate, 3) << " over " << phases
@@ -279,7 +282,7 @@ int main() {
             << FormatDouble(update_ms_mean, 3) << " ms, max "
             << FormatDouble(update_ms_max, 3) << " ms), "
             << invalidated_total << " cache entries invalidated ("
-            << cache.entries << " live).\n"
+            << cache_entries << " live).\n"
             << "Max touched-tuple fraction "
             << FormatDouble(touched_fraction_max, 4) << " (workload cap 0.10).\n"
             << "Output " << (deterministic ? "bit-identical" : "DIVERGED")
@@ -300,9 +303,10 @@ int main() {
   report.SetMetric("clean_answers", clean_total);
   report.SetMetric("stale_keys", stale_total);
   report.SetMetric("invalidated_entries", invalidated_total);
-  report.SetMetric("cache_entries", static_cast<int64_t>(cache.entries));
+  report.SetMetric("cache_entries", cache_entries);
   report.SetMetric("cache_invalidations",
-                   static_cast<int64_t>(cache.invalidations));
+                   static_cast<int64_t>(bench::CounterValue(
+                       metrics, "biorank_serve_cache_invalidations_total")));
   report.SetMetric("deterministic_output", deterministic);
   Status write_status = report.Write();
 

@@ -223,14 +223,21 @@ int main() {
             << FormatDouble((obs_overhead_ratio - 1.0) * 100.0, 2)
             << "% overhead, outputs bit-identical).\n";
 
-  serve::CacheStats cache = server.Stats().cache;
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  const uint64_t cache_hits =
+      bench::CounterValue(metrics, "biorank_serve_cache_hits_total");
+  const uint64_t cache_lookups =
+      cache_hits +
+      bench::CounterValue(metrics, "biorank_serve_cache_misses_total");
+  const auto cache_entries = static_cast<int64_t>(
+      bench::GaugeValue(metrics, "biorank_serve_cache_entries"));
   double hit_rate = total.CacheHitRate();
   double pruned_fraction = total.PrunedFraction();
   std::cout << "\nAggregate: " << total.candidates << " candidates, "
             << "hit rate " << FormatDouble(hit_rate, 3)
             << ", pruned fraction " << FormatDouble(pruned_fraction, 3)
             << ", " << total.monte_carlo << " MC resolutions ("
-            << total.mc_trials << " trials), " << cache.entries
+            << total.mc_trials << " trials), " << cache_entries
             << " cache entries.\n"
             << "Output " << (deterministic ? "bit-identical" : "DIVERGED")
             << " vs the cache-off single-thread reference.\n";
@@ -245,14 +252,19 @@ int main() {
   // canonical resolution) count as hits. cache_only_hit_rate is the
   // underlying store's rate — cross-request reuse only.
   report.SetMetric("cache_hit_rate", hit_rate);
-  report.SetMetric("cache_only_hit_rate", cache.HitRate());
+  report.SetMetric("cache_only_hit_rate",
+                   cache_lookups == 0 ? 0.0
+                                      : static_cast<double>(cache_hits) /
+                                            static_cast<double>(cache_lookups));
   report.SetMetric("pruned_fraction", pruned_fraction);
   report.SetMetric("bound_exact", total.bound_exact);
   report.SetMetric("exact_resolutions", total.exact);
   report.SetMetric("mc_resolutions", total.monte_carlo);
   report.SetMetric("mc_trials", total.mc_trials);
-  report.SetMetric("cache_entries", static_cast<int64_t>(cache.entries));
-  report.SetMetric("cache_evictions", static_cast<int64_t>(cache.evictions));
+  report.SetMetric("cache_entries", cache_entries);
+  report.SetMetric("cache_evictions",
+                   static_cast<int64_t>(bench::CounterValue(
+                       metrics, "biorank_serve_cache_evictions_total")));
   report.SetMetric("irreducible_exact_resolutions", irreducible_exact);
   report.SetMetric("irreducible_mc_resolutions", irreducible_mc);
   report.SetMetric("deterministic_output", deterministic);

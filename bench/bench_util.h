@@ -3,10 +3,13 @@
 
 #include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
+#include "obs/metrics.h"
 #include "util/csv.h"
 
 namespace biorank::bench {
@@ -43,6 +46,30 @@ inline void MaybeWriteCsv(const CsvWriter& csv, const std::string& name) {
   } else {
     std::cerr << "csv write failed: " << status << "\n";
   }
+}
+
+/// The value of the counter named `name` in a server's metrics
+/// snapshot. A name no counter carries is a bench bug, so it aborts
+/// instead of reporting 0.
+inline uint64_t CounterValue(const obs::Snapshot& snapshot,
+                             std::string_view name) {
+  const obs::CounterSnapshot* counter = snapshot.FindCounter(name);
+  if (counter == nullptr) {
+    std::cerr << "bench: no counter named " << name << "\n";
+    std::abort();
+  }
+  return counter->value;
+}
+
+/// The same for a gauge.
+inline double GaugeValue(const obs::Snapshot& snapshot,
+                         std::string_view name) {
+  const obs::GaugeSnapshot* gauge = snapshot.FindGauge(name);
+  if (gauge == nullptr) {
+    std::cerr << "bench: no gauge named " << name << "\n";
+    std::abort();
+  }
+  return gauge->value;
 }
 
 }  // namespace biorank::bench

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/server.h"
+#include "obs/metrics.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
 #include "util/strings.h"
@@ -178,36 +179,32 @@ int main() {
     }
   }
 
-  api::ServerStats stats = server.Stats();
-  std::cout << "\nServer stats: " << stats.queries << " queries ("
-            << stats.batch_requests << " batched), " << stats.session_queries
-            << " session queries, " << stats.deltas_applied
-            << " deltas; cache holds " << stats.cache.entries
-            << " canonical entries (hit rate "
-            << FormatDouble(stats.cache.HitRate(), 3) << ").\n";
-
   // 6. The metrics snapshot: everything above was also recorded into
   // the server's registry — counters, gauges, and latency histograms
   // with Prometheus-style names (biorank_<layer>_<name>). MetricsText()
   // is the scrape endpoint's payload; the JSON form adds derived
   // p50/p99/p999 per histogram. Here: the end-to-end latency histogram
-  // and a few counters, straight from the snapshot.
+  // and a few counters and gauges, looked up by name in the snapshot.
   obs::Snapshot metrics = server.MetricsSnapshot();
   std::cout << "\nMetrics registry: " << metrics.MetricCount()
             << " metrics exported.\n";
-  for (const obs::HistogramSnapshot& h : metrics.histograms) {
-    if (h.name == "biorank_api_query_seconds") {
-      std::cout << "  " << h.name << ": count " << h.count << ", p50 "
-                << FormatCompact(h.Quantile(0.5) * 1e3, 3) << " ms, p99 "
-                << FormatCompact(h.Quantile(0.99) * 1e3, 3) << " ms\n";
+  if (const obs::HistogramSnapshot* h =
+          metrics.FindHistogram("biorank_api_query_seconds")) {
+    std::cout << "  " << h->name << ": count " << h->count << ", p50 "
+              << FormatCompact(h->Quantile(0.5) * 1e3, 3) << " ms, p99 "
+              << FormatCompact(h->Quantile(0.99) * 1e3, 3) << " ms\n";
+  }
+  for (const char* name :
+       {"biorank_api_queries_total", "biorank_api_batch_requests_total",
+        "biorank_api_session_queries_total", "biorank_ingest_deltas_total",
+        "biorank_serve_cache_hits_total", "biorank_serve_mc_trials_total"}) {
+    if (const obs::CounterSnapshot* c = metrics.FindCounter(name)) {
+      std::cout << "  " << c->name << " " << c->value << "\n";
     }
   }
-  for (const obs::CounterSnapshot& c : metrics.counters) {
-    if (c.name == "biorank_serve_mc_trials_total" ||
-        c.name == "biorank_serve_cache_hits_total" ||
-        c.name == "biorank_ingest_deltas_total") {
-      std::cout << "  " << c.name << " " << c.value << "\n";
-    }
+  if (const obs::GaugeSnapshot* g =
+          metrics.FindGauge("biorank_serve_cache_entries")) {
+    std::cout << "  " << g->name << " " << g->value << "\n";
   }
 
   // 7. Durability: point a server at a directory and it logs every

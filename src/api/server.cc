@@ -280,7 +280,6 @@ Result<CheckpointReport> Server::Checkpoint() {
   report.sessions = state.sessions.size();
   report.cache_entries = state.cache_entries.size();
   report.seconds = SecondsSince(start);
-  checkpoints_.fetch_add(1, std::memory_order_relaxed);
   metrics_.checkpoints->Add();
   metrics_.snapshot_write_seconds->Observe(report.seconds);
   return report;
@@ -360,9 +359,10 @@ void Server::InitMetrics() {
       "Ranking advance: exact factoring and MC on the survivors, per call");
   metrics_.apply_seconds = reg.GetHistogram(
       "biorank_ingest_apply_seconds", "Evidence-delta apply latency");
-  // Gauges and the legacy Stats() structs (cache, admission) are
-  // snapshot views: collectors flatten them at TakeSnapshot() time, so
-  // the structs stay the source of truth they always were.
+  // Gauges and the point-in-time state of the cache and the admission
+  // queue are snapshot views: collectors flatten CacheStats and
+  // AdmissionStats at TakeSnapshot() time, each from one Stats() call,
+  // so the metrics read off one snapshot are mutually consistent.
   reg.AddCollector([this](obs::Snapshot& snapshot) {
     snapshot.gauges.push_back({"biorank_api_open_sessions",
                                "Currently live sessions",
@@ -416,17 +416,6 @@ void Server::InitMetrics() {
   });
 }
 
-Server::TraceHolder Server::StartTrace(obs::Trace* caller_trace) {
-  TraceHolder holder;
-  holder.trace = caller_trace;
-  if (caller_trace == nullptr && slow_log_.threshold_s() > 0.0) {
-    holder.owned = std::make_unique<obs::Trace>(
-        next_trace_id_.fetch_add(1, std::memory_order_relaxed));
-    holder.trace = holder.owned.get();
-  }
-  return holder;
-}
-
 void Server::RecordPhases(const PhaseTiming& timing) {
   if (timing.queue_s > 0.0) metrics_.queue_seconds->Observe(timing.queue_s);
   if (timing.integrate_s > 0.0) {
@@ -435,14 +424,6 @@ void Server::RecordPhases(const PhaseTiming& timing) {
   if (timing.rank_s > 0.0) metrics_.rank_seconds->Observe(timing.rank_s);
   if (timing.refine_s > 0.0) metrics_.refine_seconds->Observe(timing.refine_s);
   metrics_.query_seconds->Observe(timing.total_s);
-}
-
-void Server::MaybeCaptureSlow(const char* entry_point, const obs::Trace* trace,
-                              double total_s) {
-  if (trace == nullptr) return;
-  if (slow_log_.Offer(entry_point, *trace, total_s)) {
-    metrics_.slow_queries->Add();
-  }
 }
 
 std::string Server::MetricsText() const {
@@ -517,69 +498,87 @@ Status AdvanceWithin(serve::RankingService& service,
 
 }  // namespace
 
-Result<QueryResponse> Server::Query(const QueryRequest& request) {
+template <typename Body>
+Result<QueryResponse> Server::Serve(const char* entry_point, const char* span,
+                                    const QueryOptions& options,
+                                    obs::Counter* served, Body&& body) {
   Tick();
-  const QueryOptions& options = request.options;
-  SteadyClock::time_point start = SteadyClock::now();
+  const SteadyClock::time_point start = SteadyClock::now();
   const SteadyClock::time_point deadline = options.DeadlineOrMax(start);
-  TraceHolder tracing = StartTrace(options.trace);
+  // The caller's trace when set, a server-owned one when slow-query
+  // capture is armed, none otherwise.
+  obs::Trace* trace = options.trace;
+  std::unique_ptr<obs::Trace> owned;
+  if (trace == nullptr && slow_log_.threshold_s() > 0.0) {
+    owned = std::make_unique<obs::Trace>(
+        next_trace_id_.fetch_add(1, std::memory_order_relaxed));
+    trace = owned.get();
+  }
   QueryResponse response;
+  Status status;
   {
     // The root span binds this thread's trace context; the serve layer
     // records its phase spans under it via obs::CurrentTrace(). Closed
     // before the slow-query offer so the captured tree has durations.
-    obs::SpanScope root(tracing.trace, "api.query");
-    // Admission first: a request that cannot start before its deadline
-    // is rejected with the typed code and no partial answer. The ticket
-    // is held for the whole call — integration and ranking both count
-    // against the server's concurrency cap.
-    obs::SpanScope admit(tracing.trace, "api.admit");
+    obs::SpanScope root(trace, span);
+    obs::SpanScope admit(trace, "api.admit");
     Result<AdmissionQueue::Ticket> ticket = admission_.Admit(deadline);
     admit.End();
-    if (!ticket.ok()) {
-      metrics_.errors->Add();
-      return ticket.status();
+    status = ticket.status();
+    if (status.ok()) {
+      response.timing.queue_s = ticket.value().queue_s();
+      status = body(deadline, trace, response);
     }
-    response.timing.queue_s = ticket.value().queue_s();
+    if (status.ok()) {
+      response.timing.total_s = SecondsSince(start);
+      if (served != nullptr) served->Add();
+      RecordPhases(response.timing);
+    }
+  }
+  if (!status.ok()) {
+    metrics_.errors->Add();
+    return status;
+  }
+  if (trace != nullptr &&
+      slow_log_.Offer(entry_point, *trace, response.timing.total_s)) {
+    metrics_.slow_queries->Add();
+  }
+  return response;
+}
 
-    SteadyClock::time_point integrate_start = SteadyClock::now();
-    obs::SpanScope integrate(tracing.trace, "api.integrate");
+Result<QueryResponse> Server::Query(const QueryRequest& request) {
+  // The mediator crawl, then the RankGraph body over the crawled graph.
+  auto crawl_then_rank = [&](SteadyClock::time_point deadline,
+                             obs::Trace* trace,
+                             QueryResponse& response) -> Status {
+    const SteadyClock::time_point integrate_start = SteadyClock::now();
+    obs::SpanScope integrate(trace, "api.integrate");
     Result<ExploratoryQueryResult> run = mediator_.Run(request.query);
     integrate.End();
-    if (!run.ok()) {
-      metrics_.errors->Add();
-      return run.status();
-    }
+    if (!run.ok()) return run.status();
     response.result = std::move(run.value());
     response.timing.integrate_s = SecondsSince(integrate_start);
-    if (options.rank) {
-      obs::SpanScope rank(tracing.trace, "api.rank");
-      Status ranked =
-          RankWithOptions(response.result.query_graph, options, deadline,
-                          response);
-      if (!ranked.ok()) {
-        metrics_.errors->Add();
-        return ranked;
-      }
-    } else {
-      response.completeness.complete = true;  // Nothing ranked, nothing open.
-    }
-    response.timing.total_s = SecondsSince(start);
-    metrics_.queries->Add();
-    RecordPhases(response.timing);
-  }
-  MaybeCaptureSlow("Query", tracing.trace, response.timing.total_s);
-  return response;
+    return RankWithOptions(response.result.query_graph, request.options,
+                           deadline, trace, response);
+  };
+  return Serve("Query", "api.query", request.options, metrics_.queries,
+               crawl_then_rank);
 }
 
 Status Server::RankWithOptions(const QueryGraph& graph,
                                const QueryOptions& options,
                                SteadyClock::time_point deadline,
-                               QueryResponse& response) {
+                               obs::Trace* trace, QueryResponse& response) {
+  if (!options.rank) {
+    response.completeness.complete = true;  // Nothing ranked, nothing open.
+    return Status::OK();
+  }
+  obs::SpanScope rank(trace, "api.rank");
   const std::vector<NodeId>& answers = graph.answers;
   if (answers.empty()) {
-    response.completeness.complete = true;  // Nothing to rank.
-    return Status::OK();
+    // Nothing to rank, but a malformed graph is still rejected.
+    response.completeness.complete = true;
+    return graph.Validate();
   }
   // A foreign MC seed changes every irreducible residue's value, so it
   // must not read or publish through the shared cache; a request-private
@@ -594,8 +593,7 @@ Status Server::RankWithOptions(const QueryGraph& graph,
       private_service != nullptr ? *private_service : service_;
   const SteadyClock::time_point rank_start = SteadyClock::now();
   Result<serve::RefinementState> prepared = serve::Prepare(
-      service, graph, answers,
-      ClampTopK(options.top_k, static_cast<int>(answers.size())));
+      service, graph, ClampTopK(options.top_k, static_cast<int>(answers.size())));
   if (!prepared.ok()) return prepared.status();
   serve::RefinementState& state = prepared.value();
   response.timing.rank_s = SecondsSince(rank_start);
@@ -636,23 +634,8 @@ Status Server::RankWithOptions(const QueryGraph& graph,
 
 Result<QueryResponse> Server::Refine(RefinementHandle handle,
                                      const QueryOptions& options) {
-  Tick();
-  SteadyClock::time_point start = SteadyClock::now();
-  const SteadyClock::time_point deadline = options.DeadlineOrMax(start);
-  TraceHolder tracing = StartTrace(options.trace);
-  QueryResponse response;
-  {
-    obs::SpanScope root(tracing.trace, "api.refine");
-    // Refinement increments compete for the server like fresh queries
-    // do: same deadline-ordered queue, same typed rejection.
-    obs::SpanScope admit(tracing.trace, "api.admit");
-    Result<AdmissionQueue::Ticket> ticket = admission_.Admit(deadline);
-    admit.End();
-    if (!ticket.ok()) {
-      metrics_.errors->Add();
-      return ticket.status();
-    }
-
+  auto advance = [&](SteadyClock::time_point deadline, obs::Trace*,
+                     QueryResponse& response) -> Status {
     std::shared_ptr<Refinement> refinement;
     {
       std::lock_guard<std::mutex> lock(refinements_mu_);
@@ -669,7 +652,6 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
       refinement = it->second;
     }
 
-    response.timing.queue_s = ticket.value().queue_s();
     bool complete = false;
     {
       std::lock_guard<std::mutex> lock(refinement->mu);
@@ -678,13 +660,9 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
                                            : service_;
       // The bounds-only phase already ran, so a Refine with no budget and
       // no deadline finishes the job.
-      Status advanced =
+      BIORANK_RETURN_IF_ERROR(
           AdvanceWithin(service, refinement->state, options.mc_trial_budget,
-                        deadline, response.timing);
-      if (!advanced.ok()) {
-        metrics_.errors->Add();
-        return advanced;
-      }
+                        deadline, response.timing));
       const auto& labels = refinement->labels;
       FillRanked(refinement->state,
                  [&labels](NodeId node) {
@@ -707,11 +685,11 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
     } else {
       response.refinement = handle;
     }
-    response.timing.total_s = SecondsSince(start);
-    RecordPhases(response.timing);
-  }
-  MaybeCaptureSlow("Refine", tracing.trace, response.timing.total_s);
-  return response;
+    return Status::OK();
+  };
+  // Refinement increments compete for the server like fresh queries do:
+  // same deadline-ordered queue, same typed rejection.
+  return Serve("Refine", "api.refine", options, /*served=*/nullptr, advance);
 }
 
 Status Server::CancelRefinement(RefinementHandle handle) {
@@ -771,40 +749,13 @@ Result<QueryResponse> Server::RankGraph(const QueryGraph& graph, int top_k) {
 
 Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
                                         const QueryOptions& options) {
-  Tick();
-  SteadyClock::time_point start = SteadyClock::now();
-  const SteadyClock::time_point deadline = options.DeadlineOrMax(start);
-  TraceHolder tracing = StartTrace(options.trace);
-  QueryResponse response;
-  {
-    obs::SpanScope root(tracing.trace, "api.rank_graph");
-    // Graph rankings pay the same SLO gate as Query: deadline-ordered
-    // admission, typed rejection, no partial answer.
-    obs::SpanScope admit(tracing.trace, "api.admit");
-    Result<AdmissionQueue::Ticket> ticket = admission_.Admit(deadline);
-    admit.End();
-    if (!ticket.ok()) {
-      metrics_.errors->Add();
-      return ticket.status();
-    }
-    response.timing.queue_s = ticket.value().queue_s();
-    if (options.rank) {
-      obs::SpanScope rank(tracing.trace, "api.rank");
-      Status ranked =
-          RankWithOptions(graph, options, deadline, response);
-      if (!ranked.ok()) {
-        metrics_.errors->Add();
-        return ranked;
-      }
-    } else {
-      response.completeness.complete = true;
-    }
-    response.timing.total_s = SecondsSince(start);
-    metrics_.graph_rankings->Add();
-    RecordPhases(response.timing);
-  }
-  MaybeCaptureSlow("RankGraph", tracing.trace, response.timing.total_s);
-  return response;
+  return Serve("RankGraph", "api.rank_graph", options,
+               metrics_.graph_rankings,
+               [&](SteadyClock::time_point deadline, obs::Trace* trace,
+                   QueryResponse& response) {
+                 return RankWithOptions(graph, options, deadline, trace,
+                                        response);
+               });
 }
 
 Result<SessionInfo> Server::OpenSession(const QueryRequest& request) {
@@ -867,7 +818,10 @@ Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
   uint64_t now = Tick();
   SteadyClock::time_point start = SteadyClock::now();
   Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) return session.status();
+  if (!session.ok()) {
+    metrics_.errors->Add();
+    return session.status();
+  }
   Session& live = *session.value();
   QueryResponse response;
   response.result.matched_proteins = live.live.matched_proteins;
@@ -875,7 +829,10 @@ Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
   if (answers > 0) {
     Result<serve::TopKResult> top =
         live.live.applier->RankTopK(ClampTopK(top_k, answers));
-    if (!top.ok()) return top.status();
+    if (!top.ok()) {
+      metrics_.errors->Add();
+      return top.status();
+    }
     const auto& labels = live.live.answer_labels;
     FillRanked(top.value().top, top.value().stats,
                [&labels](NodeId node) {
@@ -895,7 +852,10 @@ Result<ingest::ApplyReport> Server::ApplyDelta(
     SessionId id, const ingest::EvidenceDelta& delta) {
   uint64_t now = Tick();
   Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) return session.status();
+  if (!session.ok()) {
+    metrics_.errors->Add();
+    return session.status();
+  }
   SteadyClock::time_point start = SteadyClock::now();
   obs::SpanScope span(obs::CurrentTrace(), "ingest.apply_delta");
   Result<ingest::ApplyReport> report =
@@ -988,33 +948,6 @@ size_t Server::session_count() const {
 size_t Server::refinement_count() const {
   std::lock_guard<std::mutex> lock(refinements_mu_);
   return refinements_.size();
-}
-
-ServerStats Server::Stats() const {
-  // A snapshot view over the registry counters: same numbers the
-  // Prometheus/JSON exporters report, folded back into the legacy shape.
-  ServerStats stats;
-  stats.queries = metrics_.queries->Value();
-  stats.batches = metrics_.batches->Value();
-  stats.batch_requests = metrics_.batch_requests->Value();
-  stats.graph_rankings = metrics_.graph_rankings->Value();
-  stats.sessions_opened = metrics_.sessions_opened->Value();
-  stats.sessions_closed = metrics_.sessions_closed->Value();
-  stats.sessions_evicted = metrics_.sessions_evicted->Value();
-  stats.session_queries = metrics_.session_queries->Value();
-  stats.deltas_applied = metrics_.deltas_applied->Value();
-  stats.open_sessions = session_count();
-  stats.refinements_started = metrics_.refinements_started->Value();
-  stats.refinements_completed = metrics_.refinements_completed->Value();
-  stats.refinements_cancelled = metrics_.refinements_cancelled->Value();
-  stats.open_refinements = refinement_count();
-  stats.cache = service_.cache().Stats();
-  stats.admission = admission_.Stats();
-  stats.durable = wal_ != nullptr;
-  stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  if (wal_ != nullptr) stats.wal = wal_->stats();
-  stats.recovery = recovery_report_;
-  return stats;
 }
 
 }  // namespace biorank::api

@@ -19,6 +19,11 @@
 //               of sessions share the one canonical reliability cache.
 //   RankGraph — the serving facade for a caller-provided graph (benches,
 //               rebuild references): Query minus the mediator crawl.
+//   Refine    — advances an anytime response's RefinementHandle.
+//
+// Query, RankGraph and Refine run under one request skeleton (admission,
+// tracing, phase timing, error counting). Every counter the server keeps
+// lives in its metrics registry; MetricsSnapshot() is the one read path.
 //
 // Thread safety: every public method may be called concurrently. The
 // registry is a mutex-guarded handle map holding shared_ptr sessions, so
@@ -105,33 +110,6 @@ struct ServerOptions {
   storage::WalOptions wal;
 };
 
-/// Monotonic service counters plus a point-in-time cache snapshot.
-/// Since the obs migration this is a snapshot *view*: the counters live
-/// in the server's metrics registry (biorank_api_*_total) and Stats()
-/// reads them back, so the struct and MetricsText() can never disagree.
-struct ServerStats {
-  uint64_t queries = 0;          ///< Query requests served OK (batched included).
-  uint64_t batches = 0;          ///< RunBatch calls.
-  uint64_t batch_requests = 0;   ///< Requests served inside batches.
-  uint64_t graph_rankings = 0;   ///< RankGraph calls served OK.
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_closed = 0;  ///< Explicit CloseSession calls.
-  uint64_t sessions_evicted = 0; ///< Idle-eviction closures.
-  uint64_t session_queries = 0;  ///< QuerySession requests served OK.
-  uint64_t deltas_applied = 0;
-  uint64_t open_sessions = 0;    ///< Currently live sessions.
-  uint64_t refinements_started = 0;   ///< Anytime responses that left a handle.
-  uint64_t refinements_completed = 0; ///< Handles refined to completion.
-  uint64_t refinements_cancelled = 0; ///< CancelRefinement calls that took.
-  uint64_t open_refinements = 0;      ///< Currently live handles.
-  serve::CacheStats cache;       ///< Shared reliability cache snapshot.
-  AdmissionStats admission;      ///< Queue depth/age gauges + counters.
-  bool durable = false;          ///< Whether a WAL is attached.
-  uint64_t checkpoints = 0;      ///< Checkpoint() calls that completed.
-  storage::WalStats wal;         ///< Append-side WAL counters (if durable).
-  storage::RecoveryReport recovery;  ///< What the warm boot did (if any).
-};
-
 /// What one Server::Checkpoint() wrote.
 struct CheckpointReport {
   uint64_t wal_lsn = 0;      ///< Covering LSN stamped into the snapshot.
@@ -207,8 +185,9 @@ class Server {
   /// Query; the refinement state owns its canonicalizations, so the
   /// caller's graph need not outlive the handle. The plain int-top_k
   /// overload above forwards here with default (blocking, no-deadline)
-  /// options. `graph.answers` must be distinct non-source nodes of the
-  /// graph (anything else is kInvalidArgument).
+  /// options. The graph must pass QueryGraph::Validate — a live source
+  /// and distinct non-source answers — even when it has no answers
+  /// (anything else is kInvalidArgument).
   Result<QueryResponse> RankGraph(const QueryGraph& graph,
                                   const QueryOptions& options);
 
@@ -270,13 +249,13 @@ class Server {
     return recovery_report_;
   }
 
-  ServerStats Stats() const;
-
   /// Point-in-time metrics: the server's registry snapshot rendered in
   /// Prometheus text exposition format / as one JSON object. Spans
   /// api (request counters, phase latency histograms), serve
   /// (scheduler counters, bounds/MC histograms, cache), ingest (delta
-  /// counters, apply latency) and, on durable servers, storage.
+  /// counters, apply latency) and, on durable servers, storage. The
+  /// registry is the one read path for server counters: read a family
+  /// by name with obs::Snapshot::FindCounter / FindGauge.
   std::string MetricsText() const;
   std::string MetricsJson() const;
   obs::Snapshot MetricsSnapshot() const;
@@ -324,26 +303,33 @@ class Server {
   /// Evicts sessions idle for more than `min_idle_ops` at clock `now`.
   size_t EvictIdleLocked(uint64_t min_idle_ops, uint64_t now);
 
-  /// The ranking shared by Query and the options-taking RankGraph:
-  /// prepare on the shared (or a foreign-seed private) service, advance
-  /// per the request's mode/budget/deadline, and register a refinement
-  /// handle only when answers are still open. Fills the ranking half of
-  /// `response` (rank_s = prepare, refine_s = advance); the caller
-  /// already holds an admission ticket and owns the rest of the
-  /// timing/counter bookkeeping.
+  /// The one request skeleton Query, RankGraph and Refine run under:
+  /// ticks the op clock, resolves the deadline, starts the trace (the
+  /// caller's, or a server-owned one when slow-query capture is armed)
+  /// under a root span named `span`, and admits through the deadline-ordered
+  /// queue (a request that cannot start before its deadline gets the
+  /// typed rejection and no partial answer). `body(deadline, trace,
+  /// response)` then runs holding the ticket, so everything it does
+  /// counts against the concurrency cap. On success the skeleton stamps
+  /// queue_s/total_s and the phase histograms, bumps `served` (when
+  /// non-null) and offers the trace to the slow-query log as
+  /// `entry_point`; any non-OK status, admission's or the body's, counts
+  /// once in biorank_api_errors_total.
+  template <typename Body>
+  Result<QueryResponse> Serve(const char* entry_point, const char* span,
+                              const QueryOptions& options,
+                              obs::Counter* served, Body&& body);
+
+  /// The body shared by Query (after its crawl) and RankGraph: unless
+  /// options.rank is false, prepare on the shared (or a foreign-seed
+  /// private) service, advance per the request's mode/budget/deadline,
+  /// and register a refinement handle only when answers are still open.
+  /// Fills the ranking half of `response` (rank_s = prepare, refine_s =
+  /// advance).
   Status RankWithOptions(const QueryGraph& graph,
                          const QueryOptions& options,
                          std::chrono::steady_clock::time_point deadline,
-                         QueryResponse& response);
-
-  /// The trace an entry point serves under: the caller's (options.trace)
-  /// when set, a server-owned one when slow-query capture is armed,
-  /// null otherwise.
-  struct TraceHolder {
-    std::unique_ptr<obs::Trace> owned;
-    obs::Trace* trace = nullptr;
-  };
-  TraceHolder StartTrace(obs::Trace* caller_trace);
+                         obs::Trace* trace, QueryResponse& response);
 
   /// Resolves the registry handles (constructor) and registers the
   /// gauge collectors for sessions/refinements/cache/admission.
@@ -371,13 +357,9 @@ class Server {
                                          const std::string& body);
 
   /// Records one finished request's phases into the shared latency
-  /// histograms — every entry point (Query, RankGraph, QuerySession,
-  /// Refine) stamps through here, so the histograms cover them all.
+  /// histograms — Serve and QuerySession stamp through here, so the
+  /// histograms cover every ranking entry point.
   void RecordPhases(const PhaseTiming& timing);
-
-  /// Offers a finished trace to the slow-query ring buffer.
-  void MaybeCaptureSlow(const char* entry_point, const obs::Trace* trace,
-                        double total_s);
 
   /// Per-server registry-backed counters/histograms (see InitMetrics
   /// for names). Raw handles: the registry owns the metrics and lives
@@ -433,7 +415,6 @@ class Server {
   std::unique_ptr<storage::Wal> wal_;
   Status storage_status_;
   storage::RecoveryReport recovery_report_;
-  std::atomic<uint64_t> checkpoints_{0};
 
   std::atomic<uint64_t> op_clock_{0};
   std::atomic<uint64_t> next_session_id_{1};

@@ -171,6 +171,29 @@ void Registry::AddCollector(Collector fn) {
   collectors_.push_back(std::move(fn));
 }
 
+namespace {
+
+template <typename T>
+const T* FindByName(const std::vector<T>& metrics, std::string_view name) {
+  auto it = std::find_if(metrics.begin(), metrics.end(),
+                         [name](const T& m) { return m.name == name; });
+  return it != metrics.end() ? &*it : nullptr;
+}
+
+}  // namespace
+
+const CounterSnapshot* Snapshot::FindCounter(std::string_view name) const {
+  return FindByName(counters, name);
+}
+
+const GaugeSnapshot* Snapshot::FindGauge(std::string_view name) const {
+  return FindByName(gauges, name);
+}
+
+const HistogramSnapshot* Snapshot::FindHistogram(std::string_view name) const {
+  return FindByName(histograms, name);
+}
+
 Snapshot Registry::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snapshot;

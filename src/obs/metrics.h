@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace biorank::obs {
@@ -179,6 +180,13 @@ struct Snapshot {
   size_t MetricCount() const {
     return counters.size() + gauges.size() + histograms.size();
   }
+
+  /// By-name lookups, one per kind: null when no metric of that kind
+  /// carries `name`, so a misspelt name fails its reader instead of
+  /// reading 0.
+  const CounterSnapshot* FindCounter(std::string_view name) const;
+  const GaugeSnapshot* FindGauge(std::string_view name) const;
+  const HistogramSnapshot* FindHistogram(std::string_view name) const;
 };
 
 /// A collector contributes derived metrics (point-in-time state

@@ -83,13 +83,7 @@ Result<TopKResult> Converge(RankingService& service,
 
 Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
                                             int k) {
-  return RankTopK(query_graph, query_graph.answers, k);
-}
-
-Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
-                                            const std::vector<NodeId>& targets,
-                                            int k) {
-  return Converge(*this, Prepare(*this, query_graph, targets, k));
+  return Converge(*this, Prepare(*this, query_graph, k));
 }
 
 Result<TopKResult> RankingService::RankPrepared(

@@ -186,20 +186,6 @@ class RankingService {
   /// one Advance to convergence (serve/refinement.h).
   Result<TopKResult> RankTopK(const QueryGraph& query_graph, int k);
 
-  /// Ranks only `targets` — a distinct subset of `query_graph.answers` —
-  /// through the identical pipeline. This is the shard-serving entry: a
-  /// shard ranks the answers its partition owns, and because every
-  /// resolved value is a pure function of the candidate's canonical key
-  /// (never of which other candidates share the request), the values it
-  /// returns are bit-identical to the same answers ranked inside the
-  /// full, unsharded request. The top-k cut is computed within `targets`
-  /// (a weaker cut than the full request's — a shard may resolve
-  /// candidates the monolith pruned — but pruning only ever discards
-  /// candidates provably outside the local top k, so the shard's top-k
-  /// list is exact for its partition).
-  Result<TopKResult> RankTopK(const QueryGraph& query_graph,
-                              const std::vector<NodeId>& targets, int k);
-
   /// Same pipeline starting from caller-held canonicalizations (RankTopK
   /// minus phase 1). Because every resolved value is a pure function of
   /// the canonical key, the output for a graph is bit-identical whether
@@ -226,8 +212,9 @@ class RankingService {
   /// targets' membership in its answer set and their distinctness are
   /// checked once for the batch (ValidateCanonicalizeTargets) — the one
   /// validation a ranking request gets — then every target is
-  /// canonicalized unchecked. Prepare's phase 1 and the ingest applier's
-  /// dirty-answer re-canonicalization share this one fan-out, so pool
+  /// canonicalized unchecked. Prepare's phase 1 (the whole answer set)
+  /// and the ingest applier's dirty-answer re-canonicalization (a
+  /// subset) share this one fan-out, so pool
   /// selection, parallelism caps, and error propagation cannot drift
   /// apart. `graph_csr`, when non-null, is an unmasked flat snapshot of
   /// `graph` shared read-only by every target's restriction traversal

@@ -91,16 +91,16 @@ Status PrepareCandidates(RankingService& service,
 }  // namespace
 
 Result<RefinementState> Prepare(RankingService& service,
-                                const QueryGraph& graph,
-                                const std::vector<NodeId>& targets, int k) {
+                                const QueryGraph& graph, int k) {
   // Checked before the phase-1 fan-out so a misconfigured request fails
   // in O(1), not O(answers).
   BIORANK_RETURN_IF_ERROR(CheckRequest(service, k));
   RefinementState state;
+  const std::vector<NodeId>& targets = graph.answers;
 
-  // Phase 1 — canonicalize every target (pure per target, so the fan-out
+  // Phase 1 — canonicalize every answer (pure per answer, so the fan-out
   // is deterministic at any thread count). One flat snapshot of the
-  // request graph serves every target's restriction traversal.
+  // request graph serves every answer's restriction traversal.
   {
     obs::SpanScope span(obs::CurrentTrace(), "serve.canonicalize");
     const CsrSnapshot request_csr = BuildCsrSnapshot(graph.graph);

@@ -78,16 +78,14 @@ struct RefinementState {
   bool complete() const { return refinable.empty(); }
 };
 
-/// Prepares `targets` — a distinct subset of `graph.answers` — for
-/// ranking: canonicalizes them (the graph and targets are validated once,
-/// by RankingService::CanonicalizeTargets) and runs phases 2-5. `k` (>= 1)
-/// is clamped to the target count. Bounds and free bound-exact closures
-/// are published to the service cache, so even a state that is never
-/// advanced leaves the next request on an isomorphic key at the prune
-/// gate.
+/// Prepares `graph.answers` for ranking: canonicalizes them (the graph
+/// is validated once, by RankingService::CanonicalizeTargets) and runs
+/// phases 2-5. `k` (>= 1) is clamped to the answer count. Bounds and
+/// free bound-exact closures are published to the service cache, so
+/// even a state that is never advanced leaves the next request on an
+/// isomorphic key at the prune gate.
 Result<RefinementState> Prepare(RankingService& service,
-                                const QueryGraph& graph,
-                                const std::vector<NodeId>& targets, int k);
+                                const QueryGraph& graph, int k);
 
 /// Same from caller-held canonicalizations (the ingest layer keeps one
 /// per live answer across deltas); phases 2-5 only.

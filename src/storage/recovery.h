@@ -15,7 +15,8 @@
 //
 // api::Server implements the loop (it owns the mediator and service the
 // replayed opens/deltas go through); this module owns discovery,
-// validation, and the recovery report the server exposes via Stats().
+// validation, and the recovery report the server exposes via
+// recovery_report().
 
 #ifndef BIORANK_STORAGE_RECOVERY_H_
 #define BIORANK_STORAGE_RECOVERY_H_
@@ -48,8 +49,8 @@ struct SnapshotLoadResult {
 Result<SnapshotLoadResult> LoadNewestValidSnapshot(const std::string& dir,
                                                    uint64_t fingerprint);
 
-/// What one warm boot did — surfaced through api::Server::Stats() and
-/// the biorank_storage_* metrics.
+/// What one warm boot did — surfaced through
+/// api::Server::recovery_report() and the biorank_storage_* metrics.
 struct RecoveryReport {
   bool snapshot_loaded = false;
   uint64_t snapshot_lsn = 0;        ///< Covering LSN of the loaded snapshot.

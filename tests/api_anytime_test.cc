@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "api/query.h"
 #include "api/server.h"
 #include "obs/metrics.h"
+#include "testing/metrics.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
 
@@ -34,6 +36,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
+using testing::CounterValue;
+using testing::GaugeValue;
+
+uint64_t ServerCounter(const Server& server, std::string_view name) {
+  return CounterValue(server.MetricsSnapshot(), name);
+}
 
 std::string WellStudiedSymbol(const Server& server, int index) {
   const ProteinUniverse& universe = server.universe();
@@ -138,7 +146,7 @@ TEST(ApiAnytimeTest, ZeroBudgetReturnsPureBoundsOnlyRanking) {
   EXPECT_FALSE(r.completeness.complete);
   EXPECT_TRUE(r.refinement.valid());
   EXPECT_EQ(server.refinement_count(), 1u);
-  EXPECT_EQ(server.Stats().refinements_started, 1u);
+  EXPECT_EQ(ServerCounter(server, "biorank_api_refinements_started_total"), 1u);
   ASSERT_TRUE(server.CancelRefinement(r.refinement).ok());
 }
 
@@ -166,7 +174,9 @@ TEST(ApiAnytimeTest, RefinedRankingIsBitIdenticalToBlockingAtAnyThreadCount) {
                 RankingFingerprint(reference.value()));
       EXPECT_FALSE(final_response.refinement.valid());
       EXPECT_EQ(anytime.refinement_count(), 0u);
-      EXPECT_EQ(anytime.Stats().refinements_completed, 1u);
+      EXPECT_EQ(
+          ServerCounter(anytime, "biorank_api_refinements_completed_total"),
+          1u);
     }
   }
 }
@@ -245,21 +255,12 @@ struct ServeCounters {
 };
 
 ServeCounters ReadServeCounters(const Server& server) {
-  ServeCounters counters;
-  for (const obs::CounterSnapshot& c : server.MetricsSnapshot().counters) {
-    if (c.name == "biorank_serve_candidates_total") {
-      counters.candidates = c.value;
-    } else if (c.name == "biorank_serve_pruned_total") {
-      counters.pruned = c.value;
-    } else if (c.name == "biorank_serve_exact_total") {
-      counters.exact = c.value;
-    } else if (c.name == "biorank_serve_monte_carlo_total") {
-      counters.monte_carlo = c.value;
-    } else if (c.name == "biorank_serve_mc_trials_total") {
-      counters.mc_trials = c.value;
-    }
-  }
-  return counters;
+  const obs::Snapshot snapshot = server.MetricsSnapshot();
+  return {CounterValue(snapshot, "biorank_serve_candidates_total"),
+          CounterValue(snapshot, "biorank_serve_pruned_total"),
+          CounterValue(snapshot, "biorank_serve_exact_total"),
+          CounterValue(snapshot, "biorank_serve_monte_carlo_total"),
+          CounterValue(snapshot, "biorank_serve_mc_trials_total")};
 }
 
 ServeCounters Delta(const ServeCounters& before, const ServeCounters& after) {
@@ -314,14 +315,18 @@ TEST(ApiAnytimeTest, ForeignSeedAnytimeStaysOffTheSharedCache) {
   QueryGraph graph = McGraph(31);
   QueryOptions options = AnytimeOptions(5);
   options.seed = 0xfeedface;
-  serve::CacheStats before = server.Stats().cache;
+  const obs::Snapshot before = server.MetricsSnapshot();
   Result<QueryResponse> first = server.RankGraph(graph, options);
   ASSERT_TRUE(first.ok()) << first.status();
   QueryResponse final_response =
       RefineToConvergence(server, std::move(first).value(), 4096);
-  serve::CacheStats after = server.Stats().cache;
-  EXPECT_EQ(after.entries, before.entries);
-  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  const obs::Snapshot after = server.MetricsSnapshot();
+  EXPECT_EQ(GaugeValue(after, "biorank_serve_cache_entries"),
+            GaugeValue(before, "biorank_serve_cache_entries"));
+  for (const char* lookups :
+       {"biorank_serve_cache_hits_total", "biorank_serve_cache_misses_total"}) {
+    EXPECT_EQ(CounterValue(after, lookups), CounterValue(before, lookups));
+  }
   EXPECT_EQ(final_response.completeness.refining, 0);
 }
 
@@ -338,8 +343,13 @@ TEST(ApiAnytimeTest, CancelAndStaleHandleSemantics) {
   ASSERT_TRUE(server.CancelRefinement(handle).ok());
   EXPECT_EQ(server.refinement_count(), 0u);
   EXPECT_TRUE(server.CancelRefinement(handle).ok());
+  const uint64_t errors_before =
+      ServerCounter(server, "biorank_api_errors_total");
   EXPECT_EQ(server.Refine(handle).status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(server.Stats().refinements_cancelled, 1u);
+  EXPECT_EQ(ServerCounter(server, "biorank_api_errors_total"),
+            errors_before + 1);
+  EXPECT_EQ(ServerCounter(server, "biorank_api_refinements_cancelled_total"),
+            1u);
 
   // A handle the server never issued is NotFound, as is the invalid
   // (zero) handle.
@@ -360,8 +370,9 @@ TEST(ApiAnytimeTest, ExpiredDeadlineIsATypedRejectionWithNoPartialAnswer) {
   Result<QueryResponse> response = server.Query(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.admission.rejected_deadline, 1u);
+  EXPECT_EQ(ServerCounter(server,
+                          "biorank_api_admission_rejected_deadline_total"),
+            1u);
   EXPECT_EQ(server.refinement_count(), 0u);
 
   // The per-request budget spells the same deadline relative to the
@@ -380,7 +391,9 @@ TEST(ApiAnytimeTest, ExpiredDeadlineIsATypedRejectionWithNoPartialAnswer) {
   late.deadline = Clock::now() - milliseconds(1);
   EXPECT_EQ(server.RankGraph(graph, late).status().code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(server.Stats().admission.rejected_deadline, 3u);
+  EXPECT_EQ(ServerCounter(server,
+                          "biorank_api_admission_rejected_deadline_total"),
+            3u);
   EXPECT_EQ(server.refinement_count(), 0u);
 }
 

@@ -21,9 +21,14 @@
 #include <vector>
 
 #include "api/server.h"
+#include "obs/metrics.h"
+#include "testing/metrics.h"
 
 namespace biorank::api {
 namespace {
+
+using testing::CounterValue;
+using testing::GaugeValue;
 
 TEST(ApiConcurrencyTest, SessionStampedeStaysDeterministic) {
   constexpr int kSymbols = 4;
@@ -125,18 +130,24 @@ TEST(ApiConcurrencyTest, SessionStampedeStaysDeterministic) {
   EXPECT_EQ(deltas_ok.load(), kIterations * 2);
   EXPECT_EQ(server.session_count(), 0u);
 
-  ServerStats stats = server.Stats();
+  const obs::Snapshot metrics = server.MetricsSnapshot();
   const uint64_t hammer_opens =
       static_cast<uint64_t>(kThreads) * kIterations + 1;
-  EXPECT_EQ(stats.sessions_opened, hammer_opens + kSymbols);
-  EXPECT_EQ(stats.sessions_closed, hammer_opens + kSymbols);
-  EXPECT_EQ(stats.open_sessions, 0u);
-  EXPECT_EQ(stats.deltas_applied, static_cast<uint64_t>(kIterations) * 2);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_sessions_opened_total"),
+            hammer_opens + kSymbols);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_sessions_closed_total"),
+            hammer_opens + kSymbols);
+  EXPECT_EQ(GaugeValue(metrics, "biorank_api_open_sessions"), 0.0);
+  EXPECT_EQ(CounterValue(metrics, "biorank_ingest_deltas_total"),
+            static_cast<uint64_t>(kIterations) * 2);
   // The cache-stat invariant under concurrent insertion, eviction, and
-  // selective invalidation (Stats() holds every shard lock at once).
-  EXPECT_EQ(stats.cache.insertions - stats.cache.evictions -
-                stats.cache.invalidations,
-            stats.cache.entries);
+  // selective invalidation: the snapshot's collector reads all six cache
+  // metrics from one CacheStats call, which holds every shard lock.
+  EXPECT_EQ(CounterValue(metrics, "biorank_serve_cache_insertions_total") -
+                CounterValue(metrics, "biorank_serve_cache_evictions_total") -
+                CounterValue(metrics, "biorank_serve_cache_invalidations_total"),
+            static_cast<uint64_t>(
+                GaugeValue(metrics, "biorank_serve_cache_entries")));
 }
 
 TEST(ApiConcurrencyTest, ConcurrentBatchesMatchSerialReplay) {
@@ -176,9 +187,9 @@ TEST(ApiConcurrencyTest, ConcurrentBatchesMatchSerialReplay) {
   a.join();
   b.join();
   EXPECT_EQ(failures.load(), 0);
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.batches, 4u);
-  EXPECT_EQ(stats.batch_requests, 16u);
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batches_total"), 4u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batch_requests_total"), 16u);
 }
 
 }  // namespace

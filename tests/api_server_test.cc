@@ -8,9 +8,21 @@
 
 #include "api/query.h"
 #include "core/query_graph.h"
+#include "ingest/delta.h"
+#include "obs/metrics.h"
+#include "testing/metrics.h"
 
 namespace biorank::api {
 namespace {
+
+using testing::CounterValue;
+using testing::GaugeValue;
+
+/// Reliability-cache lookups (hits + misses) the registry has seen.
+uint64_t CacheLookups(const obs::Snapshot& snapshot) {
+  return CounterValue(snapshot, "biorank_serve_cache_hits_total") +
+         CounterValue(snapshot, "biorank_serve_cache_misses_total");
+}
 
 /// One shared server for the read-only tests (one world, one cache).
 Server& SharedServer() {
@@ -111,13 +123,14 @@ TEST(ApiServerTest, ForeignSeedNeverTouchesTheSharedCache) {
       MakeProteinFunctionRequest(WellStudiedSymbol(server, 0), 5);
   Result<QueryResponse> shared = server.Query(request);
   ASSERT_TRUE(shared.ok()) << shared.status();
-  serve::CacheStats before = server.Stats().cache;
+  const obs::Snapshot before = server.MetricsSnapshot();
   request.options.seed = 0xfeedface;
   Result<QueryResponse> foreign = server.Query(request);
   ASSERT_TRUE(foreign.ok()) << foreign.status();
-  serve::CacheStats after = server.Stats().cache;
-  EXPECT_EQ(after.entries, before.entries);
-  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  const obs::Snapshot after = server.MetricsSnapshot();
+  EXPECT_EQ(GaugeValue(after, "biorank_serve_cache_entries"),
+            GaugeValue(before, "biorank_serve_cache_entries"));
+  EXPECT_EQ(CacheLookups(after), CacheLookups(before));
   // This workload resolves exactly (no MC residues), so the values are
   // seed-independent — the rankings must agree.
   EXPECT_EQ(RankingFingerprint(foreign.value()), RankingFingerprint(shared.value()));
@@ -142,10 +155,12 @@ TEST(ApiServerTest, RunBatchMatchesSerialExecutionBitForBit) {
     EXPECT_EQ(RankingFingerprint(fanned.value()[i]), RankingFingerprint(serial.value()))
         << "batched request " << i << " diverged from serial execution";
   }
-  ServerStats stats = batch_server.Stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_requests, static_cast<uint64_t>(n));
-  EXPECT_EQ(stats.queries, static_cast<uint64_t>(n));
+  obs::Snapshot metrics = batch_server.MetricsSnapshot();
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batches_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batch_requests_total"),
+            static_cast<uint64_t>(n));
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_queries_total"),
+            static_cast<uint64_t>(n));
 
   // A failing request fails the batch with the first (lowest-index)
   // error; an empty batch is a no-op.
@@ -155,9 +170,11 @@ TEST(ApiServerTest, RunBatchMatchesSerialExecutionBitForBit) {
             StatusCode::kNotFound);
   // Accounting stays reconciled on a partial batch: the four requests
   // that were served still count, the two failures do not.
-  stats = batch_server.Stats();
-  EXPECT_EQ(stats.batch_requests, static_cast<uint64_t>(n) + 4);
-  EXPECT_EQ(stats.queries, static_cast<uint64_t>(n) + 4);
+  metrics = batch_server.MetricsSnapshot();
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batch_requests_total"),
+            static_cast<uint64_t>(n) + 4);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_queries_total"),
+            static_cast<uint64_t>(n) + 4);
   Result<std::vector<QueryResponse>> empty = batch_server.RunBatch({});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value().empty());
@@ -291,7 +308,9 @@ TEST(ApiServerTest, IdleSessionsAreEvicted) {
   EXPECT_EQ(server.session_count(), 1u);
   EXPECT_EQ(server.QuerySession(idle.value().id).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(server.Stats().sessions_evicted, 1u);
+  EXPECT_EQ(CounterValue(server.MetricsSnapshot(),
+                         "biorank_api_sessions_evicted_total"),
+            1u);
 
   // A session kept busy is not evicted: every touch resets its clock.
   for (int i = 0; i < 5; ++i) {
@@ -322,19 +341,70 @@ TEST(ApiServerTest, StatsCountServedTraffic) {
   ASSERT_TRUE(server.QuerySession(session.value().id, 5).ok());
   ASSERT_TRUE(server.CloseSession(session.value().id).ok());
 
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.queries, 3u);  // One direct + two batched.
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_requests, 2u);
-  EXPECT_EQ(stats.sessions_opened, 1u);
-  EXPECT_EQ(stats.sessions_closed, 1u);
-  EXPECT_EQ(stats.session_queries, 1u);
-  EXPECT_EQ(stats.open_sessions, 0u);
-  EXPECT_GT(stats.cache.entries, 0u);
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  // One direct + two batched.
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_queries_total"), 3u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batches_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_batch_requests_total"), 2u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_sessions_opened_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_sessions_closed_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_session_queries_total"), 1u);
+  EXPECT_EQ(GaugeValue(metrics, "biorank_api_open_sessions"), 0.0);
+  const double entries = GaugeValue(metrics, "biorank_serve_cache_entries");
+  EXPECT_GT(entries, 0.0);
   // The cache snapshot invariant the hammer test also asserts.
-  EXPECT_EQ(stats.cache.insertions - stats.cache.evictions -
-                stats.cache.invalidations,
-            stats.cache.entries);
+  EXPECT_EQ(CounterValue(metrics, "biorank_serve_cache_insertions_total") -
+                CounterValue(metrics, "biorank_serve_cache_evictions_total") -
+                CounterValue(metrics, "biorank_serve_cache_invalidations_total"),
+            static_cast<uint64_t>(entries));
+}
+
+TEST(ApiServerTest, EveryRequestErrorCountsOnce) {
+  // Each entry point that returns an error status bumps
+  // biorank_api_errors_total by exactly one, whichever step failed.
+  Server server;
+  auto errors = [&server] {
+    return CounterValue(server.MetricsSnapshot(), "biorank_api_errors_total");
+  };
+  ASSERT_EQ(errors(), 0u);
+  EXPECT_EQ(server.Query(MakeProteinFunctionRequest("NO_SUCH_GENE"))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 1u);
+  QueryGraph duplicate = MakeFig4aSerialParallel();
+  duplicate.answers.push_back(duplicate.answers[0]);
+  EXPECT_EQ(server.RankGraph(duplicate, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(errors(), 2u);
+  EXPECT_EQ(server.Refine(RefinementHandle{999}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 3u);
+  EXPECT_EQ(server.QuerySession(999, 3).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 4u);
+  EXPECT_EQ(server.ApplyDelta(999, ingest::EvidenceDelta{}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 5u);
+}
+
+TEST(ApiServerTest, RankGraphRejectsAnInvalidGraphWithNoAnswers) {
+  // An empty answer set has nothing to rank, but a graph whose source is
+  // not alive is still malformed, in either mode.
+  Server& server = SharedServer();
+  for (QueryMode mode : {QueryMode::kBlocking, QueryMode::kAnytime}) {
+    QueryOptions options;
+    options.mode = mode;
+    EXPECT_EQ(server.RankGraph(QueryGraph{}, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A well-formed graph with no answers is still an empty, final ranking.
+  QueryGraph no_answers = MakeFig4aSerialParallel();
+  no_answers.answers.clear();
+  Result<QueryResponse> empty = server.RankGraph(no_answers, 3);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty.value().top.empty());
+  EXPECT_TRUE(empty.value().completeness.complete);
 }
 
 }  // namespace

@@ -120,6 +120,24 @@ TEST(ObsRegistryTest, SnapshotIsSortedByNameAndCountsMetrics) {
   EXPECT_EQ(snapshot.MetricCount(), 4u);
 }
 
+TEST(ObsRegistryTest, LookupsFindByNameWithinOneKind) {
+  Registry registry;
+  registry.GetCounter("biorank_api_a_total")->Add(7);
+  registry.GetGauge("biorank_api_depth")->Set(2);
+  registry.GetHistogram("biorank_ingest_apply_seconds")->Observe(0.5);
+  Snapshot snapshot = registry.TakeSnapshot();
+  ASSERT_NE(snapshot.FindCounter("biorank_api_a_total"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("biorank_api_a_total")->value, 7u);
+  ASSERT_NE(snapshot.FindGauge("biorank_api_depth"), nullptr);
+  EXPECT_EQ(snapshot.FindGauge("biorank_api_depth")->value, 2.0);
+  ASSERT_NE(snapshot.FindHistogram("biorank_ingest_apply_seconds"), nullptr);
+  EXPECT_EQ(snapshot.FindHistogram("biorank_ingest_apply_seconds")->count, 1u);
+  // A misspelt name, or the right name asked of the wrong kind, is null.
+  EXPECT_EQ(snapshot.FindCounter("biorank_api_b_total"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("biorank_api_depth"), nullptr);
+  EXPECT_EQ(snapshot.FindGauge("biorank_api_a_total"), nullptr);
+}
+
 TEST(ObsRegistryTest, CollectorsContributeAtEverySnapshot) {
   Registry registry;
   registry.AddCollector([](Snapshot& snapshot) {

@@ -253,29 +253,10 @@ TEST(ObsTracingIntegrationTest, ServerExportsTheMetricSurface) {
   // The acceptance floor: >= 20 distinct metrics spanning the layers,
   // including the end-to-end and MC latency histograms.
   EXPECT_GE(snapshot.MetricCount(), 20u);
-  auto has_histogram = [&snapshot](const std::string& name) {
-    for (const obs::HistogramSnapshot& h : snapshot.histograms) {
-      if (h.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has_histogram("biorank_api_query_seconds"));
-  EXPECT_TRUE(has_histogram("biorank_serve_mc_seconds"));
-  bool ingest_seen = false;
-  bool serve_seen = false;
-  for (const obs::CounterSnapshot& c : snapshot.counters) {
-    if (c.name.rfind("biorank_ingest_", 0) == 0) ingest_seen = true;
-    if (c.name.rfind("biorank_serve_", 0) == 0) serve_seen = true;
-  }
-  EXPECT_TRUE(ingest_seen);
-  EXPECT_TRUE(serve_seen);
-  // Stats() is a view over the same counters.
-  const api::ServerStats stats = server.Stats();
-  for (const obs::CounterSnapshot& c : snapshot.counters) {
-    if (c.name == "biorank_api_graph_rankings_total") {
-      EXPECT_LE(c.value, stats.graph_rankings);
-    }
-  }
+  EXPECT_NE(snapshot.FindHistogram("biorank_api_query_seconds"), nullptr);
+  EXPECT_NE(snapshot.FindHistogram("biorank_serve_mc_seconds"), nullptr);
+  EXPECT_NE(snapshot.FindCounter("biorank_ingest_deltas_total"), nullptr);
+  EXPECT_NE(snapshot.FindCounter("biorank_serve_candidates_total"), nullptr);
 }
 
 }  // namespace

@@ -266,12 +266,14 @@ TEST(RankingServiceTest, RankPreparedRejectsNullCanonicals) {
 }
 
 TEST(RankingServiceTest, DuplicateRankingTargetIsRejected) {
-  QueryGraph g = MakeFig4aSerialParallel();
   RankingService service;
-  const NodeId answer = g.answers[0];
-  EXPECT_EQ(service.RankTopK(g, {answer, answer}, 1).status().code(),
+  QueryGraph duplicate = MakeFig4aSerialParallel();
+  duplicate.answers = {duplicate.answers[0], duplicate.answers[0]};
+  EXPECT_EQ(service.RankTopK(duplicate, 1).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.RankTopK(g, {g.source}, 1).status().code(),
+  QueryGraph with_source = MakeFig4aSerialParallel();
+  with_source.answers = {with_source.source};
+  EXPECT_EQ(service.RankTopK(with_source, 1).status().code(),
             StatusCode::kInvalidArgument);
   // Rejected before any work: nothing reached the cache.
   EXPECT_EQ(service.cache().Stats().entries, 0u);

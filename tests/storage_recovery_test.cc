@@ -20,6 +20,7 @@
 #include "core/csr_snapshot.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
+#include "testing/metrics.h"
 #include "testing/random_graphs.h"
 #include "util/file.h"
 #include "util/rng.h"
@@ -84,7 +85,9 @@ TEST(StorageRecoveryTest, ColdBootOnEmptyDirectoryServesDurably) {
   EXPECT_EQ(checkpoint.value().sessions, 1u);
   EXPECT_GT(checkpoint.value().bytes, 0u);
   EXPECT_GT(checkpoint.value().wal_lsn, 0u);
-  EXPECT_EQ(server.Stats().checkpoints, 1u);
+  EXPECT_EQ(testing::CounterValue(server.MetricsSnapshot(),
+                                  "biorank_storage_checkpoints_total"),
+            1u);
 }
 
 TEST(StorageRecoveryTest, MemoryOnlyServerRefusesCheckpoint) {
