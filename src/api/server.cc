@@ -703,6 +703,7 @@ Status Server::CancelRefinement(RefinementHandle handle) {
   if (cancelled_refinements_.count(handle.id) > 0) {
     return Status::OK();  // Cancelling twice is idempotent.
   }
+  metrics_.errors->Add();
   return Status::NotFound("api: no live refinement with handle " +
                           std::to_string(handle.id));
 }
@@ -762,13 +763,17 @@ Result<SessionInfo> Server::OpenSession(const QueryRequest& request) {
   uint64_t now = Tick();
   if (request.options.seed != 0 &&
       request.options.seed != options_.ranking.seed) {
+    metrics_.errors->Add();
     return Status::InvalidArgument(
         "api: sessions share the canonical reliability cache and must use "
         "the server's MC seed (leave options.seed = 0)");
   }
   Result<Mediator::LiveExploratoryQuery> live =
       mediator_.ServeLive(request.query, service_);
-  if (!live.ok()) return live.status();
+  if (!live.ok()) {
+    metrics_.errors->Add();
+    return live.status();
+  }
   auto session = std::make_shared<Session>();
   session->live = std::move(live.value());
   session->last_touch.store(now, std::memory_order_relaxed);
@@ -807,6 +812,7 @@ Result<std::shared_ptr<Server::Session>> Server::FindSession(SessionId id,
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
+    metrics_.errors->Add();
     return Status::NotFound("api: no live session with handle " +
                             std::to_string(id));
   }
@@ -818,10 +824,7 @@ Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
   uint64_t now = Tick();
   SteadyClock::time_point start = SteadyClock::now();
   Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) {
-    metrics_.errors->Add();
-    return session.status();
-  }
+  if (!session.ok()) return session.status();
   Session& live = *session.value();
   QueryResponse response;
   response.result.matched_proteins = live.live.matched_proteins;
@@ -852,10 +855,7 @@ Result<ingest::ApplyReport> Server::ApplyDelta(
     SessionId id, const ingest::EvidenceDelta& delta) {
   uint64_t now = Tick();
   Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) {
-    metrics_.errors->Add();
-    return session.status();
-  }
+  if (!session.ok()) return session.status();
   SteadyClock::time_point start = SteadyClock::now();
   obs::SpanScope span(obs::CurrentTrace(), "ingest.apply_delta");
   Result<ingest::ApplyReport> report =
@@ -888,6 +888,7 @@ Status Server::CloseSession(SessionId id) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
+    metrics_.errors->Add();
     return Status::NotFound("api: no live session with handle " +
                             std::to_string(id));
   }

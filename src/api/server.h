@@ -22,8 +22,11 @@
 //   Refine    — advances an anytime response's RefinementHandle.
 //
 // Query, RankGraph and Refine run under one request skeleton (admission,
-// tracing, phase timing, error counting). Every counter the server keeps
-// lives in its metrics registry; MetricsSnapshot() is the one read path.
+// tracing, phase timing, error counting); the session and cancel calls
+// count their rejections too, so every error status a request returns
+// adds exactly one to biorank_api_errors_total. Every counter the server
+// keeps lives in its metrics registry; MetricsSnapshot() is the one read
+// path.
 //
 // Thread safety: every public method may be called concurrently. The
 // registry is a mutex-guarded handle map holding shared_ptr sessions, so
@@ -297,7 +300,8 @@ class Server {
   /// Bumps the op clock (every public operation is one tick).
   uint64_t Tick() { return op_clock_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
-  /// Handle lookup; touches the session's idle clock on success.
+  /// Handle lookup; touches the session's idle clock on success, counts
+  /// one request error on NotFound.
   Result<std::shared_ptr<Session>> FindSession(SessionId id, uint64_t now);
 
   /// Evicts sessions idle for more than `min_idle_ops` at clock `now`.

@@ -250,7 +250,7 @@ struct Canonizer {
 /// canonical-position map.
 CanonicalKey CanonicalizeView(const LabelView& view,
                               const CanonicalizeOptions& options,
-                              std::vector<int>* position_out) {
+                              std::vector<int>& position_out) {
   std::vector<uint64_t> colors(static_cast<size_t>(view.n));
   for (int i = 0; i < view.n; ++i) {
     colors[static_cast<size_t>(i)] =
@@ -262,7 +262,7 @@ CanonicalKey CanonicalizeView(const LabelView& view,
   CanonicalKey key;
   key.repr = std::move(canonizer.best);
   key.hash = Fnv1a64(key.repr);
-  if (position_out != nullptr) *position_out = canonizer.best_position;
+  position_out = std::move(canonizer.best_position);
   return key;
 }
 
@@ -442,7 +442,7 @@ CanonicalCandidate CanonicalizeValidatedCandidate(
 
   LabelView view = BuildView(restricted);
   std::vector<int> position;
-  out.key = CanonicalizeView(view, options, &position);
+  out.key = CanonicalizeView(view, options, position);
 
   // Rebuild the reduced graph in canonical order so every isomorphic
   // input produces this exact graph (same numbering, same probability
@@ -484,13 +484,6 @@ CanonicalCandidate CanonicalizeValidatedCandidate(
   out.target = out.canonical.answers.empty() ? kInvalidNode
                                              : out.canonical.answers[0];
   return out;
-}
-
-Result<CanonicalKey> CanonicalQueryGraphKey(const QueryGraph& query_graph,
-                                            const CanonicalizeOptions& options) {
-  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
-  LabelView view = BuildView(query_graph);
-  return CanonicalizeView(view, options, nullptr);
 }
 
 }  // namespace biorank

@@ -121,11 +121,6 @@ CanonicalCandidate CanonicalizeValidatedCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options, const CsrSnapshot* graph_csr);
 
-/// Canonical key of a query graph as-is (no restriction, no reduction).
-/// The graph must validate; all answers are marked with the target role.
-Result<CanonicalKey> CanonicalQueryGraphKey(
-    const QueryGraph& query_graph, const CanonicalizeOptions& options = {});
-
 /// FNV-1a 64-bit hash, exposed for tests and the cache's shard selector.
 uint64_t Fnv1a64(const std::string& text);
 

@@ -5,9 +5,9 @@
 // The mutable ProbabilisticEntityGraph stays the ingest write side: it
 // supports tombstoned removal, bypass-edge insertion, and per-element
 // probability revision, all of which the Section 3.1 reductions and the
-// delta applier need. But the hot consumers (reliability_mc, topk_mc,
-// diffusion, the query-relevant restriction inside canonicalization)
-// touch every edge up to 1e4 times per query and were walking
+// delta applier need. But the hot consumers (reliability_mc, diffusion,
+// the query-relevant restriction inside canonicalization) touch every
+// edge up to 1e4 times per query and were walking
 // vector<vector<EdgeId>> adjacency through tombstone filters. This
 // snapshot packs the kept subgraph once into contiguous arrays:
 //
@@ -90,9 +90,10 @@ struct CsrSnapshot {
 /// Builds the flat snapshot of `graph`. Includes every alive node (and
 /// every alive edge between included nodes); when `kept_mask` is given
 /// (indexed by original NodeId), only alive nodes with a true mask entry
-/// are included — the same restriction semantics as InducedSubgraph, but
-/// without constructing a pointer graph. Aborts (checked cast) on graphs
-/// past 2^32 nodes or edges.
+/// are included — the same restriction semantics as
+/// RestrictToQueryRelevantSubgraph's copy, but without constructing a
+/// pointer graph. Aborts (checked cast) on graphs past 2^32 nodes or
+/// edges.
 CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph,
                              const std::vector<bool>* kept_mask = nullptr);
 

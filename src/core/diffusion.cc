@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/csr_snapshot.h"
+
 namespace biorank {
 
 namespace {
@@ -48,31 +50,11 @@ double SolveBisection(const std::vector<std::pair<double, double>>& parents,
   return 0.5 * (lo + hi);
 }
 
-}  // namespace
-
-double SolveDiffusionInflow(const std::vector<double>& parent_scores,
-                            const std::vector<double>& edge_probs,
-                            DiffusionInnerSolver solver,
-                            int bisection_steps) {
-  std::vector<std::pair<double, double>> parents;
-  parents.reserve(parent_scores.size());
-  for (size_t i = 0; i < parent_scores.size() && i < edge_probs.size(); ++i) {
-    if (edge_probs[i] > 0.0 && parent_scores[i] > 0.0) {
-      parents.emplace_back(parent_scores[i], edge_probs[i]);
-    }
-  }
-  if (parents.empty()) return 0.0;
-  if (solver == DiffusionInnerSolver::kAnalytic) {
-    return SolveAnalytic(parents);
-  }
-  return SolveBisection(parents, bisection_steps);
-}
-
+/// Diffuse's kCsrSnapshot sweep over a CSR query snapshot (options are
+/// already validated). Scores come back indexed by the snapshot's
+/// original NodeIds (dropped nodes score 0).
 Result<IterativeScores> DiffuseOnSnapshot(const CsrQuerySnapshot& snapshot,
                                           const DiffusionOptions& options) {
-  if (options.max_iterations < 1) {
-    return Status::InvalidArgument("diffusion: max_iterations must be >= 1");
-  }
   const CsrSnapshot& csr = snapshot.csr;
   const uint32_t source = snapshot.source;
   if (source == kCsrInvalid || source >= csr.num_nodes()) {
@@ -131,6 +113,26 @@ Result<IterativeScores> DiffuseOnSnapshot(const CsrQuerySnapshot& snapshot,
     result.scores[static_cast<size_t>(csr.orig_id[d])] = scores[d];
   }
   return result;
+}
+
+}  // namespace
+
+double SolveDiffusionInflow(const std::vector<double>& parent_scores,
+                            const std::vector<double>& edge_probs,
+                            DiffusionInnerSolver solver,
+                            int bisection_steps) {
+  std::vector<std::pair<double, double>> parents;
+  parents.reserve(parent_scores.size());
+  for (size_t i = 0; i < parent_scores.size() && i < edge_probs.size(); ++i) {
+    if (edge_probs[i] > 0.0 && parent_scores[i] > 0.0) {
+      parents.emplace_back(parent_scores[i], edge_probs[i]);
+    }
+  }
+  if (parents.empty()) return 0.0;
+  if (solver == DiffusionInnerSolver::kAnalytic) {
+    return SolveAnalytic(parents);
+  }
+  return SolveBisection(parents, bisection_steps);
 }
 
 Result<IterativeScores> Diffuse(const QueryGraph& query_graph,

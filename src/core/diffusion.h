@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "core/csr_snapshot.h"
 #include "core/propagation.h"
 #include "core/query_graph.h"
 #include "util/status.h"
@@ -55,13 +54,6 @@ struct DiffusionOptions {
 /// few strong paths over many weak ones and penalizes long paths.
 Result<IterativeScores> Diffuse(const QueryGraph& query_graph,
                                 const DiffusionOptions& options = {});
-
-/// Diffusion on a prebuilt CSR query snapshot, skipping the per-call
-/// snapshot build. `options.backend` is ignored (the snapshot *is* the
-/// backend). Scores come back indexed by the snapshot's original NodeIds
-/// (dropped nodes score 0), exactly like Diffuse.
-Result<IterativeScores> DiffuseOnSnapshot(const CsrQuerySnapshot& snapshot,
-                                          const DiffusionOptions& options = {});
 
 /// Solves t = sum_i max((r[i] - t) * q[i], 0) for the unique t >= 0.
 /// Exposed for tests and the inner-solver ablation benchmark.

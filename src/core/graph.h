@@ -44,10 +44,11 @@ struct GraphEdge {
 /// the paper's probabilistic entity graph G = (N, E, p, q) (Definition 2.1).
 ///
 /// Mutations used by the reduction rules of Section 3.1 (removing nodes and
-/// edges, adding bypass edges) are supported via tombstones; InducedSubgraph
-/// (core/graph_algo.h) or the serializer (core/graph_io.h) rebuild dense
-/// ids when needed. Parallel edges are allowed (serial collapses create
-/// them; the parallel-merge rule removes them again).
+/// edges, adding bypass edges) are supported via tombstones;
+/// RestrictToQueryRelevantSubgraph (core/graph_algo.h) and
+/// BuildCsrSnapshot (core/csr_snapshot.h) renumber densely when needed.
+/// Parallel edges are allowed (serial collapses create them; the
+/// parallel-merge rule removes them again).
 class ProbabilisticEntityGraph {
  public:
   ProbabilisticEntityGraph() = default;

@@ -1,6 +1,6 @@
 // Deterministic two-sided bounds on the #P-hard reliability value,
-// used to prune candidates in adaptive top-k ranking before spending
-// Monte Carlo trials on them.
+// used to prune candidates in top-k ranking (serve/refinement.h) before
+// spending Monte Carlo trials on them.
 
 #ifndef BIORANK_CORE_RELIABILITY_BOUNDS_H_
 #define BIORANK_CORE_RELIABILITY_BOUNDS_H_

@@ -81,10 +81,10 @@ Result<McEstimate> EstimateReliabilityMc(const QueryGraph& query_graph,
 
 /// Same estimator on a prebuilt CSR query snapshot, skipping the
 /// per-call snapshot build — the fast path for callers that run many
-/// batches against one graph (topk_mc's adaptive rounds, the Figure 7
-/// repetition harness). `options.backend` is ignored (the snapshot *is*
-/// the backend); scores come back indexed by the snapshot's original
-/// NodeIds, exactly like EstimateReliabilityMc.
+/// batches against one graph (the Figure 7 repetition harness).
+/// `options.backend` is ignored (the snapshot *is* the backend); scores
+/// come back indexed by the snapshot's original NodeIds, exactly like
+/// EstimateReliabilityMc.
 Result<McEstimate> EstimateReliabilityMcOnSnapshot(
     const CsrQuerySnapshot& snapshot, const McOptions& options = {});
 

@@ -9,9 +9,8 @@
 namespace biorank::ingest {
 
 UpdateApplier::UpdateApplier(QueryGraph graph,
-                             serve::RankingService* service,
-                             UpdateApplierOptions options)
-    : graph_(std::move(graph)), service_(service), options_(options) {
+                             serve::RankingService* service)
+    : graph_(std::move(graph)), service_(service) {
   init_status_ = graph_.Validate();
   if (!init_status_.ok()) return;
   csr_ = BuildCsrSnapshot(graph_.graph);
@@ -20,9 +19,8 @@ UpdateApplier::UpdateApplier(QueryGraph graph,
 
 UpdateApplier::UpdateApplier(QueryGraph graph,
                              serve::RankingService* service,
-                             CsrSnapshot preloaded_csr, uint64_t applied_lsn,
-                             UpdateApplierOptions options)
-    : graph_(std::move(graph)), service_(service), options_(options),
+                             CsrSnapshot preloaded_csr, uint64_t applied_lsn)
+    : graph_(std::move(graph)), service_(service),
       csr_(std::move(preloaded_csr)), last_wal_lsn_(applied_lsn) {
   init_status_ = graph_.Validate();
   if (!init_status_.ok()) return;
@@ -163,9 +161,7 @@ Result<ApplyReport> UpdateApplier::ApplyLocked(
               stale.end());
   report.stale_keys = stale.size();
 
-  if (options_.invalidate_stale_keys) {
-    report.invalidated_entries = service_->OnDelta(stale);
-  }
+  report.invalidated_entries = service_->OnDelta(stale);
   return report;
 }
 

@@ -46,17 +46,6 @@
 
 namespace biorank::ingest {
 
-/// Configuration for UpdateApplier. Canonicalization always runs with the
-/// owning service's CanonicalizeOptions (plus provenance collection) so
-/// the applier's keys are interchangeable with RankTopK's.
-struct UpdateApplierOptions {
-  /// Erase orphaned canonical keys from the service's reliability cache
-  /// on every delta. Disabling keeps stale entries around (they can never
-  /// be *wrong* — keys are pure functions of the subgraph — but they
-  /// waste capacity until the LRU ages them out).
-  bool invalidate_stale_keys = true;
-};
-
 /// What one ApplyDelta did, for observability and the ingest bench.
 struct ApplyReport {
   int ops = 0;                   ///< Ops in the delta, all groups.
@@ -74,15 +63,15 @@ struct ApplyReport {
 
 /// A live, updatable served query graph. Thread-safe: any number of
 /// concurrent RankTopK/GraphSnapshot readers, one ApplyDelta writer at a
-/// time.
+/// time. Every delta erases its orphaned canonical keys from the
+/// service's reliability cache.
 class UpdateApplier {
  public:
   /// Takes ownership of `graph` (the answer set stays fixed for the
   /// session; deltas revise evidence, not the question). `service` must
   /// outlive the applier. Canonicalizes every answer up front; a
   /// canonicalization failure surfaces on the first method call.
-  UpdateApplier(QueryGraph graph, serve::RankingService* service,
-                UpdateApplierOptions options = {});
+  UpdateApplier(QueryGraph graph, serve::RankingService* service);
 
   /// The warm-boot constructor: like the primary one, but adopts a
   /// preloaded flat snapshot (storage/snapshot.h's bounds-checked load)
@@ -94,8 +83,7 @@ class UpdateApplier {
   /// with the checkpoint's per-session position so a re-checkpoint
   /// before any new delta still covers the already-baked-in history.
   UpdateApplier(QueryGraph graph, serve::RankingService* service,
-                CsrSnapshot preloaded_csr, uint64_t applied_lsn,
-                UpdateApplierOptions options = {});
+                CsrSnapshot preloaded_csr, uint64_t applied_lsn);
 
   /// Validates and applies one delta under the writer lock, invalidates
   /// exactly the orphaned cache keys, and re-canonicalizes exactly the
@@ -160,8 +148,6 @@ class UpdateApplier {
   /// is running, like dependency_index().
   const CsrSnapshot& csr_snapshot() const { return csr_; }
 
-  const UpdateApplierOptions& options() const { return options_; }
-
  private:
   /// Canonicalizes the given answers of the live graph (parallel, pure
   /// per answer) and registers them in the dependency index. Requires the
@@ -181,7 +167,8 @@ class UpdateApplier {
   mutable std::shared_mutex mu_;
   QueryGraph graph_;
   serve::RankingService* service_;
-  UpdateApplierOptions options_;
+  /// The service's CanonicalizeOptions plus provenance collection, so
+  /// the applier's keys are interchangeable with RankTopK's.
   CanonicalizeOptions canonicalize_;
   /// Per-answer canonicalizations; unique_ptr for pointer stability
   /// across the vector (RankPrepared holds raw pointers during a

@@ -1,9 +1,10 @@
 // Fixed thread pool with deterministic ParallelFor / ParallelReduce
-// sharding. The Monte Carlo engines (Algorithm 3.1, adaptive top-k) and
-// the repeated-experiment harness fan their embarrassingly parallel trial
-// batches out through this pool; results are bit-identical for a fixed
-// seed regardless of thread count because work is split into fixed shards
-// whose RNG streams depend only on (seed, shard index).
+// sharding. The Monte Carlo engines (Algorithm 3.1, the serving layer's
+// survivor shards) and the repeated-experiment harness fan their
+// embarrassingly parallel trial batches out through this pool; results
+// are bit-identical for a fixed seed regardless of thread count because
+// work is split into fixed shards whose RNG streams depend only on
+// (seed, shard index).
 
 #ifndef BIORANK_UTIL_PARALLEL_H_
 #define BIORANK_UTIL_PARALLEL_H_

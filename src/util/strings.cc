@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace biorank {
@@ -47,20 +46,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-std::string_view Trim(std::string_view text) {
-  size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
 }
 
 std::string PadLeft(std::string_view text, size_t width) {

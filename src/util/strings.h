@@ -25,9 +25,6 @@ std::vector<std::string> Split(std::string_view text, char sep);
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// Removes leading and trailing ASCII whitespace.
-std::string_view Trim(std::string_view text);
-
 /// Pads `text` on the left with spaces to at least `width` characters.
 std::string PadLeft(std::string_view text, size_t width);
 

@@ -386,6 +386,25 @@ TEST(ApiServerTest, EveryRequestErrorCountsOnce) {
   EXPECT_EQ(server.ApplyDelta(999, ingest::EvidenceDelta{}).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(errors(), 5u);
+  // Rejected session and refinement calls are request errors too.
+  QueryRequest foreign_seed = MakeProteinFunctionRequest("NO_SUCH_GENE");
+  foreign_seed.options.seed = server.options().ranking.seed + 1;
+  EXPECT_EQ(server.OpenSession(foreign_seed).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(errors(), 6u);
+  EXPECT_EQ(server.OpenSession(MakeProteinFunctionRequest("NO_SUCH_GENE"))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 7u);
+  EXPECT_EQ(server.SessionSnapshot(999).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 8u);
+  EXPECT_EQ(server.CloseSession(999).code(), StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 9u);
+  EXPECT_EQ(server.CancelRefinement(RefinementHandle{999}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(errors(), 10u);
 }
 
 TEST(ApiServerTest, RankGraphRejectsAnInvalidGraphWithNoAnswers) {

@@ -138,16 +138,6 @@ TEST(CanonicalTest, NonAnswerTargetIsRejected) {
   }
 }
 
-TEST(CanonicalTest, WholeGraphKeyInvariantUnderInsertionOrder) {
-  QueryGraph a = MakeChain(0.4, 0.9, false);
-  QueryGraph b = MakeChain(0.4, 0.9, true);
-  Result<CanonicalKey> ka = CanonicalQueryGraphKey(a);
-  Result<CanonicalKey> kb = CanonicalQueryGraphKey(b);
-  ASSERT_TRUE(ka.ok() && kb.ok());
-  EXPECT_EQ(ka.value().repr, kb.value().repr);
-  EXPECT_EQ(Fnv1a64(ka.value().repr), ka.value().hash);
-}
-
 /// One golden-fixture line: graph name, target, key hash, the ten
 /// ReductionStats counters, and the provenance node and edge counts.
 std::string GoldenLine(const std::string& graph, NodeId target,

@@ -4,12 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/graph_io.h"
-#include "core/ranking.h"
 #include "core/reduction.h"
 #include "core/reliability_bounds.h"
 #include "core/reliability_exact.h"
-#include "core/topk_mc.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
 
@@ -45,82 +42,6 @@ TEST_P(CyclicGraphProperty, ReductionPreservesReliabilityWithCycles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CyclicGraphProperty, ::testing::Range(0, 8));
-
-class TopKProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(TopKProperty, AdaptiveTopKAgreesWithExactOrdering) {
-  Rng rng(9200 + GetParam());
-  testing::RandomDagOptions options;
-  options.layers = 2;
-  options.nodes_per_layer = 3;
-  options.answers = 4;
-  options.edge_density = 0.5;
-  QueryGraph g = testing::MakeRandomLayeredDag(rng, options);
-
-  Result<std::vector<double>> exact = ExactReliabilityAllAnswers(g);
-  ASSERT_TRUE(exact.ok()) << exact.status();
-  // Find the exact best answer; skip seeds where the top two are within
-  // MC resolution.
-  size_t best = 0;
-  double best_score = -1.0, second = -1.0;
-  for (size_t i = 0; i < exact.value().size(); ++i) {
-    if (exact.value()[i] > best_score) {
-      second = best_score;
-      best_score = exact.value()[i];
-      best = i;
-    } else if (exact.value()[i] > second) {
-      second = exact.value()[i];
-    }
-  }
-  if (best_score - second < 0.05) {
-    GTEST_SKIP() << "top answers too close for a cheap MC check";
-  }
-
-  TopKOptions topk;
-  topk.k = 1;
-  topk.seed = 9200 + GetParam();
-  topk.max_trials = 100000;
-  Result<TopKResult> result = RankTopKAdaptive(g, topk);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().separated);
-  EXPECT_EQ(result.value().ranking[0].node, g.answers[best]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty, ::testing::Range(0, 8));
-
-class GraphIoProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(GraphIoProperty, RoundTripPreservesAllFiveRankings) {
-  Rng rng(9300 + GetParam());
-  testing::RandomDagOptions options;
-  options.layers = 2;
-  options.nodes_per_layer = 3;
-  options.answers = 3;
-  QueryGraph g = testing::MakeRandomLayeredDag(rng, options);
-  Result<QueryGraph> parsed = ParseQueryGraph(SerializeQueryGraph(g));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-
-  RankerOptions ranker_options;
-  ranker_options.mc.seed = 9300 + GetParam();
-  Ranker ranker(ranker_options);
-  for (RankingMethod method : AllRankingMethods()) {
-    Result<std::vector<RankedAnswer>> a = ranker.Rank(g, method);
-    Result<std::vector<RankedAnswer>> b =
-        ranker.Rank(parsed.value(), method);
-    ASSERT_TRUE(a.ok()) << RankingMethodName(method);
-    ASSERT_TRUE(b.ok()) << RankingMethodName(method);
-    ASSERT_EQ(a.value().size(), b.value().size());
-    for (size_t i = 0; i < a.value().size(); ++i) {
-      // Same scores in the same rank positions (node ids are renumbered).
-      EXPECT_NEAR(a.value()[i].score, b.value()[i].score, 1e-9)
-          << RankingMethodName(method) << " position " << i;
-      EXPECT_EQ(a.value()[i].rank_lo, b.value()[i].rank_lo);
-      EXPECT_EQ(a.value()[i].rank_hi, b.value()[i].rank_hi);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GraphIoProperty, ::testing::Range(0, 6));
 
 class BoundsVsTopKProperty : public ::testing::TestWithParam<int> {};
 

@@ -1,7 +1,8 @@
 // Differential lockdown of the CSR-vs-pointer backend contract: across
-// ~200 seeded random graphs, reliability_mc, topk_mc, diffusion, and the
-// per-candidate query-relevant restriction must be BIT-identical between
-// the flat-snapshot and pointer-graph substrates, at 1 and 4 threads.
+// ~125 seeded random graphs and the restriction corpus, reliability_mc,
+// diffusion, and the per-candidate query-relevant restriction must be
+// BIT-identical between the flat-snapshot and pointer-graph substrates,
+// at 1 and 4 threads.
 // Any divergence means the two paths flipped different coins (or summed
 // in a different order) — the exact regression this suite exists to
 // catch before it ships as a silent ranking change.
@@ -21,7 +22,6 @@ namespace {
 using testing::CompareDiffusionBackends;
 using testing::CompareMcBackends;
 using testing::CompareRestrictionBackends;
-using testing::CompareTopKBackends;
 using testing::DiffResult;
 using testing::MakeRoundRobinGraph;
 
@@ -49,24 +49,6 @@ TEST(CsrDifferentialTest, ReliabilityMcNaiveModeBitIdentical) {
       DiffResult r =
           CompareMcBackends(query, /*trials=*/600, /*seed=*/31 + round,
                             threads, McOptions::Mode::kNaive);
-      EXPECT_TRUE(r.ok) << "round " << round << ", " << threads
-                        << " threads: " << r.message;
-    }
-  }
-}
-
-TEST(CsrDifferentialTest, TopKAdaptiveTrajectoryBitIdentical) {
-  Rng rng(4242);
-  for (int round = 0; round < 40; ++round) {
-    QueryGraph query = MakeRoundRobinGraph(rng, round);
-    TopKOptions options;
-    options.k = 2;
-    options.batch_trials = 400;
-    options.max_trials = 4000;
-    options.seed = 9000 + static_cast<uint64_t>(round);
-    for (int threads : {1, 4}) {
-      options.num_threads = threads;
-      DiffResult r = CompareTopKBackends(query, options);
       EXPECT_TRUE(r.ok) << "round " << round << ", " << threads
                         << " threads: " << r.message;
     }

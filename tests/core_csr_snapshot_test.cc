@@ -236,9 +236,9 @@ TEST(CsrSnapshotTest, CsrBytesEqualDetectsEveryArray) {
   EXPECT_FALSE(CsrBytesEqual(base, changed));
 }
 
-TEST(CsrSnapshotTest, KeptMaskMatchesInducedSubgraph) {
+TEST(CsrSnapshotTest, KeptMaskMatchesPointerRestriction) {
   // Restricting via the mask must produce the same packed structure as
-  // snapshotting the pointer-built induced subgraph: both number kept
+  // snapshotting the pointer-built restricted graph: both number kept
   // nodes in ascending original order and kept edges in ascending
   // original EdgeId order.
   Rng rng(99);

@@ -40,50 +40,6 @@ TEST(ReachabilityTest, InvalidStartYieldsAllFalse) {
   for (bool b : r) EXPECT_FALSE(b);
 }
 
-TEST(ReachabilityTest, CoReachableIsReverse) {
-  std::vector<NodeId> ids;
-  ProbabilisticEntityGraph g = Chain(4, &ids);
-  std::vector<bool> r = CoReachable(g, ids[2]);
-  EXPECT_TRUE(r[ids[0]]);
-  EXPECT_TRUE(r[ids[1]]);
-  EXPECT_TRUE(r[ids[2]]);
-  EXPECT_FALSE(r[ids[3]]);
-}
-
-TEST(TopologicalOrderTest, ChainOrder) {
-  std::vector<NodeId> ids;
-  ProbabilisticEntityGraph g = Chain(4, &ids);
-  Result<std::vector<NodeId>> order = TopologicalOrder(g);
-  ASSERT_TRUE(order.ok());
-  EXPECT_EQ(order.value(), ids);
-}
-
-TEST(TopologicalOrderTest, CycleIsRejected) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(1.0);
-  NodeId b = g.AddNode(1.0);
-  g.AddEdge(a, b, 1.0).value();
-  g.AddEdge(b, a, 1.0).value();
-  Result<std::vector<NodeId>> order = TopologicalOrder(g);
-  ASSERT_FALSE(order.ok());
-  EXPECT_EQ(order.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(TopologicalOrderTest, RespectsEdgesInDag) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(1.0);
-  NodeId b = g.AddNode(1.0);
-  NodeId c = g.AddNode(1.0);
-  g.AddEdge(a, c, 1.0).value();
-  g.AddEdge(b, c, 1.0).value();
-  Result<std::vector<NodeId>> order = TopologicalOrder(g);
-  ASSERT_TRUE(order.ok());
-  std::vector<int> pos(3);
-  for (int i = 0; i < 3; ++i) pos[order.value()[i]] = i;
-  EXPECT_LT(pos[a], pos[c]);
-  EXPECT_LT(pos[b], pos[c]);
-}
-
 TEST(CycleDetectionTest, SelfLoopCounts) {
   ProbabilisticEntityGraph g;
   NodeId a = g.AddNode(1.0);
@@ -109,62 +65,6 @@ TEST(CycleDetectionTest, DiamondIsAcyclic) {
   EXPECT_FALSE(HasCycleReachableFrom(g.graph, g.source));
 }
 
-TEST(LongestPathTest, ChainLength) {
-  std::vector<NodeId> ids;
-  ProbabilisticEntityGraph g = Chain(5, &ids);
-  Result<int> len = LongestPathLengthFrom(g, ids[0]);
-  ASSERT_TRUE(len.ok());
-  EXPECT_EQ(len.value(), 4);
-}
-
-TEST(LongestPathTest, BridgeTakesLongerRoute) {
-  QueryGraph g = MakeFig4bWheatstoneBridge();
-  Result<int> len = LongestPathLengthFrom(g.graph, g.source);
-  ASSERT_TRUE(len.ok());
-  EXPECT_EQ(len.value(), 3);  // s -> a -> b -> u.
-}
-
-TEST(LongestPathTest, CycleReachableFails) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(1.0);
-  NodeId b = g.AddNode(1.0);
-  g.AddEdge(a, b, 1.0).value();
-  g.AddEdge(b, a, 1.0).value();
-  EXPECT_FALSE(LongestPathLengthFrom(g, a).ok());
-}
-
-TEST(LongestPathTest, UnreachableCycleElsewhereIsFine) {
-  ProbabilisticEntityGraph g;
-  NodeId s = g.AddNode(1.0);
-  NodeId a = g.AddNode(1.0);
-  NodeId b = g.AddNode(1.0);
-  NodeId c = g.AddNode(1.0);
-  g.AddEdge(s, a, 1.0).value();
-  g.AddEdge(b, c, 1.0).value();
-  g.AddEdge(c, b, 1.0).value();
-  Result<int> len = LongestPathLengthFrom(g, s);
-  ASSERT_TRUE(len.ok());
-  EXPECT_EQ(len.value(), 1);
-}
-
-TEST(InducedSubgraphTest, KeepsSelectedNodesAndInternalEdges) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(0.9, "a");
-  NodeId b = g.AddNode(0.8, "b");
-  NodeId c = g.AddNode(0.7, "c");
-  g.AddEdge(a, b, 0.5).value();
-  g.AddEdge(b, c, 0.4).value();
-  std::vector<bool> keep = {true, true, false};
-  std::vector<NodeId> mapping;
-  ProbabilisticEntityGraph sub = InducedSubgraph(g, keep, &mapping);
-  EXPECT_EQ(sub.num_nodes(), 2);
-  EXPECT_EQ(sub.num_edges(), 1);
-  EXPECT_EQ(mapping[c], kInvalidNode);
-  EXPECT_NE(mapping[a], kInvalidNode);
-  EXPECT_EQ(sub.node(mapping[a]).label, "a");
-  EXPECT_DOUBLE_EQ(sub.node(mapping[b]).p, 0.8);
-}
-
 TEST(RestrictTest, DropsNodesOffAllPaths) {
   QueryGraphBuilder builder;
   NodeId s = builder.Source();
@@ -182,6 +82,9 @@ TEST(RestrictTest, DropsNodesOffAllPaths) {
   EXPECT_EQ(sub.graph.num_edges(), 2);
   EXPECT_EQ(sub.answers.size(), 1u);
   EXPECT_TRUE(sub.Validate().ok());
+  // Kept nodes keep their labels and probabilities under dense ids.
+  EXPECT_EQ(sub.graph.node(sub.answers[0]).label, "t");
+  EXPECT_DOUBLE_EQ(sub.graph.node(sub.answers[0]).p, 0.8);
 }
 
 TEST(RestrictTest, UnreachableAnswerKeptIsolated) {
@@ -196,22 +99,6 @@ TEST(RestrictTest, UnreachableAnswerKeptIsolated) {
   EXPECT_TRUE(sub.Validate().ok());
   // The orphan answer survives with no edges.
   EXPECT_EQ(sub.graph.InDegree(sub.answers[1]), 0);
-}
-
-TEST(DotExportTest, MentionsAllNodesAndProbs) {
-  QueryGraph g = MakeFig4aSerialParallel();
-  std::string dot = ToDot(g);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("0.5"), std::string::npos);
-  EXPECT_NE(dot.find("doublecircle"), std::string::npos);  // Answer style.
-  EXPECT_NE(dot.find("box"), std::string::npos);           // Source style.
-  // 5 nodes and 5 edges.
-  size_t arrows = 0;
-  for (size_t pos = dot.find("->"); pos != std::string::npos;
-       pos = dot.find("->", pos + 2)) {
-    ++arrows;
-  }
-  EXPECT_EQ(arrows, 5u);
 }
 
 }  // namespace

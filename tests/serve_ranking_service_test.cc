@@ -289,5 +289,54 @@ TEST(RankingServiceTest, InvalidRequestsAreRejected) {
   EXPECT_EQ(clamped.value().top.size(), g.answers.size());
 }
 
+class TopKProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(TopKProperty, ServedTopOneAgreesWithExactOrdering) {
+  // With factoring switched off, survivors of the bounds resolve by
+  // seeded Monte Carlo; the served top answer must still be the exact
+  // best one whenever the top two are separated beyond MC resolution.
+  Rng rng(9200 + GetParam());
+  RandomDagOptions options;
+  options.layers = 2;
+  options.nodes_per_layer = 3;
+  options.answers = 4;
+  options.edge_density = 0.5;
+  QueryGraph g = MakeRandomLayeredDag(rng, options);
+
+  Result<std::vector<double>> exact = ExactReliabilityAllAnswers(g);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  size_t best = 0;
+  double best_score = -1.0, second = -1.0;
+  for (size_t i = 0; i < exact.value().size(); ++i) {
+    if (exact.value()[i] > best_score) {
+      second = best_score;
+      best_score = exact.value()[i];
+      best = i;
+    } else if (exact.value()[i] > second) {
+      second = exact.value()[i];
+    }
+  }
+  if (best_score - second < 0.05) {
+    GTEST_SKIP() << "top answers too close for a cheap MC check";
+  }
+
+  RankingServiceOptions service_options;
+  service_options.exact_max_edges = 0;
+  service_options.seed = 9200 + GetParam();
+  RankingService service(service_options);
+  Result<TopKResult> result = service.RankTopK(g, 1);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result.value().top.size(), 1u);
+  EXPECT_EQ(result.value().top[0].node, g.answers[best]);
+  const RequestStats& stats = result.value().stats;
+  EXPECT_EQ(stats.exact, 0);
+  if (stats.monte_carlo == 0) {
+    // Only legitimate when the bounds settled every miss on their own.
+    EXPECT_EQ(stats.pruned + stats.bound_exact, stats.cache_misses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty, ::testing::Range(0, 8));
+
 }  // namespace
 }  // namespace biorank::serve

@@ -114,48 +114,6 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
   return {};
 }
 
-DiffResult CompareTopKBackends(const QueryGraph& query_graph,
-                               const TopKOptions& base) {
-  TopKOptions options = base;
-  options.backend = McOptions::Backend::kCsrSnapshot;
-  Result<TopKResult> csr = RankTopKAdaptive(query_graph, options);
-  options.backend = McOptions::Backend::kPointerView;
-  Result<TopKResult> ptr = RankTopKAdaptive(query_graph, options);
-
-  if (csr.ok() != ptr.ok()) {
-    return Fail("top-k backends disagree on status");
-  }
-  if (!csr.ok()) return {};
-  const TopKResult& a = csr.value();
-  const TopKResult& b = ptr.value();
-  if (a.trials_used != b.trials_used) {
-    return Fail("top-k trials_used diverge: " + std::to_string(a.trials_used) +
-                " vs " + std::to_string(b.trials_used));
-  }
-  if (a.separated != b.separated) {
-    return Fail("top-k separated flags diverge");
-  }
-  if (a.ranking.size() != b.ranking.size()) {
-    return Fail("top-k ranking sizes diverge");
-  }
-  for (size_t i = 0; i < a.ranking.size(); ++i) {
-    if (a.ranking[i].node != b.ranking[i].node ||
-        a.ranking[i].rank_lo != b.ranking[i].rank_lo ||
-        a.ranking[i].rank_hi != b.ranking[i].rank_hi) {
-      return Fail("top-k ranking order diverges at position " +
-                  std::to_string(i));
-    }
-    uint64_t bits_a, bits_b;
-    std::memcpy(&bits_a, &a.ranking[i].score, sizeof(bits_a));
-    std::memcpy(&bits_b, &b.ranking[i].score, sizeof(bits_b));
-    if (bits_a != bits_b) {
-      return Fail("top-k score bits diverge at position " +
-                  std::to_string(i));
-    }
-  }
-  return {};
-}
-
 DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
                                     const DiffusionOptions& base) {
   DiffusionOptions options = base;

@@ -14,7 +14,6 @@
 #include "core/diffusion.h"
 #include "core/query_graph.h"
 #include "core/reliability_mc.h"
-#include "core/topk_mc.h"
 
 namespace biorank::testing {
 
@@ -38,12 +37,6 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
                              uint64_t seed, int num_threads,
                              McOptions::Mode mode =
                                  McOptions::Mode::kTraversal);
-
-/// Runs RankTopKAdaptive with both backends and compares the adaptive
-/// trajectory: trials_used, separated, and the full ranking (node order,
-/// rank numbers, bitwise scores).
-DiffResult CompareTopKBackends(const QueryGraph& query_graph,
-                               const TopKOptions& base);
 
 /// Runs Diffuse with both backends and compares scores (bitwise),
 /// iteration counts, and convergence flags.

@@ -43,14 +43,6 @@ TEST(StringsTest, StartsWith) {
   EXPECT_FALSE(StartsWith("ab", "abc"));
 }
 
-TEST(StringsTest, TrimWhitespace) {
-  EXPECT_EQ(Trim("  hello  "), "hello");
-  EXPECT_EQ(Trim("\t x \n"), "x");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("none"), "none");
-}
-
 TEST(StringsTest, Padding) {
   EXPECT_EQ(PadLeft("ab", 5), "   ab");
   EXPECT_EQ(PadRight("ab", 5), "ab   ");
