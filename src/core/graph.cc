@@ -17,6 +17,8 @@ NodeId ProbabilisticEntityGraph::AddNode(double p, std::string label,
                              std::move(entity_set), /*alive=*/true});
   out_.emplace_back();
   in_.emplace_back();
+  out_degree_.push_back(0);
+  in_degree_.push_back(0);
   ++num_alive_nodes_;
   return id;
 }
@@ -35,7 +37,10 @@ Result<EdgeId> ProbabilisticEntityGraph::AddEdge(NodeId from, NodeId to,
   edges_.push_back(GraphEdge{from, to, ClampProb(q), /*alive=*/true});
   out_[from].push_back(id);
   in_[to].push_back(id);
+  ++out_degree_[from];
+  ++in_degree_[to];
   ++num_alive_edges_;
+  Journal(GraphUndoRecord::kEdgeAdded, id);
   return id;
 }
 
@@ -44,20 +49,11 @@ Status ProbabilisticEntityGraph::RemoveNode(NodeId id) {
     return Status::OutOfRange("RemoveNode: id " + std::to_string(id));
   }
   if (!nodes_[id].alive) return Status::OK();
-  for (EdgeId e : out_[id]) {
-    if (edges_[e].alive) {
-      edges_[e].alive = false;
-      --num_alive_edges_;
-    }
-  }
-  for (EdgeId e : in_[id]) {
-    if (edges_[e].alive) {
-      edges_[e].alive = false;
-      --num_alive_edges_;
-    }
-  }
+  for (EdgeId e : out_[id]) RemoveEdge(e);
+  for (EdgeId e : in_[id]) RemoveEdge(e);
   nodes_[id].alive = false;
   --num_alive_nodes_;
+  Journal(GraphUndoRecord::kNodeRemoved, id);
   return Status::OK();
 }
 
@@ -65,11 +61,53 @@ Status ProbabilisticEntityGraph::RemoveEdge(EdgeId id) {
   if (id < 0 || id >= edge_capacity()) {
     return Status::OutOfRange("RemoveEdge: id " + std::to_string(id));
   }
-  if (edges_[id].alive) {
-    edges_[id].alive = false;
-    --num_alive_edges_;
-  }
+  GraphEdge& edge = edges_[id];
+  if (!edge.alive) return Status::OK();
+  edge.alive = false;
+  --out_degree_[edge.from];
+  --in_degree_[edge.to];
+  --num_alive_edges_;
+  Journal(GraphUndoRecord::kEdgeRemoved, id);
   return Status::OK();
+}
+
+ProbabilisticEntityGraph::UndoScope::UndoScope(ProbabilisticEntityGraph& graph)
+    : graph_(graph) {
+  if (graph_.trail_.records == nullptr) graph_.trail_.records = &records_;
+  mark_ = graph_.trail_.records->size();
+}
+
+ProbabilisticEntityGraph::UndoScope::~UndoScope() {
+  graph_.Undo(mark_);
+  if (graph_.trail_.records == &records_) graph_.trail_.records = nullptr;
+}
+
+void ProbabilisticEntityGraph::Undo(size_t mark) {
+  std::vector<GraphUndoRecord>& records = *trail_.records;
+  for (; records.size() > mark; records.pop_back()) {
+    const GraphUndoRecord& record = records.back();
+    if (record.kind == GraphUndoRecord::kEdgeProb) {
+      edges_[record.id].q = record.old_q;
+    } else if (record.kind == GraphUndoRecord::kNodeRemoved) {
+      nodes_[record.id].alive = true;
+      ++num_alive_nodes_;
+    } else {
+      // An added edge is the newest id and the tail of both adjacency
+      // lists, so popping restores ids and adjacency order exactly.
+      GraphEdge& edge = edges_[record.id];
+      const int delta = record.kind == GraphUndoRecord::kEdgeAdded ? -1 : 1;
+      out_degree_[edge.from] += delta;
+      in_degree_[edge.to] += delta;
+      num_alive_edges_ += delta;
+      if (delta > 0) {
+        edge.alive = true;
+      } else {
+        out_[edge.from].pop_back();
+        in_[edge.to].pop_back();
+        edges_.pop_back();
+      }
+    }
+  }
 }
 
 Status ProbabilisticEntityGraph::SetNodeProb(NodeId id, double p) {
@@ -84,6 +122,7 @@ Status ProbabilisticEntityGraph::SetEdgeProb(EdgeId id, double q) {
   if (!IsValidEdge(id)) {
     return Status::OutOfRange("SetEdgeProb: id " + std::to_string(id));
   }
+  Journal(GraphUndoRecord::kEdgeProb, id, edges_[id].q);
   edges_[id].q = ClampProb(q);
   return Status::OK();
 }
@@ -102,22 +141,6 @@ std::vector<EdgeId> ProbabilisticEntityGraph::InEdges(NodeId id) const {
     if (edges_[e].alive) result.push_back(e);
   }
   return result;
-}
-
-int ProbabilisticEntityGraph::OutDegree(NodeId id) const {
-  int degree = 0;
-  for (EdgeId e : out_[id]) {
-    if (edges_[e].alive) ++degree;
-  }
-  return degree;
-}
-
-int ProbabilisticEntityGraph::InDegree(NodeId id) const {
-  int degree = 0;
-  for (EdgeId e : in_[id]) {
-    if (edges_[e].alive) ++degree;
-  }
-  return degree;
 }
 
 std::vector<NodeId> ProbabilisticEntityGraph::AliveNodes() const {
@@ -143,18 +166,13 @@ CompactGraphView CompactGraphView::FromGraph(
   CompactGraphView view;
   int n = graph.node_capacity();
   view.node_p.assign(n, 0.0);
-  std::vector<int32_t> out_degree(n, 0), in_degree(n, 0);
-  for (NodeId i = 0; i < n; ++i) {
-    if (!graph.IsValidNode(i)) continue;
-    view.node_p[i] = graph.node(i).p;
-    out_degree[i] = graph.OutDegree(i);
-    in_degree[i] = graph.InDegree(i);
-  }
   view.out_offset.assign(n + 1, 0);
   view.in_offset.assign(n + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    view.out_offset[i + 1] = view.out_offset[i] + out_degree[i];
-    view.in_offset[i + 1] = view.in_offset[i] + in_degree[i];
+  for (NodeId i = 0; i < n; ++i) {
+    if (graph.IsValidNode(i)) view.node_p[i] = graph.node(i).p;
+    // A dead node has no alive edges, so both its degrees are 0.
+    view.out_offset[i + 1] = view.out_offset[i] + graph.OutDegree(i);
+    view.in_offset[i + 1] = view.in_offset[i] + graph.InDegree(i);
   }
   int total = view.out_offset[n];
   view.edge_to.assign(total, kInvalidNode);

@@ -5,6 +5,7 @@
 #ifndef BIORANK_CORE_GRAPH_H_
 #define BIORANK_CORE_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,14 @@ struct GraphEdge {
   NodeId to = kInvalidNode;
   double q = 1.0;      ///< Presence probability, q(i,j) = qs(i,j) * qr(i,j).
   bool alive = true;   ///< False once removed (tombstone).
+};
+
+/// One journaled graph mutation (see ProbabilisticEntityGraph::Undo).
+struct GraphUndoRecord {
+  enum Kind : uint8_t { kEdgeAdded, kEdgeRemoved, kNodeRemoved, kEdgeProb };
+  Kind kind;
+  int32_t id;     ///< The edge or node the mutation touched.
+  double old_q;   ///< kEdgeProb: the probability Undo restores.
 };
 
 /// Labeled directed graph with probability labels on nodes and edges —
@@ -95,15 +104,33 @@ class ProbabilisticEntityGraph {
   std::vector<EdgeId> OutEdges(NodeId id) const;
   std::vector<EdgeId> InEdges(NodeId id) const;
 
-  /// Alive out-degree / in-degree (counting parallel edges).
-  int OutDegree(NodeId id) const;
-  int InDegree(NodeId id) const;
+  /// Alive out-degree / in-degree (counting parallel edges), O(1).
+  int OutDegree(NodeId id) const { return out_degree_[id]; }
+  int InDegree(NodeId id) const { return in_degree_[id]; }
 
   /// All alive node ids, ascending.
   std::vector<NodeId> AliveNodes() const;
 
   /// All alive edge ids, ascending.
   std::vector<EdgeId> AliveEdges() const;
+
+  /// Journals AddEdge, RemoveEdge, RemoveNode and SetEdgeProb on `graph`
+  /// while alive, and on destruction reverts them newest first to the
+  /// exact earlier state: edge ids, adjacency order and probability bits.
+  /// Scopes nest LIFO; the outermost owns the journal, which copies of the
+  /// graph never carry. AddNode and SetNodeProb are not journaled.
+  class UndoScope {
+   public:
+    explicit UndoScope(ProbabilisticEntityGraph& graph);
+    ~UndoScope();
+    UndoScope(const UndoScope&) = delete;
+    UndoScope& operator=(const UndoScope&) = delete;
+
+   private:
+    ProbabilisticEntityGraph& graph_;
+    std::vector<GraphUndoRecord> records_;  ///< The journal, if outermost.
+    size_t mark_ = 0;  ///< Journal length at construction.
+  };
 
   /// Visits each alive out-edge id of `id`.
   template <typename Fn>
@@ -122,12 +149,31 @@ class ProbabilisticEntityGraph {
   }
 
  private:
+  /// The outermost UndoScope's journal, bound to this object: copies start
+  /// without one and assignment keeps the target's. The noexcept copies
+  /// keep the graph's moves noexcept.
+  struct Trail {
+    std::vector<GraphUndoRecord>* records = nullptr;
+    Trail() = default;
+    Trail(const Trail&) noexcept {}
+    Trail& operator=(const Trail&) noexcept { return *this; }
+  };
+
+  void Journal(GraphUndoRecord::Kind kind, int32_t id, double old_q = 0.0) {
+    if (trail_.records != nullptr) trail_.records->push_back({kind, id, old_q});
+  }
+  /// Reverts the journal's records past `mark`, newest first.
+  void Undo(size_t mark);
+
   std::vector<GraphNode> nodes_;
   std::vector<GraphEdge> edges_;
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
+  std::vector<int> out_degree_;  ///< Alive out-edges per node.
+  std::vector<int> in_degree_;   ///< Alive in-edges per node.
   int num_alive_nodes_ = 0;
   int num_alive_edges_ = 0;
+  Trail trail_;
 };
 
 /// Read-only CSR (compressed sparse row) snapshot of the alive part of a

@@ -32,7 +32,7 @@ bool ReductionPass(QueryGraph& query_graph, const ReductionOptions& options,
   // Rule: merge parallel edges, 1 - prod(1 - q).
   if (options.merge_parallel) {
     for (NodeId x = 0; x < graph.node_capacity(); ++x) {
-      if (!graph.IsValidNode(x)) continue;
+      if (!graph.IsValidNode(x) || graph.OutDegree(x) < 2) continue;
       // Adjacency lists append in EdgeId order, so sorting (target, edge)
       // pairs groups parallel edges and keeps each group in adjacency
       // order: the order the product folds in, which fixes its bits.

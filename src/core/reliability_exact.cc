@@ -12,31 +12,45 @@ namespace {
 
 bool IsUncertain(double p) { return p > 0.0 && p < 1.0; }
 
+/// Epoch-stamped visit marks and one DFS stack, reused by every search of
+/// a kernel run so that no search allocates.
+struct DfsScratch {
+  std::vector<uint32_t> stamp;  ///< stamp[x] == epoch: x seen this search.
+  std::vector<NodeId> stack;
+  uint32_t epoch = 0;
+};
+
 /// Reachability from `start` over alive edges that pass `edge_ok` through
 /// nodes that pass `node_ok`. `start` itself must pass `node_ok`.
 template <typename NodeOk, typename EdgeOk>
 bool Reaches(const ProbabilisticEntityGraph& graph, NodeId start,
-             NodeId target, NodeOk&& node_ok, EdgeOk&& edge_ok) {
+             NodeId target, NodeOk&& node_ok, EdgeOk&& edge_ok,
+             DfsScratch& dfs) {
   if (!graph.IsValidNode(start) || !graph.IsValidNode(target)) return false;
   if (!node_ok(start)) return false;
   if (start == target) return true;
-  std::vector<bool> visited(graph.node_capacity(), false);
-  std::vector<NodeId> stack = {start};
-  visited[start] = true;
-  while (!stack.empty()) {
-    NodeId x = stack.back();
-    stack.pop_back();
+  dfs.stamp.resize(static_cast<size_t>(graph.node_capacity()));
+  if (++dfs.epoch == 0) {  // Wrapped: old stamps would alias this search.
+    std::fill(dfs.stamp.begin(), dfs.stamp.end(), 0u);
+    dfs.epoch = 1;
+  }
+  const uint32_t epoch = dfs.epoch;
+  dfs.stack.assign(1, start);
+  dfs.stamp[start] = epoch;
+  while (!dfs.stack.empty()) {
+    NodeId x = dfs.stack.back();
+    dfs.stack.pop_back();
     bool found = false;
     graph.ForEachOutEdge(x, [&](EdgeId e) {
       if (found || !edge_ok(e)) return;
       NodeId y = graph.edge(e).to;
-      if (visited[y] || !node_ok(y)) return;
+      if (dfs.stamp[y] == epoch || !node_ok(y)) return;
       if (y == target) {
         found = true;
         return;
       }
-      visited[y] = true;
-      stack.push_back(y);
+      dfs.stamp[y] = epoch;
+      dfs.stack.push_back(y);
     });
     if (found) return true;
   }
@@ -48,16 +62,20 @@ struct FactoringContext {
   int64_t max_calls = 0;
   bool use_reductions = false;
   bool budget_exceeded = false;
+  DfsScratch dfs;
 };
 
-/// Recursive edge-conditioning on a reified (edge-failures-only) graph.
-double FactorRec(QueryGraph query_graph, FactoringContext& ctx) {
+/// Recursive edge-conditioning on a reified (edge-failures-only) graph, in
+/// place: `scope` reverts every mutation below on return, so the caller
+/// gets its graph back unchanged.
+double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   if (ctx.budget_exceeded) return 0.0;
   if (++ctx.calls > ctx.max_calls) {
     ctx.budget_exceeded = true;
     return 0.0;
   }
   ProbabilisticEntityGraph& graph = query_graph.graph;
+  ProbabilisticEntityGraph::UndoScope scope(graph);
   NodeId s = query_graph.source;
   NodeId t = query_graph.answers[0];
 
@@ -68,56 +86,30 @@ double FactorRec(QueryGraph query_graph, FactoringContext& ctx) {
   // Pruning 1: unreachable even if every uncertain edge were present.
   auto any_alive = [&](EdgeId e) { return graph.edge(e).q > 0.0; };
   auto all_nodes = [&](NodeId) { return true; };
-  if (!Reaches(graph, s, t, all_nodes, any_alive)) return 0.0;
+  if (!Reaches(graph, s, t, all_nodes, any_alive, ctx.dfs)) return 0.0;
 
-  // Pruning 2: reachable through certain edges alone.
-  auto certain = [&](EdgeId e) { return graph.edge(e).q >= 1.0; };
-  if (Reaches(graph, s, t, all_nodes, certain)) return 1.0;
-
-  // Pick an uncertain edge to condition on: the first uncertain edge found
-  // by a DFS from the source (it is guaranteed to lie in the reachable
-  // region, keeping branches meaningful).
+  // Pruning 2: reachable through certain edges alone. The same DFS picks
+  // the pivot to condition on: the first uncertain edge it meets, which
+  // leaves the region certain edges reach from the source and so keeps
+  // branches meaningful. One exists: without one, every q > 0 path from
+  // the source is certain, and pruning 1 or 2 would have returned.
   EdgeId pivot = -1;
+  auto certain = [&](EdgeId e) {
+    const double q = graph.edge(e).q;
+    if (pivot < 0 && IsUncertain(q)) pivot = e;
+    return q >= 1.0;
+  };
+  if (Reaches(graph, s, t, all_nodes, certain, ctx.dfs)) return 1.0;
+
+  const double q = graph.edge(pivot).q;
+  double r_present = 0.0;
   {
-    std::vector<bool> visited(graph.node_capacity(), false);
-    std::vector<NodeId> stack = {s};
-    visited[s] = true;
-    while (!stack.empty() && pivot < 0) {
-      NodeId x = stack.back();
-      stack.pop_back();
-      graph.ForEachOutEdge(x, [&](EdgeId e) {
-        if (pivot >= 0) return;
-        const GraphEdge& edge = graph.edge(e);
-        if (IsUncertain(edge.q)) {
-          pivot = e;
-          return;
-        }
-        if (edge.q > 0.0 && !visited[edge.to]) {
-          visited[edge.to] = true;
-          stack.push_back(edge.to);
-        }
-      });
-    }
+    ProbabilisticEntityGraph::UndoScope present(graph);
+    graph.SetEdgeProb(pivot, 1.0);
+    r_present = FactorRec(query_graph, ctx);
   }
-  if (pivot < 0) {
-    // No uncertain edge on the frontier, yet pruning 2 failed: the target
-    // sits behind uncertain edges unreachable via certain ones. Scan all.
-    for (EdgeId e = 0; e < graph.edge_capacity() && pivot < 0; ++e) {
-      if (graph.IsValidEdge(e) && IsUncertain(graph.edge(e).q)) pivot = e;
-    }
-    if (pivot < 0) return 0.0;  // Fully deterministic and not reachable.
-  }
-
-  double q = graph.edge(pivot).q;
-
-  QueryGraph with_edge = query_graph;
-  with_edge.graph.SetEdgeProb(pivot, 1.0);
-  double r_present = FactorRec(std::move(with_edge), ctx);
-
-  QueryGraph without_edge = std::move(query_graph);
-  without_edge.graph.RemoveEdge(pivot);
-  double r_absent = FactorRec(std::move(without_edge), ctx);
-
+  graph.RemoveEdge(pivot);
+  const double r_absent = FactorRec(query_graph, ctx);
   return q * r_present + (1.0 - q) * r_absent;
 }
 
@@ -155,6 +147,7 @@ Result<double> ExactReliabilityBruteForce(const QueryGraph& query_graph,
   for (EdgeId e : graph.AliveEdges()) edge_present[e] = graph.edge(e).q >= 1.0;
 
   double reliability = 0.0;
+  DfsScratch dfs;
   uint64_t worlds = 1ULL << total;
   for (uint64_t world = 0; world < worlds; ++world) {
     double prob = 1.0;
@@ -173,7 +166,7 @@ Result<double> ExactReliabilityBruteForce(const QueryGraph& query_graph,
     bool connected = Reaches(
         graph, query_graph.source, target,
         [&](NodeId n) { return node_present[n]; },
-        [&](EdgeId e) { return edge_present[e]; });
+        [&](EdgeId e) { return edge_present[e]; }, dfs);
     if (connected) reliability += prob;
   }
   return reliability;
@@ -197,7 +190,7 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
   FactoringContext ctx;
   ctx.max_calls = options.max_calls;
   ctx.use_reductions = options.use_reductions;
-  double value = FactorRec(std::move(reified.query_graph), ctx);
+  double value = FactorRec(reified.query_graph, ctx);
   if (ctx.budget_exceeded) {
     return Status::FailedPrecondition(
         "factoring: exceeded max_calls budget (graph too complex)");

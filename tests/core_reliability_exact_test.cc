@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/query_graph.h"
+#include "core/reliability_bounds.h"
+#include "testing/random_graphs.h"
+#include "util/parallel.h"
 
 namespace biorank {
 namespace {
@@ -187,6 +197,61 @@ TEST(FactoringTest, DoubleBridgeMatchesBruteForce) {
   ASSERT_TRUE(brute.ok());
   ASSERT_TRUE(factored.ok());
   EXPECT_NEAR(brute.value(), factored.value(), 1e-12);
+}
+
+std::string Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, bits);
+  return hex;
+}
+
+TEST(FactoringReentrancyTest, ConcurrentCallsMatchSerialBitsAndKeepInputs) {
+  // Each call factors in place on its own working copy, so callers on
+  // several threads share nothing but the const input graphs.
+  const std::vector<QueryGraph> corpus = testing::MakeRestrictionCorpus();
+  std::vector<std::pair<size_t, NodeId>> jobs;
+  for (size_t g = 0; g < corpus.size(); ++g) {
+    for (NodeId target : corpus[g].answers) jobs.emplace_back(g, target);
+  }
+  FactoringOptions options;
+  options.max_calls = 2000;  // Most answers fit; the rest exit over budget.
+  auto solve = [&](size_t job) {
+    const auto& [g, target] = jobs[job];
+    Result<double> exact =
+        ExactReliabilityFactoring(corpus[g], target, options);
+    Result<ReliabilityBounds> bounds = BoundReliability(corpus[g], target);
+    return (exact.ok() ? Bits(exact.value()) : exact.status().ToString()) +
+           " " +
+           (bounds.ok() ? Bits(bounds.value().lower) + " " +
+                              Bits(bounds.value().upper)
+                        : bounds.status().ToString());
+  };
+  std::vector<std::string> serial(jobs.size());
+  for (size_t job = 0; job < jobs.size(); ++job) serial[job] = solve(job);
+
+  std::vector<std::string> concurrent(jobs.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(static_cast<int64_t>(jobs.size()),
+                   [&](int, int64_t job) {
+                     concurrent[static_cast<size_t>(job)] =
+                         solve(static_cast<size_t>(job));
+                   });
+  EXPECT_EQ(serial, concurrent);
+
+  const std::vector<QueryGraph> pristine = testing::MakeRestrictionCorpus();
+  for (size_t g = 0; g < corpus.size(); ++g) {
+    const ProbabilisticEntityGraph& graph = corpus[g].graph;
+    const ProbabilisticEntityGraph& before = pristine[g].graph;
+    EXPECT_EQ(graph.num_nodes(), before.num_nodes()) << "graph " << g;
+    EXPECT_EQ(graph.num_edges(), before.num_edges()) << "graph " << g;
+    ASSERT_EQ(graph.edge_capacity(), before.edge_capacity()) << "graph " << g;
+    for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
+      EXPECT_EQ(graph.IsValidEdge(e), before.IsValidEdge(e));
+      EXPECT_EQ(Bits(graph.edge(e).q), Bits(before.edge(e).q));
+    }
+  }
 }
 
 }  // namespace
