@@ -19,15 +19,6 @@ std::string FormatCompact(double value, int precision) {
   return s;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -41,11 +32,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
     start = pos + 1;
   }
   return out;
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
 }
 
 std::string PadLeft(std::string_view text, size_t width) {

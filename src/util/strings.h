@@ -1,4 +1,4 @@
-// String helpers: number formatting, join/split/trim, prefix tests.
+// String helpers: number formatting, splitting, padding.
 
 #ifndef BIORANK_UTIL_STRINGS_H_
 #define BIORANK_UTIL_STRINGS_H_
@@ -16,14 +16,8 @@ std::string FormatDouble(double value, int precision);
 /// trailing zeros stripped ("0.5", "0.469", "17").
 std::string FormatCompact(double value, int precision = 4);
 
-/// Joins `parts` with `sep` between elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Splits `text` on the single character `sep`; keeps empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
-
-/// True if `text` begins with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// Pads `text` on the left with spaces to at least `width` characters.
 std::string PadLeft(std::string_view text, size_t width);

@@ -18,29 +18,11 @@ TEST(StringsTest, FormatCompactStripsTrailingZeros) {
   EXPECT_EQ(FormatCompact(0.1 + 0.2, 4), "0.3");
 }
 
-TEST(StringsTest, JoinBasics) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringsTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(Split("x,", ','), (std::vector<std::string>{"x", ""}));
-}
-
-TEST(StringsTest, SplitJoinRoundTrip) {
-  std::string original = "GO:0008281,GO:0006813,GO:0005524";
-  EXPECT_EQ(Join(Split(original, ','), ","), original);
-}
-
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("GO:0008281", "GO:"));
-  EXPECT_FALSE(StartsWith("XO:0008281", "GO:"));
-  EXPECT_TRUE(StartsWith("abc", ""));
-  EXPECT_FALSE(StartsWith("ab", "abc"));
 }
 
 TEST(StringsTest, Padding) {
