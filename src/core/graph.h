@@ -41,7 +41,7 @@ struct GraphEdge {
   bool alive = true;   ///< False once removed (tombstone).
 };
 
-/// One journaled graph mutation (see ProbabilisticEntityGraph::Undo).
+/// One journaled graph mutation (see ProbabilisticEntityGraph::UndoScope).
 struct GraphUndoRecord {
   enum Kind : uint8_t { kEdgeAdded, kEdgeRemoved, kNodeRemoved, kEdgeProb };
   Kind kind;
@@ -149,9 +149,8 @@ class ProbabilisticEntityGraph {
   }
 
  private:
-  /// The outermost UndoScope's journal, bound to this object: copies start
-  /// without one and assignment keeps the target's. The noexcept copies
-  /// keep the graph's moves noexcept.
+  /// The outermost UndoScope's journal. A copy starts without one and an
+  /// assigned graph keeps its own; noexcept copies keep graph moves noexcept.
   struct Trail {
     std::vector<GraphUndoRecord>* records = nullptr;
     Trail() = default;

@@ -66,8 +66,7 @@ struct FactoringContext {
 };
 
 /// Recursive edge-conditioning on a reified (edge-failures-only) graph, in
-/// place: `scope` reverts every mutation below on return, so the caller
-/// gets its graph back unchanged.
+/// place: `scope` reverts every mutation below on return.
 double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   if (ctx.budget_exceeded) return 0.0;
   if (++ctx.calls > ctx.max_calls) {

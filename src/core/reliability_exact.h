@@ -45,6 +45,11 @@ struct FactoringOptions {
 /// certain edges only -> 1). Node failures are removed first by reifying
 /// the graph. Exact up to floating point; fails with FailedPrecondition on
 /// graphs exceeding `options.max_calls`.
+///
+/// Runs in place on one private working copy: each recursion level
+/// journals its reductions and conditioning in an UndoScope (core/graph.h)
+/// and reverts them on return, so no level copies the graph, the input is
+/// only read, and concurrent calls are safe.
 Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
                                          NodeId target,
                                          const FactoringOptions& options = {});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 namespace biorank {
 namespace {
 
@@ -136,6 +139,39 @@ TEST(GraphTest, ForEachOutEdgeSkipsDeadEdges) {
     EXPECT_EQ(g.edge(e).to, c);
   });
   EXPECT_EQ(count, 1);
+}
+
+TEST(GraphTest, UndoScopeRevertsJournaledMutationsExactly) {
+  ProbabilisticEntityGraph g;
+  NodeId a = g.AddNode(1.0), b = g.AddNode(1.0), c = g.AddNode(1.0);
+  EdgeId ab = g.AddEdge(a, b, 0.5).value();
+  EdgeId bc = g.AddEdge(b, c, 0.25).value();
+  {
+    ProbabilisticEntityGraph::UndoScope outer(g);
+    ASSERT_TRUE(g.SetEdgeProb(ab, 1.0).ok());
+    ASSERT_TRUE(g.RemoveNode(b).ok());
+    {
+      ProbabilisticEntityGraph::UndoScope inner(g);
+      EXPECT_EQ(g.AddEdge(a, c, 0.125).value(), 2);
+      ProbabilisticEntityGraph copy = g;  // Copies never carry the journal.
+      ASSERT_TRUE(copy.RemoveEdge(2).ok());
+    }
+    // The inner scope reverted only its own edge; the outer state stands.
+    EXPECT_EQ(g.edge_capacity(), 2);
+    EXPECT_FALSE(g.IsValidNode(b));
+    EXPECT_EQ(g.edge(ab).q, 1.0);
+    EXPECT_EQ(g.AddEdge(a, c, 0.75).value(), 2);  // The id is reused.
+  }
+  EXPECT_EQ(g.num_nodes(), 3);
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.edge_capacity(), 2);
+  EXPECT_EQ(g.edge(ab).q, 0.5);
+  EXPECT_TRUE(g.IsValidEdge(bc));
+  EXPECT_EQ(g.OutEdges(a), std::vector<EdgeId>{ab});
+  EXPECT_EQ(g.InEdges(c), std::vector<EdgeId>{bc});
+  EXPECT_EQ(g.OutDegree(b), 1);
+  EXPECT_EQ(g.InDegree(b), 1);
+  static_assert(std::is_nothrow_move_constructible_v<ProbabilisticEntityGraph>);
 }
 
 TEST(CompactViewTest, MirrorsAliveStructure) {
