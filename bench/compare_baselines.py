@@ -16,6 +16,8 @@ job summary. Exit status is nonzero when
     CSR duel speedup, the open-loop SLO). Most of these floors
     are also enforced by the bench binary's own exit code; this gate
     re-checks them against the report the artifact actually carries, or
+  * a bench in EXACT_ROW_BENCHES reports `rows` that differ in any field
+    from its committed baseline's (a reproduced paper figure moved), or
   * a baseline bench produced no report at all (a silently skipped bench
     would otherwise look like a perf win).
 
@@ -200,6 +202,25 @@ BENCH_GATES = {
         positive("cache_entries_restored"),
     ],
 }
+
+# Benches whose `rows` reproduce a paper figure deterministically at the
+# smoke scale: every row must equal the committed baseline's exactly, so
+# a change that moves a reproduced number fails instead of passing as a
+# timing blip. Refresh the baseline only for an intentional change.
+EXACT_ROW_BENCHES = {
+    "fig5_ranking_quality": "Fig. 5 mean AP per scenario and method",
+}
+
+
+def rows_match(current_rows, baseline_rows, what):
+    """Failure strings for each way current_rows differ from the baseline."""
+    if len(current_rows) != len(baseline_rows):
+        return [f"{what}: {len(current_rows)} rows, the baseline has "
+                f"{len(baseline_rows)}"]
+    return [f"{what}: row {i} is {cur}, the baseline has {base}"
+            for i, (cur, base) in enumerate(zip(current_rows, baseline_rows))
+            if cur != base]
+
 
 # Headline metrics worth a column when both sides have them.
 TRACKED_METRICS = ("cache_hit_rate", "pruned_fraction", "trials_per_sec",
@@ -418,6 +439,13 @@ def main() -> int:
         for checker in checkers:
             failures.extend(f"{name}: {failure}"
                             for failure in checker(metrics))
+
+    for name, what in sorted(EXACT_ROW_BENCHES.items()):
+        if name in current and name in baseline:
+            failures.extend(
+                f"{name}: {failure}" for failure in rows_match(
+                    current[name].get("rows", []),
+                    baseline[name].get("rows", []), what))
 
     failures.extend(check_metrics_shape(args.run_dir, current))
 

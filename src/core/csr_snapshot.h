@@ -5,17 +5,18 @@
 // The mutable ProbabilisticEntityGraph stays the ingest write side: it
 // supports tombstoned removal, bypass-edge insertion, and per-element
 // probability revision, all of which the Section 3.1 reductions and the
-// delta applier need. But the hot consumers (reliability_mc, diffusion,
-// the query-relevant restriction inside canonicalization) touch every
-// edge up to 1e4 times per query and were walking
-// vector<vector<EdgeId>> adjacency through tombstone filters. This
-// snapshot packs the kept subgraph once into contiguous arrays:
+// delta applier need. But the hot consumers (reliability_mc,
+// propagation, diffusion, the query-relevant restriction inside
+// canonicalization) touch every edge up to 1e4 times per query and were
+// walking vector<vector<EdgeId>> adjacency through tombstone filters.
+// This snapshot packs the kept subgraph once into contiguous arrays:
 //
 //   dense node ids   uint32_t, 0..num_nodes()-1, ascending original id
 //   out_offset[n+1]  CSR offsets into out_to / out_q
 //   out_to, out_q    packed edge targets + probabilities (double: the
 //                    Bernoulli thresholds must be bit-exact)
-//   in_offset/from/q the transposed CSR (diffusion, backward BFS)
+//   in_offset/from/q the transposed CSR (propagation, diffusion,
+//                    backward BFS)
 //   node_p           presence probabilities, double
 //   node_confidence  float side array (compact scans; never the sampler)
 //   node_kind        role flags (source / answer), set by the query wrapper
@@ -24,8 +25,9 @@
 // Ordering contract (load-bearing for bit-identical differential runs):
 // dense node ids ascend by original NodeId, and each node's out- and
 // in-edge segments ascend by original EdgeId — exactly the enumeration
-// order of the pointer-graph paths, so both backends flip the same coins
-// in the same order.
+// order of the pointer-graph paths, so MC and the restriction match
+// their pointer references bit for bit, and propagation and diffusion
+// fold their parents in the order core_iterative_golden_test pins.
 //
 // Snapshots are plain value types: build once per canonical answer (or
 // per delta, in ingest/update_applier), share read-only across threads.

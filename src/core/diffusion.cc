@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "core/csr_snapshot.h"
 
@@ -50,21 +49,44 @@ double SolveBisection(const std::vector<std::pair<double, double>>& parents,
   return 0.5 * (lo + hi);
 }
 
-/// Diffuse's kCsrSnapshot sweep over a CSR query snapshot (options are
-/// already validated). Scores come back indexed by the snapshot's
-/// original NodeIds (dropped nodes score 0).
-Result<IterativeScores> DiffuseOnSnapshot(const CsrQuerySnapshot& snapshot,
-                                          const DiffusionOptions& options) {
-  const CsrSnapshot& csr = snapshot.csr;
-  const uint32_t source = snapshot.source;
-  if (source == kCsrInvalid || source >= csr.num_nodes()) {
-    return Status::InvalidArgument("diffusion snapshot has no valid source");
+}  // namespace
+
+double SolveDiffusionInflow(const std::vector<double>& parent_scores,
+                            const std::vector<double>& edge_probs,
+                            DiffusionInnerSolver solver,
+                            int bisection_steps) {
+  std::vector<std::pair<double, double>> parents;
+  parents.reserve(parent_scores.size());
+  for (size_t i = 0; i < parent_scores.size() && i < edge_probs.size(); ++i) {
+    if (edge_probs[i] > 0.0 && parent_scores[i] > 0.0) {
+      parents.emplace_back(parent_scores[i], edge_probs[i]);
+    }
   }
+  if (parents.empty()) return 0.0;
+  if (solver == DiffusionInnerSolver::kAnalytic) {
+    return SolveAnalytic(parents);
+  }
+  return SolveBisection(parents, bisection_steps);
+}
+
+Result<IterativeScores> Diffuse(const QueryGraph& query_graph,
+                                const DiffusionOptions& options) {
+  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
+  if (options.max_iterations < 1) {
+    return Status::InvalidArgument("diffusion: max_iterations must be >= 1");
+  }
+  if (options.solver == DiffusionInnerSolver::kBisection &&
+      options.bisection_steps < 1) {
+    return Status::InvalidArgument("diffusion: bisection_steps must be >= 1");
+  }
+
+  const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
   const uint32_t n = csr.num_nodes();
+  const uint32_t source = csr.dense_id[static_cast<size_t>(query_graph.source)];
 
   // Dense sweep state; expanded back to original NodeId indexing at the
-  // end. Dropped (dead) nodes would compute 0 every iteration in the
-  // pointer path, so skipping them changes neither scores nor max_delta.
+  // end. A dead node would score 0 on every iteration, so leaving it out
+  // changes neither scores nor max_delta.
   std::vector<double> scores(n, 0.0);
   scores[source] = 1.0;
   std::vector<double> next(n, 0.0);
@@ -111,86 +133,6 @@ Result<IterativeScores> DiffuseOnSnapshot(const CsrQuerySnapshot& snapshot,
   result.scores.assign(static_cast<size_t>(csr.orig_capacity()), 0.0);
   for (uint32_t d = 0; d < n; ++d) {
     result.scores[static_cast<size_t>(csr.orig_id[d])] = scores[d];
-  }
-  return result;
-}
-
-}  // namespace
-
-double SolveDiffusionInflow(const std::vector<double>& parent_scores,
-                            const std::vector<double>& edge_probs,
-                            DiffusionInnerSolver solver,
-                            int bisection_steps) {
-  std::vector<std::pair<double, double>> parents;
-  parents.reserve(parent_scores.size());
-  for (size_t i = 0; i < parent_scores.size() && i < edge_probs.size(); ++i) {
-    if (edge_probs[i] > 0.0 && parent_scores[i] > 0.0) {
-      parents.emplace_back(parent_scores[i], edge_probs[i]);
-    }
-  }
-  if (parents.empty()) return 0.0;
-  if (solver == DiffusionInnerSolver::kAnalytic) {
-    return SolveAnalytic(parents);
-  }
-  return SolveBisection(parents, bisection_steps);
-}
-
-Result<IterativeScores> Diffuse(const QueryGraph& query_graph,
-                                const DiffusionOptions& options) {
-  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
-  if (options.max_iterations < 1) {
-    return Status::InvalidArgument("diffusion: max_iterations must be >= 1");
-  }
-  if (options.backend == DiffusionOptions::Backend::kCsrSnapshot) {
-    Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(query_graph);
-    if (!snapshot.ok()) return snapshot.status();
-    return DiffuseOnSnapshot(snapshot.value(), options);
-  }
-
-  CompactGraphView view = CompactGraphView::FromGraph(query_graph.graph);
-  const int n = view.node_count();
-  const NodeId source = query_graph.source;
-
-  IterativeScores result;
-  result.scores.assign(n, 0.0);
-  result.scores[source] = 1.0;
-  std::vector<double> next(n, 0.0);
-  std::vector<std::pair<double, double>> parents;
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    double max_delta = 0.0;
-    for (NodeId y = 0; y < n; ++y) {
-      if (y == source) {
-        next[y] = 1.0;
-        continue;
-      }
-      if (view.node_p[y] <= 0.0) {
-        next[y] = 0.0;
-        continue;
-      }
-      parents.clear();
-      for (int32_t i = view.in_offset[y]; i < view.in_offset[y + 1]; ++i) {
-        double r = result.scores[view.edge_from[i]];
-        double q = view.in_edge_q[i];
-        if (r > 0.0 && q > 0.0) parents.emplace_back(r, q);
-      }
-      double inflow;
-      if (parents.empty()) {
-        inflow = 0.0;
-      } else if (options.solver == DiffusionInnerSolver::kAnalytic) {
-        inflow = SolveAnalytic(parents);
-      } else {
-        inflow = SolveBisection(parents, options.bisection_steps);
-      }
-      next[y] = inflow * view.node_p[y];
-      max_delta = std::max(max_delta, std::abs(next[y] - result.scores[y]));
-    }
-    std::swap(result.scores, next);
-    result.iterations = iter + 1;
-    if (max_delta <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
   }
   return result;
 }

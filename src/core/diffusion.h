@@ -28,20 +28,10 @@ enum class DiffusionInnerSolver {
 
 /// Options for relevance diffusion (Algorithm 3.3).
 struct DiffusionOptions {
-  /// Graph substrate of the Jacobi sweep. The parent lists both backends
-  /// enumerate are identical (ascending original EdgeId), so every score,
-  /// iteration count, and convergence flag is bit-identical between them
-  /// (pinned by tests/core_csr_differential_test.cc).
-  enum class Backend {
-    kCsrSnapshot,  ///< Flat transposed-CSR sweep (default, hot path).
-    kPointerView,  ///< Seed-era CompactGraphView sweep, the reference.
-  };
-
   int max_iterations = 200;     ///< Outer synchronous iterations cap.
   double tolerance = 1e-10;     ///< Outer convergence threshold.
   DiffusionInnerSolver solver = DiffusionInnerSolver::kAnalytic;
-  int bisection_steps = 64;     ///< Inner iterations for kBisection.
-  Backend backend = Backend::kCsrSnapshot;
+  int bisection_steps = 64;     ///< Inner iterations for kBisection, >= 1.
 };
 
 /// Relevance diffusion (Section 3.3): relevance flows from x to y only

@@ -167,31 +167,22 @@ CompactGraphView CompactGraphView::FromGraph(
   int n = graph.node_capacity();
   view.node_p.assign(n, 0.0);
   view.out_offset.assign(n + 1, 0);
-  view.in_offset.assign(n + 1, 0);
   for (NodeId i = 0; i < n; ++i) {
     if (graph.IsValidNode(i)) view.node_p[i] = graph.node(i).p;
-    // A dead node has no alive edges, so both its degrees are 0.
+    // A dead node has no alive edges, so its out-degree is 0.
     view.out_offset[i + 1] = view.out_offset[i] + graph.OutDegree(i);
-    view.in_offset[i + 1] = view.in_offset[i] + graph.InDegree(i);
   }
   int total = view.out_offset[n];
   view.edge_to.assign(total, kInvalidNode);
   view.edge_q.assign(total, 0.0);
-  view.edge_from.assign(total, kInvalidNode);
-  view.in_edge_q.assign(total, 0.0);
   std::vector<int32_t> out_cursor(view.out_offset.begin(),
                                   view.out_offset.end() - 1);
-  std::vector<int32_t> in_cursor(view.in_offset.begin(),
-                                 view.in_offset.end() - 1);
   for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
     if (!graph.IsValidEdge(e)) continue;
     const GraphEdge& edge = graph.edge(e);
     int32_t oc = out_cursor[edge.from]++;
     view.edge_to[oc] = edge.to;
     view.edge_q[oc] = edge.q;
-    int32_t ic = in_cursor[edge.to]++;
-    view.edge_from[ic] = edge.from;
-    view.in_edge_q[ic] = edge.q;
   }
   return view;
 }

@@ -175,13 +175,13 @@ class ProbabilisticEntityGraph {
   Trail trail_;
 };
 
-/// Read-only CSR (compressed sparse row) snapshot of the alive part of a
-/// graph. The Monte Carlo simulator and the iterative scoring algorithms
-/// touch every edge up to 1e4 times per query, so they run on this dense
-/// cache-friendly view instead of the mutable adjacency lists.
+/// Read-only forward CSR (compressed sparse row) view of the alive part of
+/// a graph: the MC pointer reference until ROADMAP item 4. Only
+/// EstimateReliabilityMc's Backend::kPointerView walks it; every other
+/// read-side consumer runs on BuildCsrSnapshot (core/csr_snapshot.h).
 ///
 /// Dead nodes keep their ids (p forced to 0, no edges) so score vectors
-/// returned by algorithms index directly by the original NodeId.
+/// index directly by the original NodeId.
 struct CompactGraphView {
   /// Node presence probabilities, indexed by NodeId; 0 for dead nodes.
   std::vector<double> node_p;
@@ -189,10 +189,6 @@ struct CompactGraphView {
   std::vector<int32_t> out_offset;
   std::vector<NodeId> edge_to;     ///< Flattened out-edge targets.
   std::vector<double> edge_q;      ///< Edge probabilities, parallel to edge_to.
-  /// CSR for incoming edges (used by propagation / diffusion / InEdge).
-  std::vector<int32_t> in_offset;
-  std::vector<NodeId> edge_from;
-  std::vector<double> in_edge_q;
 
   int node_count() const { return static_cast<int>(node_p.size()); }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/csr_snapshot.h"
+
 namespace biorank {
 
 Result<IterativeScores> Propagate(const QueryGraph& query_graph,
@@ -12,39 +14,47 @@ Result<IterativeScores> Propagate(const QueryGraph& query_graph,
     return Status::InvalidArgument("propagation: max_iterations must be >= 1");
   }
 
-  CompactGraphView view = CompactGraphView::FromGraph(query_graph.graph);
-  const int n = view.node_count();
-  const NodeId source = query_graph.source;
+  // Dense sweep over the alive nodes; a dead node would score 0 on every
+  // iteration, so leaving it out changes neither scores nor max_delta.
+  const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
+  const uint32_t n = csr.num_nodes();
+  const uint32_t source = csr.dense_id[static_cast<size_t>(query_graph.source)];
 
-  IterativeScores result;
-  result.scores.assign(n, 0.0);
-  result.scores[source] = 1.0;
+  std::vector<double> scores(n, 0.0);
+  scores[source] = 1.0;
   std::vector<double> next(n, 0.0);
 
+  IterativeScores result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     double max_delta = 0.0;
-    for (NodeId y = 0; y < n; ++y) {
+    for (uint32_t y = 0; y < n; ++y) {
       if (y == source) {
         next[y] = 1.0;
         continue;
       }
-      if (view.node_p[y] <= 0.0) {
+      if (csr.node_p[y] <= 0.0) {
         next[y] = 0.0;
         continue;
       }
       double fail_all = 1.0;
-      for (int32_t i = view.in_offset[y]; i < view.in_offset[y + 1]; ++i) {
-        fail_all *= 1.0 - result.scores[view.edge_from[i]] * view.in_edge_q[i];
+      const uint32_t end = csr.in_offset[y + 1];
+      for (uint32_t i = csr.in_offset[y]; i < end; ++i) {
+        fail_all *= 1.0 - scores[csr.in_from[i]] * csr.in_q[i];
       }
-      next[y] = (1.0 - fail_all) * view.node_p[y];
-      max_delta = std::max(max_delta, std::abs(next[y] - result.scores[y]));
+      next[y] = (1.0 - fail_all) * csr.node_p[y];
+      max_delta = std::max(max_delta, std::abs(next[y] - scores[y]));
     }
-    std::swap(result.scores, next);
+    std::swap(scores, next);
     result.iterations = iter + 1;
     if (max_delta <= options.tolerance) {
       result.converged = true;
       break;
     }
+  }
+
+  result.scores.assign(static_cast<size_t>(csr.orig_capacity()), 0.0);
+  for (uint32_t d = 0; d < n; ++d) {
+    result.scores[static_cast<size_t>(csr.orig_id[d])] = scores[d];
   }
   return result;
 }

@@ -15,7 +15,8 @@ namespace biorank {
 /// Shared result type of the two iterative scoring algorithms
 /// (propagation, Section 3.2; diffusion, Section 3.3).
 struct IterativeScores {
-  /// Per-NodeId relevance; the source is pinned at 1, dead nodes at 0.
+  /// Per-NodeId relevance, node_capacity() long; the source is pinned at
+  /// 1, dead nodes at 0.
   std::vector<double> scores;
   int iterations = 0;     ///< Outer iterations actually performed.
   bool converged = false; ///< Max score change fell below the tolerance.

@@ -109,6 +109,4 @@ double Rng::NextExponential(double rate) {
   return -std::log(u) / rate;
 }
 
-Rng Rng::Split() { return Rng(NextUint64()); }
-
 }  // namespace biorank

@@ -19,8 +19,8 @@ uint64_t SplitMix64Next(uint64_t& state);
 /// SplitMix64 rounds with the stream index injected between them. This is
 /// what makes sharded Monte Carlo deterministic regardless of thread
 /// count — shard i always draws from stream (seed, i) no matter which
-/// worker runs it, unlike `Rng::Split()` whose children depend on how many
-/// splits preceded them.
+/// worker runs it, unlike a child seeded from a shared parent generator,
+/// whose seed depends on how many draws preceded it.
 uint64_t DeriveStreamSeed(uint64_t seed, uint64_t stream);
 
 /// Deterministic, seedable pseudo-random number generator.
@@ -75,11 +75,6 @@ class Rng {
       swap(items[i - 1], items[j]);
     }
   }
-
-  /// Returns an independent child generator. Deterministic: the child seed
-  /// is derived from this generator's stream, so fan-out (e.g. one Rng per
-  /// Monte Carlo worker) stays reproducible.
-  Rng Split();
 
   /// Generator for the `stream`-th parallel shard of a computation rooted
   /// at `seed` (see DeriveStreamSeed). Streams are mutually independent

@@ -19,21 +19,6 @@ std::string FormatCompact(double value, int precision) {
   return s;
 }
 
-std::vector<std::string> Split(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      break;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string PadLeft(std::string_view text, size_t width) {
   std::string out;
   if (text.size() < width) out.assign(width - text.size(), ' ');

@@ -1,11 +1,10 @@
-// String helpers: number formatting, splitting, padding.
+// String helpers: number formatting, padding, rank intervals.
 
 #ifndef BIORANK_UTIL_STRINGS_H_
 #define BIORANK_UTIL_STRINGS_H_
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace biorank {
 
@@ -15,9 +14,6 @@ std::string FormatDouble(double value, int precision);
 /// Formats `value` compactly: up to `precision` significant decimals with
 /// trailing zeros stripped ("0.5", "0.469", "17").
 std::string FormatCompact(double value, int precision = 4);
-
-/// Splits `text` on the single character `sep`; keeps empty fields.
-std::vector<std::string> Split(std::string_view text, char sep);
 
 /// Pads `text` on the left with spaces to at least `width` characters.
 std::string PadLeft(std::string_view text, size_t width);

@@ -154,6 +154,51 @@ TEST(DiffusionTest, RejectsBadOptions) {
   DiffusionOptions options;
   options.max_iterations = 0;
   EXPECT_FALSE(Diffuse(g, options).ok());
+  // With no bisection step the solver would return half its bracket's
+  // upper end instead of the fixpoint.
+  options.max_iterations = 200;
+  options.solver = DiffusionInnerSolver::kBisection;
+  options.bisection_steps = 0;
+  Result<IterativeScores> r = Diffuse(g, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  options.solver = DiffusionInnerSolver::kAnalytic;  // Steps unused.
+  EXPECT_TRUE(Diffuse(g, options).ok());
+}
+
+TEST(IterativeScoresTest, DeadAndImpossibleNodesKeepTheirIdsAndScoreZero) {
+  // Prop and Diff sweep only the alive nodes and map the scores back to
+  // NodeIds: a removed interior node and an alive p = 0 node must both
+  // score exactly 0 at their own ids, and so must an answer reachable
+  // only through the removed node.
+  QueryGraphBuilder b;
+  NodeId dead = b.Node(0.9, "dead");
+  NodeId impossible = b.Node(0.0, "impossible");
+  NodeId mid = b.Node(0.8, "mid");
+  NodeId cut_off = b.Node(0.9, "cut_off");
+  NodeId reached = b.Node(1.0, "reached");
+  b.Edge(b.Source(), dead, 0.9);
+  b.Edge(dead, cut_off, 0.9);
+  b.Edge(b.Source(), impossible, 0.9);
+  b.Edge(impossible, reached, 0.9);
+  b.Edge(b.Source(), mid, 0.5);
+  b.Edge(mid, reached, 0.5);
+  QueryGraph g = std::move(b).Build({cut_off, reached});
+  ASSERT_TRUE(g.graph.RemoveNode(dead).ok());
+
+  const Result<IterativeScores> runs[] = {Propagate(g), Diffuse(g)};
+  for (const Result<IterativeScores>& r : runs) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    const std::vector<double>& scores = r.value().scores;
+    ASSERT_EQ(scores.size(), static_cast<size_t>(g.graph.node_capacity()));
+    EXPECT_EQ(scores[g.source], 1.0);
+    EXPECT_EQ(scores[dead], 0.0);
+    EXPECT_EQ(scores[impossible], 0.0);
+    EXPECT_EQ(scores[cut_off], 0.0);
+    EXPECT_GT(scores[mid], 0.0);
+    EXPECT_GT(scores[reached], 0.0);
+  }
+  EXPECT_DOUBLE_EQ(runs[0].value().scores[reached], 0.4 * 0.5);
 }
 
 }  // namespace

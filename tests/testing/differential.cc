@@ -114,34 +114,6 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
   return {};
 }
 
-DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
-                                    const DiffusionOptions& base) {
-  DiffusionOptions options = base;
-  options.backend = DiffusionOptions::Backend::kCsrSnapshot;
-  Result<IterativeScores> csr = Diffuse(query_graph, options);
-  options.backend = DiffusionOptions::Backend::kPointerView;
-  Result<IterativeScores> ptr = Diffuse(query_graph, options);
-
-  if (csr.ok() != ptr.ok()) {
-    return Fail("diffusion backends disagree on status");
-  }
-  if (!csr.ok()) return {};
-  if (csr.value().iterations != ptr.value().iterations) {
-    return Fail("diffusion iteration counts diverge: " +
-                std::to_string(csr.value().iterations) + " vs " +
-                std::to_string(ptr.value().iterations));
-  }
-  if (csr.value().converged != ptr.value().converged) {
-    return Fail("diffusion convergence flags diverge");
-  }
-  if (!ScoresBitIdentical(csr.value().scores, ptr.value().scores)) {
-    return Fail("diffusion scores diverge at " +
-                DescribeFirstDivergence(csr.value().scores,
-                                        ptr.value().scores));
-  }
-  return {};
-}
-
 DiffResult CompareRestrictionBackends(const QueryGraph& query_graph) {
   const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
   CanonicalizeOptions options;

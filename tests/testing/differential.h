@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/diffusion.h"
 #include "core/query_graph.h"
 #include "core/reliability_mc.h"
 
@@ -37,11 +36,6 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
                              uint64_t seed, int num_threads,
                              McOptions::Mode mode =
                                  McOptions::Mode::kTraversal);
-
-/// Runs Diffuse with both backends and compares scores (bitwise),
-/// iteration counts, and convergence flags.
-DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
-                                    const DiffusionOptions& base);
 
 /// Canonicalizes every answer twice, restricting over the pointer graph
 /// (the reference) and target-first over a CSR snapshot: keys, canonical

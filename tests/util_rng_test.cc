@@ -128,26 +128,6 @@ TEST(RngTest, ShuffleIsNotIdentityForLongVectors) {
   EXPECT_NE(shuffled, v);
 }
 
-TEST(RngTest, SplitGivesIndependentStream) {
-  Rng parent(43);
-  Rng child = parent.Split();
-  // Child stream should differ from the parent's continuation.
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(RngTest, SplitIsDeterministic) {
-  Rng a(47), b(47);
-  Rng ca = a.Split();
-  Rng cb = b.Split();
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(ca.NextUint64(), cb.NextUint64());
-  }
-}
-
 TEST(StreamSeedTest, DeterministicInSeedAndStream) {
   EXPECT_EQ(DeriveStreamSeed(42, 7), DeriveStreamSeed(42, 7));
   EXPECT_NE(DeriveStreamSeed(42, 7), DeriveStreamSeed(42, 8));

@@ -18,13 +18,6 @@ TEST(StringsTest, FormatCompactStripsTrailingZeros) {
   EXPECT_EQ(FormatCompact(0.1 + 0.2, 4), "0.3");
 }
 
-TEST(StringsTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split("x,", ','), (std::vector<std::string>{"x", ""}));
-}
-
 TEST(StringsTest, Padding) {
   EXPECT_EQ(PadLeft("ab", 5), "   ab");
   EXPECT_EQ(PadRight("ab", 5), "ab   ");
