@@ -138,19 +138,32 @@ TEST(CanonicalTest, NonAnswerTargetIsRejected) {
   }
 }
 
+/// FNV-1a 64 over the provenance node ids, then its edge ids, each as
+/// decimal text ("n1 n2 ...;e1 e2 ..."): pins the exact footprint lists.
+uint64_t ProvenanceFingerprint(const CandidateProvenance& provenance) {
+  std::string text;
+  for (NodeId id : provenance.nodes) text += std::to_string(id) + " ";
+  text += ";";
+  for (EdgeId id : provenance.edges) text += std::to_string(id) + " ";
+  return Fnv1a64(text);
+}
+
 /// One golden-fixture line: graph name, target, key hash, the ten
-/// ReductionStats counters, and the provenance node and edge counts.
+/// ReductionStats counters, the provenance node and edge counts and the
+/// provenance fingerprint.
 std::string GoldenLine(const std::string& graph, NodeId target,
                        const CanonicalCandidate& c) {
   const ReductionStats& s = c.reduction_stats;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%s %d %016" PRIx64 " %d %d %d %d %d %d %d %d %d %d %zu %zu",
+                "%s %d %016" PRIx64
+                " %d %d %d %d %d %d %d %d %d %d %zu %zu %016" PRIx64,
                 graph.c_str(), target, c.key.hash, s.nodes_before,
                 s.edges_before, s.nodes_after, s.edges_after,
                 s.sink_deletions, s.orphan_deletions, s.serial_collapses,
                 s.parallel_merges, s.self_loop_deletions, s.passes,
-                c.provenance.nodes.size(), c.provenance.edges.size());
+                c.provenance.nodes.size(), c.provenance.edges.size(),
+                ProvenanceFingerprint(c.provenance));
   return line;
 }
 
@@ -159,7 +172,8 @@ constexpr char kGoldenHeader[] =
     "# line per (graph, answer): graph, target node, key.hash, the\n"
     "# ReductionStats counters (nodes and edges before, nodes and edges\n"
     "# after, sink, orphan, serial, parallel and self-loop counts, passes),\n"
-    "# provenance node and edge counts.\n";
+    "# provenance node and edge counts, and the provenance fingerprint\n"
+    "# (FNV-1a 64 over the node ids, then the edge ids, as decimal text).\n";
 
 TEST(CanonicalGoldenTest, KeysStatsAndProvenanceMatchTheFixture) {
   // Warm-boot snapshots, the restored reliability cache and the MC

@@ -1,7 +1,8 @@
-// The factoring golden: value bits, recursion call counts and
-// BoundReliability's bits for a fixed corpus, so a rewrite of the
-// factoring kernel provably leaves every result and every budget outcome
-// where it was.
+// The factoring golden: value bits, recursion call counts,
+// BoundReliability's bits and ClosedFormReliability's bits for a fixed
+// corpus, so a rewrite of the factoring kernel or of the per-answer
+// restriction provably leaves every result and every budget outcome where
+// it was.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "api/server.h"
+#include "core/closed_form.h"
 #include "core/query_graph.h"
 #include "core/reliability_bounds.h"
 #include "core/reliability_exact.h"
@@ -109,7 +111,8 @@ constexpr char kGoldenHeader[] =
     "# One line per (graph, answer): graph, target node, factoring value\n"
     "# bits and call count c (max_calls = c succeeds, c - 1 fails), or\n"
     "# \"budget -\" when c exceeds the golden budget of 5000 calls, then\n"
-    "# BoundReliability's lower and upper bits (or \"budget budget\").\n";
+    "# BoundReliability's lower and upper bits (or \"budget budget\"),\n"
+    "# then ClosedFormReliability's bits (or \"irreducible\").\n";
 
 TEST(FactoringGoldenTest, ValuesCallCountsAndBoundsMatchTheFixture) {
   // The recursion's pivot rule, reduction order and fold order fix these
@@ -139,6 +142,13 @@ TEST(FactoringGoldenTest, ValuesCallCountsAndBoundsMatchTheFixture) {
       } else {
         EXPECT_EQ(bounds.status().code(), StatusCode::kFailedPrecondition);
         line += " budget budget";
+      }
+      Result<double> closed = ClosedFormReliability(graph, target);
+      if (closed.ok()) {
+        line += " " + Bits(closed.value());
+      } else {
+        EXPECT_EQ(closed.status().code(), StatusCode::kFailedPrecondition);
+        line += " irreducible";
       }
       actual.push_back(line);
     }
