@@ -270,126 +270,19 @@ CanonicalKey CanonicalizeView(const LabelView& view,
 /// original ids). Only kept nodes' out-edges can land in the subgraph, so
 /// the scan is proportional to the candidate's footprint, not the full
 /// graph (re-canonicalization runs once per answer per delta).
-template <typename IsKept>
 void CollectProvenance(const ProbabilisticEntityGraph& graph,
-                       std::vector<NodeId> kept_nodes, IsKept is_kept,
+                       std::vector<NodeId> kept_nodes,
                        CandidateProvenance& provenance) {
   for (NodeId id : kept_nodes) {
     graph.ForEachOutEdge(id, [&](EdgeId e) {
-      if (is_kept(graph.edge(e).to)) provenance.edges.push_back(e);
+      if (std::binary_search(kept_nodes.begin(), kept_nodes.end(),
+                             graph.edge(e).to)) {
+        provenance.edges.push_back(e);
+      }
     });
   }
   std::sort(provenance.edges.begin(), provenance.edges.end());
   provenance.nodes = std::move(kept_nodes);
-}
-
-/// Target-first restriction over the flat snapshot. A backward BFS from
-/// `target` marks CoReach(target); a forward BFS from the source then
-/// expands only marked nodes. Every node on a source path into
-/// CoReach(target) is itself in CoReach(target), so the walk visits
-/// exactly Reach(source) ∩ CoReach(target), the pointer restriction's
-/// node set, and touches nothing outside the target's ancestors. The
-/// subgraph is built straight from the kept nodes' out-segments: nodes in
-/// ascending original id, each node's out-edges in segment order (the
-/// pointer graph's adjacency order), no labels.
-QueryGraph RestrictToTarget(const QueryGraph& query_graph,
-                            const CsrSnapshot& csr, NodeId target,
-                            CandidateProvenance* provenance) {
-  // Per dense node: kUnseen, kCoReach, kKept, or (once the kept set is
-  // final) its id in the restricted graph.
-  constexpr int32_t kUnseen = -1;
-  constexpr int32_t kCoReach = -2;
-  constexpr int32_t kKept = -3;
-  std::vector<int32_t> slot(csr.num_nodes(), kUnseen);
-  std::vector<uint32_t> stack;
-  const uint32_t source = csr.dense_id[static_cast<size_t>(query_graph.source)];
-  const uint32_t sink = csr.dense_id[static_cast<size_t>(target)];
-
-  slot[sink] = kCoReach;
-  stack.push_back(sink);
-  while (!stack.empty()) {
-    const uint32_t x = stack.back();
-    stack.pop_back();
-    for (uint32_t i = csr.in_offset[x]; i < csr.in_offset[x + 1]; ++i) {
-      const uint32_t y = csr.in_from[i];
-      if (slot[y] == kUnseen) {
-        slot[y] = kCoReach;
-        stack.push_back(y);
-      }
-    }
-  }
-
-  std::vector<uint32_t> kept;
-  auto keep = [&](uint32_t d) {
-    slot[d] = kKept;
-    kept.push_back(d);
-  };
-  if (slot[source] == kCoReach) {
-    keep(source);
-    stack.push_back(source);
-    while (!stack.empty()) {
-      const uint32_t x = stack.back();
-      stack.pop_back();
-      for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
-        const uint32_t y = csr.out_to[i];
-        if (slot[y] == kCoReach) {
-          keep(y);
-          stack.push_back(y);
-        }
-      }
-    }
-  } else {
-    keep(source);  // Target unreachable: source and target stay isolated.
-  }
-  if (slot[sink] != kKept) keep(sink);
-
-  // Dense ids ascend with original ids, so sorting them fixes the
-  // restricted graph's node order.
-  std::sort(kept.begin(), kept.end());
-  QueryGraph restricted;
-  for (uint32_t d : kept) slot[d] = restricted.graph.AddNode(csr.node_p[d]);
-  for (uint32_t d : kept) {
-    for (uint32_t i = csr.out_offset[d]; i < csr.out_offset[d + 1]; ++i) {
-      const int32_t to = slot[csr.out_to[i]];
-      if (to >= 0) restricted.graph.AddEdge(slot[d], to, csr.out_q[i]).value();
-    }
-  }
-  restricted.source = slot[source];
-  restricted.answers.push_back(slot[sink]);
-
-  if (provenance != nullptr) {
-    std::vector<NodeId> kept_nodes;
-    kept_nodes.reserve(kept.size());
-    for (uint32_t d : kept) kept_nodes.push_back(csr.orig_id[d]);
-    CollectProvenance(
-        query_graph.graph, std::move(kept_nodes),
-        [&](NodeId id) {
-          return slot[csr.dense_id[static_cast<size_t>(id)]] >= 0;
-        },
-        *provenance);
-  }
-  return restricted;
-}
-
-/// The pointer-graph restriction (RestrictToQueryRelevantSubgraph): the
-/// reference the snapshot path is differentially tested against.
-QueryGraph RestrictToTargetReference(const QueryGraph& query_graph,
-                                     NodeId target,
-                                     CandidateProvenance* provenance) {
-  std::vector<bool> kept;
-  QueryGraph restricted =
-      RestrictToQueryRelevantSubgraph(query_graph, {target}, &kept);
-  if (provenance != nullptr) {
-    std::vector<NodeId> kept_nodes;
-    for (NodeId id = 0; id < query_graph.graph.node_capacity(); ++id) {
-      if (kept[static_cast<size_t>(id)]) kept_nodes.push_back(id);
-    }
-    CollectProvenance(
-        query_graph.graph, std::move(kept_nodes),
-        [&](NodeId id) { return kept[static_cast<size_t>(id)]; },
-        *provenance);
-  }
-  return restricted;
 }
 
 }  // namespace
@@ -420,24 +313,30 @@ Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options, const CsrSnapshot* graph_csr) {
   BIORANK_RETURN_IF_ERROR(ValidateCanonicalizeTargets(query_graph, {target}));
+  if (graph_csr != nullptr) {
+    return CanonicalizeValidatedCandidate(query_graph, target, options,
+                                          *graph_csr);
+  }
   return CanonicalizeValidatedCandidate(query_graph, target, options,
-                                        graph_csr);
+                                        BuildCsrSnapshot(query_graph.graph));
 }
 
 CanonicalCandidate CanonicalizeValidatedCandidate(
     const QueryGraph& query_graph, NodeId target,
-    const CanonicalizeOptions& options, const CsrSnapshot* graph_csr) {
+    const CanonicalizeOptions& options, const CsrSnapshot& graph_csr) {
   // Restrict to this answer's evidence subgraph, then reduce with only
   // the source and this target protected — other answers are ordinary
   // interior nodes here, which is what lets distinct tuples share a
   // canonical form.
   CanonicalCandidate out;
-  CandidateProvenance* provenance =
-      options.collect_provenance ? &out.provenance : nullptr;
+  std::vector<NodeId> kept_nodes;
   QueryGraph restricted =
-      graph_csr != nullptr
-          ? RestrictToTarget(query_graph, *graph_csr, target, provenance)
-          : RestrictToTargetReference(query_graph, target, provenance);
+      RestrictToTarget(graph_csr, query_graph.source, target,
+                       options.collect_provenance ? &kept_nodes : nullptr);
+  if (options.collect_provenance) {
+    CollectProvenance(query_graph.graph, std::move(kept_nodes),
+                      out.provenance);
+  }
   out.reduction_stats = ReduceQueryGraph(restricted, options.reduction);
 
   LabelView view = BuildView(restricted);

@@ -85,23 +85,18 @@ struct CanonicalCandidate {
 };
 
 /// Restricts `query_graph` to the evidence subgraph of one answer node
-/// (nodes on some source -> target path), applies the Section 3.1
-/// reductions with only the source and `target` protected, and computes
-/// the canonical form. Fails on invalid query graphs or if `target` is
-/// not one of the answers.
+/// (nodes on some source -> target path, core/graph_algo.h's
+/// RestrictToTarget), applies the Section 3.1 reductions with only the
+/// source and `target` protected, and computes the canonical form. Fails
+/// on invalid query graphs or if `target` is not one of the answers.
 ///
-/// `graph_csr`, when given, must be an unmasked flat snapshot of
-/// `query_graph.graph` (core/csr_snapshot.h). The restriction then runs
-/// target-first over its packed arrays: a backward BFS from `target`
-/// marks CoReach(target), a forward BFS from the source stays inside it,
-/// and the restricted graph is built from the kept nodes' out-segments,
-/// so an answer costs time proportional to its evidence subgraph rather
-/// than to the request graph. Callers canonicalizing many targets against
-/// one graph (the serving fan-out, ingest recanonicalization) build the
-/// snapshot once and pass it to every call. Without a snapshot the
-/// restriction walks the pointer graph (RestrictToQueryRelevantSubgraph),
-/// the reference the snapshot path is tested against; the produced
-/// candidate is identical either way.
+/// The restriction runs target-first over a flat snapshot of
+/// `query_graph.graph` (core/csr_snapshot.h), so an answer costs time
+/// proportional to its evidence subgraph rather than to the request
+/// graph. `graph_csr`, when given, must be an unmasked snapshot of that
+/// graph; callers canonicalizing many targets against one graph (the
+/// serving fan-out, ingest recanonicalization) build it once and pass it
+/// to every call. Null builds one snapshot for this call.
 Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options = {},
@@ -116,10 +111,11 @@ Status ValidateCanonicalizeTargets(const QueryGraph& query_graph,
 /// CanonicalizeCandidate without its input checks, for batch callers
 /// (RankingService::CanonicalizeTargets) that run
 /// ValidateCanonicalizeTargets once for all their targets. `query_graph`
-/// and `target` must pass those checks.
+/// and `target` must pass those checks, and `graph_csr` must be an
+/// unmasked snapshot of `query_graph.graph`.
 CanonicalCandidate CanonicalizeValidatedCandidate(
     const QueryGraph& query_graph, NodeId target,
-    const CanonicalizeOptions& options, const CsrSnapshot* graph_csr);
+    const CanonicalizeOptions& options, const CsrSnapshot& graph_csr);
 
 /// FNV-1a 64-bit hash, exposed for tests and the cache's shard selector.
 uint64_t Fnv1a64(const std::string& text);

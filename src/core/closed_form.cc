@@ -13,7 +13,8 @@ Result<double> ClosedFormReliability(const QueryGraph& query_graph,
     return Status::InvalidArgument("closed form: invalid target");
   }
 
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(query_graph, {target});
+  QueryGraph sub = RestrictToTarget(BuildCsrSnapshot(graph),
+                                    query_graph.source, target);
   ReduceQueryGraph(sub);
 
   NodeId s = sub.source;
@@ -22,8 +23,11 @@ Result<double> ClosedFormReliability(const QueryGraph& query_graph,
     return Status::Internal("closed form: protected target was removed");
   }
 
+  // The source as its own target: reliable exactly when present.
+  if (t == s) return sub.graph.node(s).p;
+
   // Unreachable target: restriction keeps it isolated.
-  if (sub.graph.InDegree(t) == 0 && t != s) return 0.0;
+  if (sub.graph.InDegree(t) == 0) return 0.0;
 
   // Fully reduced residue: exactly the two protected nodes and one edge.
   std::vector<EdgeId> in = sub.graph.InEdges(t);

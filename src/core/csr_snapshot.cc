@@ -16,38 +16,21 @@ bool BitsEqual(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-bool BitsEqual(const std::vector<float>& a, const std::vector<float>& b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 }  // namespace
 
-CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph,
-                             const std::vector<bool>* kept_mask) {
+CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph) {
   CsrSnapshot csr;
   const NodeId capacity = graph.node_capacity();
   csr.dense_id.assign(static_cast<size_t>(capacity), kCsrInvalid);
 
-  auto included = [&](NodeId id) {
-    if (!graph.IsValidNode(id)) return false;
-    if (kept_mask == nullptr) return true;
-    return static_cast<size_t>(id) < kept_mask->size() &&
-           (*kept_mask)[static_cast<size_t>(id)];
-  };
-
   // Pass 1 — dense node ids in ascending original order (the ordering
-  // contract the differential suite pins down).
+  // contract).
   for (NodeId id = 0; id < capacity; ++id) {
-    if (!included(id)) continue;
+    if (!graph.IsValidNode(id)) continue;
     csr.dense_id[static_cast<size_t>(id)] =
         CheckedUint32Cast(csr.orig_id.size(), "BuildCsrSnapshot node count");
     csr.orig_id.push_back(id);
-    const GraphNode& node = graph.node(id);
-    csr.node_p.push_back(node.p);
-    csr.node_confidence.push_back(static_cast<float>(node.p));
-    csr.node_kind.push_back(0);
+    csr.node_p.push_back(graph.node(id).p);
   }
   const uint32_t n = csr.num_nodes();
 
@@ -59,7 +42,6 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph,
     const GraphEdge& edge = graph.edge(e);
     const uint32_t from = csr.dense_id[static_cast<size_t>(edge.from)];
     const uint32_t to = csr.dense_id[static_cast<size_t>(edge.to)];
-    if (from == kCsrInvalid || to == kCsrInvalid) continue;
     ++out_degree[from];
     ++in_degree[to];
     total = CheckedUint32Cast(static_cast<uint64_t>(total) + 1,
@@ -89,7 +71,6 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph,
     const GraphEdge& edge = graph.edge(e);
     const uint32_t from = csr.dense_id[static_cast<size_t>(edge.from)];
     const uint32_t to = csr.dense_id[static_cast<size_t>(edge.to)];
-    if (from == kCsrInvalid || to == kCsrInvalid) continue;
     const uint32_t oc = out_cursor[from]++;
     csr.out_to[oc] = to;
     csr.out_q[oc] = edge.q;
@@ -101,9 +82,7 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph,
 }
 
 bool CsrBytesEqual(const CsrSnapshot& a, const CsrSnapshot& b) {
-  return BitsEqual(a.node_p, b.node_p) &&
-         BitsEqual(a.node_confidence, b.node_confidence) &&
-         a.node_kind == b.node_kind && a.orig_id == b.orig_id &&
+  return BitsEqual(a.node_p, b.node_p) && a.orig_id == b.orig_id &&
          a.dense_id == b.dense_id && a.out_offset == b.out_offset &&
          a.out_to == b.out_to && BitsEqual(a.out_q, b.out_q) &&
          a.in_offset == b.in_offset && a.in_from == b.in_from &&
@@ -115,13 +94,6 @@ Result<CsrQuerySnapshot> BuildCsrQuerySnapshot(const QueryGraph& query_graph) {
   CsrQuerySnapshot qs;
   qs.csr = BuildCsrSnapshot(query_graph.graph);
   qs.source = qs.csr.dense_id[static_cast<size_t>(query_graph.source)];
-  qs.csr.node_kind[qs.source] |= kCsrKindSource;
-  qs.answers.reserve(query_graph.answers.size());
-  for (NodeId t : query_graph.answers) {
-    const uint32_t dense = qs.csr.dense_id[static_cast<size_t>(t)];
-    qs.csr.node_kind[dense] |= kCsrKindAnswer;
-    qs.answers.push_back(dense);
-  }
   return qs;
 }
 

@@ -54,8 +54,8 @@ struct GraphUndoRecord {
 ///
 /// Mutations used by the reduction rules of Section 3.1 (removing nodes and
 /// edges, adding bypass edges) are supported via tombstones;
-/// RestrictToQueryRelevantSubgraph (core/graph_algo.h) and
-/// BuildCsrSnapshot (core/csr_snapshot.h) renumber densely when needed.
+/// BuildCsrSnapshot (core/csr_snapshot.h) and RestrictToTarget
+/// (core/graph_algo.h) renumber densely when needed.
 /// Parallel edges are allowed (serial collapses create them; the
 /// parallel-merge rule removes them again).
 class ProbabilisticEntityGraph {

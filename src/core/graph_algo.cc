@@ -1,5 +1,8 @@
 #include "core/graph_algo.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace biorank {
 
 std::vector<bool> ReachableFrom(const ProbabilisticEntityGraph& graph,
@@ -54,67 +57,77 @@ bool HasCycleReachableFrom(const ProbabilisticEntityGraph& graph,
   return false;
 }
 
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           std::vector<bool>* kept_nodes) {
-  const ProbabilisticEntityGraph& graph = query_graph.graph;
-  std::vector<bool> reach = ReachableFrom(graph, query_graph.source);
-  std::vector<bool> keep(graph.node_capacity(), false);
-  keep[query_graph.source] = true;
-  // Union over answers of CoReach(t), intersected with Reach(source).
-  std::vector<bool> wanted(graph.node_capacity(), false);
-  for (NodeId t : answers) {
-    if (!graph.IsValidNode(t)) continue;
-    wanted[t] = true;
-  }
-  // One backward BFS from all answers at once.
-  std::vector<NodeId> stack;
-  std::vector<bool> co(graph.node_capacity(), false);
-  for (NodeId t : answers) {
-    if (graph.IsValidNode(t) && !co[t]) {
-      co[t] = true;
-      stack.push_back(t);
-    }
-  }
+QueryGraph RestrictToTarget(const CsrSnapshot& csr, NodeId source,
+                            NodeId target, std::vector<NodeId>* kept_nodes) {
+  // Per dense node: kUnseen, kCoReach, kKept, or (once the kept set is
+  // final) its id in the restricted graph.
+  constexpr int32_t kUnseen = -1;
+  constexpr int32_t kCoReach = -2;
+  constexpr int32_t kKept = -3;
+  std::vector<int32_t> slot(csr.num_nodes(), kUnseen);
+  std::vector<uint32_t> stack;
+  const uint32_t from = csr.dense_id[static_cast<size_t>(source)];
+  const uint32_t sink = csr.dense_id[static_cast<size_t>(target)];
+
+  slot[sink] = kCoReach;
+  stack.push_back(sink);
   while (!stack.empty()) {
-    NodeId x = stack.back();
+    const uint32_t x = stack.back();
     stack.pop_back();
-    graph.ForEachInEdge(x, [&](EdgeId e) {
-      NodeId y = graph.edge(e).from;
-      if (!co[y]) {
-        co[y] = true;
+    for (uint32_t i = csr.in_offset[x]; i < csr.in_offset[x + 1]; ++i) {
+      const uint32_t y = csr.in_from[i];
+      if (slot[y] == kUnseen) {
+        slot[y] = kCoReach;
         stack.push_back(y);
       }
-    });
-  }
-  for (NodeId i = 0; i < graph.node_capacity(); ++i) {
-    if (!graph.IsValidNode(i)) continue;
-    if ((reach[i] && co[i]) || wanted[i]) keep[i] = true;
-  }
-  if (kept_nodes != nullptr) *kept_nodes = keep;
-  // Copy the kept nodes in ascending id order, then the alive edges
-  // between them in ascending EdgeId order (the CSR snapshot's numbering).
-  QueryGraph result;
-  std::vector<NodeId> old_to_new(graph.node_capacity(), kInvalidNode);
-  for (NodeId i = 0; i < graph.node_capacity(); ++i) {
-    if (!graph.IsValidNode(i) || !keep[i]) continue;
-    const GraphNode& node = graph.node(i);
-    old_to_new[i] = result.graph.AddNode(node.p, node.label, node.entity_set);
-  }
-  for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
-    if (!graph.IsValidEdge(e)) continue;
-    const GraphEdge& edge = graph.edge(e);
-    NodeId from = old_to_new[edge.from];
-    NodeId to = old_to_new[edge.to];
-    if (from != kInvalidNode && to != kInvalidNode) {
-      result.graph.AddEdge(from, to, edge.q).value();
     }
   }
-  result.source = old_to_new[query_graph.source];
-  for (NodeId t : answers) {
-    if (graph.IsValidNode(t)) result.answers.push_back(old_to_new[t]);
+
+  // Every node on a source path into CoReach(target) is itself in
+  // CoReach(target), so this walk visits exactly the kept set.
+  std::vector<uint32_t> kept;
+  auto keep = [&](uint32_t d) {
+    slot[d] = kKept;
+    kept.push_back(d);
+  };
+  if (slot[from] == kCoReach) {
+    keep(from);
+    stack.push_back(from);
+    while (!stack.empty()) {
+      const uint32_t x = stack.back();
+      stack.pop_back();
+      for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
+        const uint32_t y = csr.out_to[i];
+        if (slot[y] == kCoReach) {
+          keep(y);
+          stack.push_back(y);
+        }
+      }
+    }
+  } else {
+    keep(from);  // Target unreachable: source and target stay isolated.
   }
-  return result;
+  if (slot[sink] != kKept) keep(sink);
+
+  // Dense ids ascend with original ids, so sorting them fixes the
+  // restricted graph's node order.
+  std::sort(kept.begin(), kept.end());
+  QueryGraph restricted;
+  for (uint32_t d : kept) slot[d] = restricted.graph.AddNode(csr.node_p[d]);
+  for (uint32_t d : kept) {
+    for (uint32_t i = csr.out_offset[d]; i < csr.out_offset[d + 1]; ++i) {
+      const int32_t to = slot[csr.out_to[i]];
+      if (to >= 0) restricted.graph.AddEdge(slot[d], to, csr.out_q[i]).value();
+    }
+  }
+  restricted.source = slot[from];
+  restricted.answers.push_back(slot[sink]);
+  if (kept_nodes != nullptr) {
+    kept_nodes->clear();
+    kept_nodes->reserve(kept.size());
+    for (uint32_t d : kept) kept_nodes->push_back(csr.orig_id[d]);
+  }
+  return restricted;
 }
 
 }  // namespace biorank

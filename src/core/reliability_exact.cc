@@ -180,8 +180,8 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
   }
 
   // Work on the single-target query graph restricted to relevant nodes.
-  QueryGraph restricted =
-      RestrictToQueryRelevantSubgraph(query_graph, {target});
+  QueryGraph restricted = RestrictToTarget(BuildCsrSnapshot(query_graph.graph),
+                                           query_graph.source, target);
 
   // Remove node failures so the recursion only conditions edges.
   ReifiedGraph reified = ReifyNodeFailures(restricted);

@@ -219,8 +219,7 @@ class RankingService {
   /// apart. `graph_csr`, when non-null, is an unmasked flat snapshot of
   /// `graph` shared read-only by every target's restriction traversal
   /// (Prepare builds one per request; the ingest applier maintains one
-  /// across deltas); null falls back to walking the pointer graph per
-  /// target.
+  /// across deltas); null builds one snapshot for the batch.
   Status CanonicalizeTargets(const QueryGraph& graph,
                              const std::vector<NodeId>& targets,
                              const CanonicalizeOptions& canonicalize,

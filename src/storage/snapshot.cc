@@ -14,7 +14,7 @@ namespace biorank::storage {
 namespace {
 
 constexpr char kMagic[8] = {'B', 'R', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 // --- flat array (de)serialization ------------------------------------
 //
@@ -41,8 +41,6 @@ Status GetArray(ByteReader& in, std::vector<T>& v) {
 
 void PutCsr(ByteWriter& out, const CsrSnapshot& csr) {
   PutArray(out, csr.node_p);
-  PutArray(out, csr.node_confidence);
-  PutArray(out, csr.node_kind);
   PutArray(out, csr.orig_id);
   PutArray(out, csr.dense_id);
   PutArray(out, csr.out_offset);
@@ -55,8 +53,6 @@ void PutCsr(ByteWriter& out, const CsrSnapshot& csr) {
 
 Status GetCsr(ByteReader& in, CsrSnapshot& csr) {
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.node_p));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.node_confidence));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.node_kind));
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.orig_id));
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.dense_id));
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.out_offset));
@@ -64,8 +60,7 @@ Status GetCsr(ByteReader& in, CsrSnapshot& csr) {
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.out_q));
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.in_offset));
   BIORANK_RETURN_IF_ERROR(GetArray(in, csr.in_from));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.in_q));
-  return ValidateCsr(csr);
+  return GetArray(in, csr.in_q);
 }
 
 // --- graph (de)serialization ------------------------------------------
@@ -236,60 +231,15 @@ Status GetSession(ByteReader& in, SnapshotSession& session) {
   }
   BIORANK_RETURN_IF_ERROR(GetGraph(in, session.graph));
   BIORANK_RETURN_IF_ERROR(GetCsr(in, session.csr));
-  if (session.csr.orig_capacity() != session.graph.graph.node_capacity()) {
-    return Status::DataLoss(
-        "snapshot csr capacity disagrees with its graph");
+  // The stored CSR is served as the session's flat view, so it must be
+  // exactly the snapshot of the stored graph, not merely well-formed.
+  if (!CsrBytesEqual(session.csr, BuildCsrSnapshot(session.graph.graph))) {
+    return Status::DataLoss("snapshot csr disagrees with its graph");
   }
   return Status::OK();
 }
 
 }  // namespace
-
-Status ValidateCsr(const CsrSnapshot& csr) {
-  const size_t n = csr.node_p.size();
-  if (csr.node_confidence.size() != n || csr.node_kind.size() != n ||
-      csr.orig_id.size() != n) {
-    return Status::DataLoss("csr node arrays disagree on length");
-  }
-  if (csr.out_offset.size() != n + 1 || csr.in_offset.size() != n + 1) {
-    return Status::DataLoss("csr offset array has wrong length");
-  }
-  if (csr.out_to.size() != csr.out_q.size() ||
-      csr.in_from.size() != csr.in_q.size() ||
-      csr.out_to.size() != csr.in_from.size()) {
-    return Status::DataLoss("csr edge arrays disagree on length");
-  }
-  if (csr.out_offset[0] != 0 || csr.in_offset[0] != 0 ||
-      csr.out_offset[n] != csr.out_to.size() ||
-      csr.in_offset[n] != csr.in_from.size()) {
-    return Status::DataLoss("csr offsets do not cover the edge arrays");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (csr.out_offset[i] > csr.out_offset[i + 1] ||
-        csr.in_offset[i] > csr.in_offset[i + 1]) {
-      return Status::DataLoss("csr offsets not monotone");
-    }
-  }
-  for (uint32_t to : csr.out_to) {
-    if (to >= n) return Status::DataLoss("csr out edge target out of range");
-  }
-  for (uint32_t from : csr.in_from) {
-    if (from >= n) return Status::DataLoss("csr in edge source out of range");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    NodeId orig = csr.orig_id[i];
-    if (orig < 0 || static_cast<size_t>(orig) >= csr.dense_id.size() ||
-        csr.dense_id[static_cast<size_t>(orig)] != i) {
-      return Status::DataLoss("csr id mapping inconsistent");
-    }
-  }
-  for (uint32_t dense : csr.dense_id) {
-    if (dense != kCsrInvalid && dense >= n) {
-      return Status::DataLoss("csr dense id out of range");
-    }
-  }
-  return Status::OK();
-}
 
 std::string EncodeSnapshot(const SnapshotState& state) {
   ByteWriter out;

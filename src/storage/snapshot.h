@@ -3,10 +3,10 @@
 // plus its maintained CsrSnapshot flat arrays verbatim, the resolved
 // entries of the canonical reliability cache, and the covering WAL LSN
 // the state is consistent with. Loading is a bounds-checked read back
-// into the same structs; the CSR arrays in particular round-trip
-// byte-identically (asserted with core::CsrBytesEqual in tests), which
-// is what makes a recovered server's rankings bit-identical to the
-// never-killed one.
+// into the same structs. Each session's CSR arrays must be byte-equal
+// (core::CsrBytesEqual) to a fresh BuildCsrSnapshot of its decoded
+// graph, or the file is rejected; that is what makes a recovered
+// server's rankings bit-identical to the never-killed one.
 //
 // File layout:
 //
@@ -57,7 +57,8 @@ struct SnapshotSession {
   /// probabilities are preserved id-for-id, so replayed deltas address
   /// the same ids they were logged against.
   QueryGraph graph;
-  /// The applier's maintained flat view, serialized verbatim.
+  /// The applier's maintained flat view, serialized verbatim and checked
+  /// against `graph` on load.
   CsrSnapshot csr;
 };
 
@@ -81,9 +82,10 @@ struct SnapshotState {
 std::string EncodeSnapshot(const SnapshotState& state);
 
 /// Parses and verifies a snapshot file image. kDataLoss on a checksum,
-/// magic, bounds, or structural-invariant failure (the CSR arrays are
-/// re-validated against each other); kFailedPrecondition when the file's
-/// fingerprint differs from `expected_fingerprint`.
+/// magic, version, bounds, or structural-invariant failure (each
+/// session's CSR must be byte-equal to BuildCsrSnapshot of its decoded
+/// graph); kFailedPrecondition when the file's fingerprint differs from
+/// `expected_fingerprint`.
 Result<SnapshotState> DecodeSnapshot(const std::string& bytes,
                                      uint64_t expected_fingerprint);
 
@@ -100,12 +102,6 @@ Status WriteSnapshotFile(const std::string& dir, const SnapshotState& state,
 /// first. A missing directory is an empty list, not an error.
 std::vector<std::pair<uint64_t, std::string>> ListSnapshots(
     const std::string& dir);
-
-/// Structural validation of a deserialized CsrSnapshot: array sizes
-/// consistent, offsets monotone and covering the edge arrays, all dense
-/// ids in range. Returns kDataLoss on violation — this is the
-/// bounds-check that makes loading the flat arrays verbatim safe.
-Status ValidateCsr(const CsrSnapshot& csr);
 
 }  // namespace biorank::storage
 

@@ -1,9 +1,9 @@
 // Differential lockdown of the CSR-vs-pointer backend contract: across
-// 76 seeded random graphs and the restriction corpus, reliability_mc and
-// the per-candidate query-relevant restriction must be BIT-identical
-// between the flat-snapshot and pointer-graph substrates, MC at 1 and 4
-// threads. Prop and Diff have no pointer reference;
-// core_iterative_golden_test pins their results.
+// 76 seeded random graphs, reliability_mc must be BIT-identical between
+// the flat-snapshot and pointer-graph substrates at 1 and 4 threads.
+// Prop, Diff and the per-answer restriction have no pointer reference;
+// core_iterative_golden_test, core_canonical_test and
+// core_factoring_golden_test pin their results.
 // Any divergence means the two paths flipped different coins (or summed
 // in a different order) — the exact regression this suite exists to
 // catch before it ships as a silent ranking change.
@@ -21,7 +21,6 @@ namespace biorank {
 namespace {
 
 using testing::CompareMcBackends;
-using testing::CompareRestrictionBackends;
 using testing::DiffResult;
 using testing::MakeRoundRobinGraph;
 
@@ -52,16 +51,6 @@ TEST(CsrDifferentialTest, ReliabilityMcNaiveModeBitIdentical) {
       EXPECT_TRUE(r.ok) << "round " << round << ", " << threads
                         << " threads: " << r.message;
     }
-  }
-}
-
-TEST(CsrDifferentialTest, RestrictionAndCanonicalizationIdentical) {
-  // Every other corpus graph carries tombstoned and parallel edges, the
-  // shapes evidence deltas leave in live graphs.
-  const std::vector<QueryGraph> corpus = testing::MakeRestrictionCorpus();
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    DiffResult r = CompareRestrictionBackends(corpus[i]);
-    EXPECT_TRUE(r.ok) << "corpus graph " << i << ": " << r.message;
   }
 }
 

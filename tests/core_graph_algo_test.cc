@@ -77,13 +77,16 @@ TEST(RestrictTest, DropsNodesOffAllPaths) {
   builder.Edge(mid, t, 0.5);
   builder.Edge(mid, stray, 0.5);
   QueryGraph g = std::move(builder).Build({t});
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(g, g.answers);
+  std::vector<NodeId> kept;
+  QueryGraph sub = RestrictToTarget(BuildCsrSnapshot(g.graph), g.source, t,
+                                    &kept);
   EXPECT_EQ(sub.graph.num_nodes(), 3);  // s, mid, t.
   EXPECT_EQ(sub.graph.num_edges(), 2);
-  EXPECT_EQ(sub.answers.size(), 1u);
+  EXPECT_EQ(kept, (std::vector<NodeId>{s, mid, t}));
+  ASSERT_EQ(sub.answers.size(), 1u);
   EXPECT_TRUE(sub.Validate().ok());
-  // Kept nodes keep their labels and probabilities under dense ids.
-  EXPECT_EQ(sub.graph.node(sub.answers[0]).label, "t");
+  // Kept nodes keep their probabilities under dense ids.
+  EXPECT_EQ(sub.answers[0], 2);
   EXPECT_DOUBLE_EQ(sub.graph.node(sub.answers[0]).p, 0.8);
 }
 
@@ -94,11 +97,25 @@ TEST(RestrictTest, UnreachableAnswerKeptIsolated) {
   NodeId orphan_answer = builder.Node(0.7, "orphan");
   builder.Edge(s, t, 0.5);
   QueryGraph g = std::move(builder).Build({t, orphan_answer});
-  QueryGraph sub = RestrictToQueryRelevantSubgraph(g, g.answers);
-  EXPECT_EQ(sub.answers.size(), 2u);
+  std::vector<NodeId> kept;
+  QueryGraph sub = RestrictToTarget(BuildCsrSnapshot(g.graph), g.source,
+                                    orphan_answer, &kept);
   EXPECT_TRUE(sub.Validate().ok());
-  // The orphan answer survives with no edges.
-  EXPECT_EQ(sub.graph.InDegree(sub.answers[1]), 0);
+  // Only the source and the orphan answer survive, with no edges.
+  EXPECT_EQ(kept, (std::vector<NodeId>{s, orphan_answer}));
+  EXPECT_EQ(sub.graph.num_edges(), 0);
+  EXPECT_DOUBLE_EQ(sub.graph.node(sub.answers[0]).p, 0.7);
+}
+
+TEST(RestrictTest, TargetEqualToSourceKeepsOnlyTheSource) {
+  QueryGraphBuilder builder;
+  NodeId s = builder.Source();
+  NodeId t = builder.Node(0.8, "t");
+  builder.Edge(s, t, 0.5);
+  QueryGraph g = std::move(builder).Build({t});
+  QueryGraph sub = RestrictToTarget(BuildCsrSnapshot(g.graph), g.source, s);
+  EXPECT_EQ(sub.graph.num_nodes(), 1);
+  EXPECT_EQ(sub.answers, (std::vector<NodeId>{sub.source}));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/closed_form.h"
 #include "core/query_graph.h"
 #include "core/reliability_bounds.h"
 #include "testing/random_graphs.h"
@@ -197,6 +198,59 @@ TEST(FactoringTest, DoubleBridgeMatchesBruteForce) {
   ASSERT_TRUE(brute.ok());
   ASSERT_TRUE(factored.ok());
   EXPECT_NEAR(brute.value(), factored.value(), 1e-12);
+}
+
+/// Factoring and the closed form against the brute-force oracle for one
+/// target; the closed form must reduce the target's subgraph fully.
+void ExpectExactMethodsAgree(const QueryGraph& g, NodeId target) {
+  Result<double> brute = ExactReliabilityBruteForce(g, target);
+  Result<double> factored = ExactReliabilityFactoring(g, target);
+  Result<double> closed = ClosedFormReliability(g, target);
+  ASSERT_TRUE(brute.ok()) << brute.status();
+  ASSERT_TRUE(factored.ok()) << factored.status();
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  EXPECT_NEAR(factored.value(), brute.value(), 1e-12) << "target " << target;
+  EXPECT_NEAR(closed.value(), brute.value(), 1e-12) << "target " << target;
+}
+
+TEST(ExactMethodsTest, SourceAsItsOwnTargetOnACycle) {
+  // The source's reliability is its own presence probability, even when
+  // a cycle through it puts other nodes in its restricted subgraph.
+  QueryGraph g;
+  NodeId s = g.graph.AddNode(0.8, "s");
+  NodeId a = g.graph.AddNode(0.9, "a");
+  NodeId t = g.graph.AddNode(0.7, "t");
+  g.graph.AddEdge(s, a, 0.5).value();
+  g.graph.AddEdge(a, s, 0.6).value();
+  g.graph.AddEdge(a, t, 0.4).value();
+  g.source = s;
+  g.answers = {t};
+  ASSERT_TRUE(g.Validate().ok());
+  ExpectExactMethodsAgree(g, s);
+  EXPECT_NEAR(ExactReliabilityFactoring(g, s).value(), 0.8, 1e-12);
+}
+
+TEST(ExactMethodsTest, AnswerReachableOnlyThroughARemovedNode) {
+  // Removing the interior node m cuts t1 off and leaves t2 one path.
+  QueryGraphBuilder b;
+  NodeId s = b.Source();
+  NodeId m = b.Node(0.9, "m");
+  NodeId u = b.Node(0.8, "u");
+  NodeId t1 = b.Node(0.7, "t1");
+  NodeId t2 = b.Node(0.6, "t2");
+  b.Edge(s, m, 0.5);
+  b.Edge(m, t1, 0.5);
+  b.Edge(m, t2, 0.4);
+  b.Edge(s, u, 0.3);
+  b.Edge(u, t2, 0.2);
+  QueryGraph g = std::move(b).Build({t1, t2});
+  ASSERT_TRUE(g.graph.RemoveNode(m).ok());
+  ASSERT_TRUE(g.Validate().ok());
+  ExpectExactMethodsAgree(g, t1);
+  ExpectExactMethodsAgree(g, t2);
+  EXPECT_DOUBLE_EQ(ExactReliabilityFactoring(g, t1).value(), 0.0);
+  EXPECT_NEAR(ExactReliabilityFactoring(g, t2).value(), 0.3 * 0.8 * 0.2 * 0.6,
+              1e-12);
 }
 
 std::string Bits(double value) {

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "storage/snapshot.h"
 #include "testing/metrics.h"
 #include "testing/random_graphs.h"
+#include "util/crc32c.h"
 #include "util/file.h"
 #include "util/rng.h"
 
@@ -265,6 +267,25 @@ TEST(StorageRecoveryTest, FingerprintMismatchFallsBackToMemoryOnly) {
   EXPECT_TRUE(response.ok()) << response.status();
 }
 
+/// A checkpoint state (fingerprint 99) holding one session over `graph`
+/// with its CSR snapshot.
+storage::SnapshotState OneSessionState(const QueryGraph& graph) {
+  storage::SnapshotState state;
+  state.fingerprint = 99;
+  state.wal_lsn = 7;
+  state.next_session_id = 3;
+  storage::SnapshotSession session;
+  session.id = 2;
+  session.applied_lsn = 7;
+  session.matched_proteins = 1;
+  session.answer_labels[graph.answers[0]] = "label-a";
+  session.go_node[11] = graph.answers[0];
+  session.graph = graph;
+  session.csr = BuildCsrSnapshot(graph.graph);
+  state.sessions.push_back(std::move(session));
+  return state;
+}
+
 TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
   // Pure codec check, no server: a graph with tombstones (removed node +
   // edge) must round-trip its CSR arrays verbatim, and the decoded graph
@@ -282,20 +303,7 @@ TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
   ASSERT_TRUE(graph.graph.RemoveEdge(0).ok());
   ASSERT_TRUE(graph.Validate().ok());
 
-  storage::SnapshotState state;
-  state.fingerprint = 99;
-  state.wal_lsn = 7;
-  state.next_session_id = 3;
-  storage::SnapshotSession session;
-  session.id = 2;
-  session.applied_lsn = 7;
-  session.matched_proteins = 1;
-  session.answer_labels[graph.answers[0]] = "label-a";
-  session.go_node[11] = graph.answers[0];
-  session.graph = graph;
-  session.csr = BuildCsrSnapshot(graph.graph);
-  state.sessions.push_back(std::move(session));
-
+  storage::SnapshotState state = OneSessionState(graph);
   std::string bytes = storage::EncodeSnapshot(state);
   Result<storage::SnapshotState> decoded = storage::DecodeSnapshot(bytes, 99);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -315,6 +323,38 @@ TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
             StatusCode::kDataLoss);
   EXPECT_EQ(storage::DecodeSnapshot(bytes, 100).status().code(),
             StatusCode::kFailedPrecondition);
+
+  // A well-formed image of an older format version is typed data loss
+  // too, so recovery skips it and replays the WAL instead.
+  std::string older = bytes.substr(0, bytes.size() - sizeof(uint32_t));
+  const uint32_t version = 1;
+  std::memcpy(&older[8], &version, sizeof(version));
+  const uint32_t crc = util::Crc32c(older.data(), older.size());
+  older.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  EXPECT_EQ(storage::DecodeSnapshot(older, 99).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(StorageRecoveryTest, CsrThatDisagreesWithItsGraphIsDataLoss) {
+  // The loaded CSR is served as the session's flat view. A well-formed
+  // one that no longer matches its graph (one edge probability changed,
+  // the file checksummed afresh) must be rejected, not served.
+  Rng rng(20260810);
+  testing::RandomDagOptions options;
+  options.layers = 3;
+  options.nodes_per_layer = 5;
+  options.answers = 4;
+  storage::SnapshotState state =
+      OneSessionState(testing::MakeRandomLayeredDag(rng, options));
+  ASSERT_TRUE(storage::DecodeSnapshot(storage::EncodeSnapshot(state), 99)
+                  .ok());
+  std::vector<double>& out_q = state.sessions[0].csr.out_q;
+  ASSERT_FALSE(out_q.empty());
+  out_q[0] = out_q[0] == 0.5 ? 0.25 : 0.5;
+  EXPECT_EQ(storage::DecodeSnapshot(storage::EncodeSnapshot(state), 99)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(StorageRecoveryTest, CheckpointUnderConcurrentDeltasRecoversCleanly) {

@@ -1,8 +1,12 @@
-// Differential harness for the CSR-vs-pointer backend contract: every
-// comparison runs the same computation on both substrates and reports
-// the first bit-level divergence. Scores are compared by bit pattern
-// (memcmp), never by tolerance — the contract is "same coins, same
-// order, same arithmetic", not "close enough".
+// Differential harness for the Monte Carlo CSR-vs-pointer backend
+// contract: a comparison runs the same estimate on both substrates and
+// reports the first bit-level divergence. Scores are compared by bit
+// pattern (memcmp), never by tolerance — the contract is "same coins,
+// same order, same arithmetic", not "close enough". MC is the one
+// computation with a pointer reference left: the per-answer restriction
+// has a single CSR implementation (core/graph_algo's RestrictToTarget),
+// whose results core_canonical_test's and core_factoring_golden_test's
+// fixtures pin.
 
 #ifndef BIORANK_TESTS_TESTING_DIFFERENTIAL_H_
 #define BIORANK_TESTS_TESTING_DIFFERENTIAL_H_
@@ -36,12 +40,6 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
                              uint64_t seed, int num_threads,
                              McOptions::Mode mode =
                                  McOptions::Mode::kTraversal);
-
-/// Canonicalizes every answer twice, restricting over the pointer graph
-/// (the reference) and target-first over a CSR snapshot: keys, canonical
-/// targets, reduction stats, the canonical graphs (bit for bit) and the
-/// provenance footprints must match exactly.
-DiffResult CompareRestrictionBackends(const QueryGraph& query_graph);
 
 }  // namespace biorank::testing
 
