@@ -268,15 +268,16 @@ CanonicalKey CanonicalizeView(const LabelView& view,
 
 /// Fills `provenance` from the restriction's kept nodes (ascending
 /// original ids). Only kept nodes' out-edges can land in the subgraph, so
-/// the scan is proportional to the candidate's footprint, not the full
-/// graph (re-canonicalization runs once per answer per delta).
+/// the scan is proportional to the candidate's footprint, plus one bit
+/// per graph node (re-canonicalization runs once per answer per delta).
 void CollectProvenance(const ProbabilisticEntityGraph& graph,
                        std::vector<NodeId> kept_nodes,
                        CandidateProvenance& provenance) {
+  std::vector<bool> kept(static_cast<size_t>(graph.node_capacity()), false);
+  for (NodeId id : kept_nodes) kept[static_cast<size_t>(id)] = true;
   for (NodeId id : kept_nodes) {
     graph.ForEachOutEdge(id, [&](EdgeId e) {
-      if (std::binary_search(kept_nodes.begin(), kept_nodes.end(),
-                             graph.edge(e).to)) {
+      if (kept[static_cast<size_t>(graph.edge(e).to)]) {
         provenance.edges.push_back(e);
       }
     });

@@ -22,6 +22,8 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph) {
   CsrSnapshot csr;
   const NodeId capacity = graph.node_capacity();
   csr.dense_id.assign(static_cast<size_t>(capacity), kCsrInvalid);
+  csr.orig_id.reserve(static_cast<size_t>(graph.num_nodes()));
+  csr.node_p.reserve(static_cast<size_t>(graph.num_nodes()));
 
   // Pass 1 — dense node ids in ascending original order (the ordering
   // contract).
@@ -34,25 +36,22 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph) {
   }
   const uint32_t n = csr.num_nodes();
 
-  // Pass 2 — degree counts for both CSR directions.
-  std::vector<uint32_t> out_degree(n, 0), in_degree(n, 0);
+  // Pass 2 — degree counts for both CSR directions, one slot ahead, then
+  // prefix sums: offset[d] is the start of d's segment.
+  csr.out_offset.assign(n + 1, 0);
+  csr.in_offset.assign(n + 1, 0);
   uint32_t total = 0;
   for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
     if (!graph.IsValidEdge(e)) continue;
     const GraphEdge& edge = graph.edge(e);
-    const uint32_t from = csr.dense_id[static_cast<size_t>(edge.from)];
-    const uint32_t to = csr.dense_id[static_cast<size_t>(edge.to)];
-    ++out_degree[from];
-    ++in_degree[to];
+    ++csr.out_offset[csr.dense_id[static_cast<size_t>(edge.from)] + 1];
+    ++csr.in_offset[csr.dense_id[static_cast<size_t>(edge.to)] + 1];
     total = CheckedUint32Cast(static_cast<uint64_t>(total) + 1,
                               "BuildCsrSnapshot edge count");
   }
-
-  csr.out_offset.assign(n + 1, 0);
-  csr.in_offset.assign(n + 1, 0);
   for (uint32_t d = 0; d < n; ++d) {
-    csr.out_offset[d + 1] = csr.out_offset[d] + out_degree[d];
-    csr.in_offset[d + 1] = csr.in_offset[d] + in_degree[d];
+    csr.out_offset[d + 1] += csr.out_offset[d];
+    csr.in_offset[d + 1] += csr.in_offset[d];
   }
   csr.out_to.assign(total, kCsrInvalid);
   csr.out_q.assign(total, 0.0);
@@ -62,22 +61,26 @@ CsrSnapshot BuildCsrSnapshot(const ProbabilisticEntityGraph& graph) {
   // Pass 3 — fill both directions in ascending EdgeId order, so every
   // node's edge segment enumerates exactly as the pointer graph's
   // ForEachOutEdge / ForEachInEdge (adjacency lists append on AddEdge).
-  std::vector<uint32_t> out_cursor(csr.out_offset.begin(),
-                                   csr.out_offset.end() - 1);
-  std::vector<uint32_t> in_cursor(csr.in_offset.begin(),
-                                  csr.in_offset.end() - 1);
+  // offset[d] is d's fill cursor, so it ends at d's segment end, the
+  // start of d + 1; shifting the array up one slot restores the starts.
   for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
     if (!graph.IsValidEdge(e)) continue;
     const GraphEdge& edge = graph.edge(e);
     const uint32_t from = csr.dense_id[static_cast<size_t>(edge.from)];
     const uint32_t to = csr.dense_id[static_cast<size_t>(edge.to)];
-    const uint32_t oc = out_cursor[from]++;
+    const uint32_t oc = csr.out_offset[from]++;
     csr.out_to[oc] = to;
     csr.out_q[oc] = edge.q;
-    const uint32_t ic = in_cursor[to]++;
+    const uint32_t ic = csr.in_offset[to]++;
     csr.in_from[ic] = from;
     csr.in_q[ic] = edge.q;
   }
+  for (uint32_t d = n; d > 0; --d) {
+    csr.out_offset[d] = csr.out_offset[d - 1];
+    csr.in_offset[d] = csr.in_offset[d - 1];
+  }
+  csr.out_offset[0] = 0;
+  csr.in_offset[0] = 0;
   return csr;
 }
 

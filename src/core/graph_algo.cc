@@ -64,8 +64,11 @@ QueryGraph RestrictToTarget(const CsrSnapshot& csr, NodeId source,
   constexpr int32_t kUnseen = -1;
   constexpr int32_t kCoReach = -2;
   constexpr int32_t kKept = -3;
+  // Each node enters `stack` at most once per walk and `kept` at most
+  // once, so one reservation each covers every push.
   std::vector<int32_t> slot(csr.num_nodes(), kUnseen);
   std::vector<uint32_t> stack;
+  stack.reserve(csr.num_nodes());
   const uint32_t from = csr.dense_id[static_cast<size_t>(source)];
   const uint32_t sink = csr.dense_id[static_cast<size_t>(target)];
 
@@ -86,6 +89,7 @@ QueryGraph RestrictToTarget(const CsrSnapshot& csr, NodeId source,
   // Every node on a source path into CoReach(target) is itself in
   // CoReach(target), so this walk visits exactly the kept set.
   std::vector<uint32_t> kept;
+  kept.reserve(csr.num_nodes());
   auto keep = [&](uint32_t d) {
     slot[d] = kKept;
     kept.push_back(d);
