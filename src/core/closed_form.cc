@@ -5,16 +5,17 @@
 
 namespace biorank {
 
-Result<double> ClosedFormReliability(const QueryGraph& query_graph,
-                                     NodeId target) {
-  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
-  const ProbabilisticEntityGraph& graph = query_graph.graph;
-  if (!graph.IsValidNode(target)) {
+namespace {
+
+/// ClosedFormReliability on a validated query graph, given `csr`, its
+/// snapshot.
+Result<double> ClosedFormOnSnapshot(const QueryGraph& query_graph,
+                                    const CsrSnapshot& csr, NodeId target) {
+  if (!query_graph.graph.IsValidNode(target)) {
     return Status::InvalidArgument("closed form: invalid target");
   }
 
-  QueryGraph sub = RestrictToTarget(BuildCsrSnapshot(graph),
-                                    query_graph.source, target);
+  QueryGraph sub = RestrictToTarget(csr, query_graph.source, target);
   ReduceQueryGraph(sub);
 
   NodeId s = sub.source;
@@ -42,12 +43,24 @@ Result<double> ClosedFormReliability(const QueryGraph& query_graph,
       std::to_string(sub.graph.num_edges()) + " edges)");
 }
 
+}  // namespace
+
+Result<double> ClosedFormReliability(const QueryGraph& query_graph,
+                                     NodeId target) {
+  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
+  return ClosedFormOnSnapshot(query_graph, BuildCsrSnapshot(query_graph.graph),
+                              target);
+}
+
 Result<std::vector<double>> ClosedFormReliabilityAllAnswers(
     const QueryGraph& query_graph) {
   std::vector<double> scores;
+  if (query_graph.answers.empty()) return scores;
+  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
+  const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
   scores.reserve(query_graph.answers.size());
   for (NodeId t : query_graph.answers) {
-    Result<double> r = ClosedFormReliability(query_graph, t);
+    Result<double> r = ClosedFormOnSnapshot(query_graph, csr, t);
     if (!r.ok()) return r.status();
     scores.push_back(r.value());
   }

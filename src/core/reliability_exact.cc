@@ -112,6 +112,32 @@ double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   return q * r_present + (1.0 - q) * r_absent;
 }
 
+/// ExactReliabilityFactoring on a validated query graph, given `csr`, its
+/// snapshot.
+Result<double> FactorOnSnapshot(const QueryGraph& query_graph,
+                                const CsrSnapshot& csr, NodeId target,
+                                const FactoringOptions& options) {
+  if (!query_graph.graph.IsValidNode(target)) {
+    return Status::InvalidArgument("factoring: invalid target");
+  }
+
+  // Work on the single-target query graph restricted to relevant nodes.
+  QueryGraph restricted = RestrictToTarget(csr, query_graph.source, target);
+
+  // Remove node failures so the recursion only conditions edges.
+  ReifiedGraph reified = ReifyNodeFailures(restricted);
+
+  FactoringContext ctx;
+  ctx.max_calls = options.max_calls;
+  ctx.use_reductions = options.use_reductions;
+  double value = FactorRec(reified.query_graph, ctx);
+  if (ctx.budget_exceeded) {
+    return Status::FailedPrecondition(
+        "factoring: exceeded max_calls budget (graph too complex)");
+  }
+  return value;
+}
+
 }  // namespace
 
 Result<double> ExactReliabilityBruteForce(const QueryGraph& query_graph,
@@ -175,34 +201,19 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
                                          NodeId target,
                                          const FactoringOptions& options) {
   BIORANK_RETURN_IF_ERROR(query_graph.Validate());
-  if (!query_graph.graph.IsValidNode(target)) {
-    return Status::InvalidArgument("factoring: invalid target");
-  }
-
-  // Work on the single-target query graph restricted to relevant nodes.
-  QueryGraph restricted = RestrictToTarget(BuildCsrSnapshot(query_graph.graph),
-                                           query_graph.source, target);
-
-  // Remove node failures so the recursion only conditions edges.
-  ReifiedGraph reified = ReifyNodeFailures(restricted);
-
-  FactoringContext ctx;
-  ctx.max_calls = options.max_calls;
-  ctx.use_reductions = options.use_reductions;
-  double value = FactorRec(reified.query_graph, ctx);
-  if (ctx.budget_exceeded) {
-    return Status::FailedPrecondition(
-        "factoring: exceeded max_calls budget (graph too complex)");
-  }
-  return value;
+  return FactorOnSnapshot(query_graph, BuildCsrSnapshot(query_graph.graph),
+                          target, options);
 }
 
 Result<std::vector<double>> ExactReliabilityAllAnswers(
     const QueryGraph& query_graph, const FactoringOptions& options) {
   std::vector<double> scores;
+  if (query_graph.answers.empty()) return scores;
+  BIORANK_RETURN_IF_ERROR(query_graph.Validate());
+  const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
   scores.reserve(query_graph.answers.size());
   for (NodeId t : query_graph.answers) {
-    Result<double> r = ExactReliabilityFactoring(query_graph, t, options);
+    Result<double> r = FactorOnSnapshot(query_graph, csr, t, options);
     if (!r.ok()) return r.status();
     scores.push_back(r.value());
   }
