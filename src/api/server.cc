@@ -261,7 +261,6 @@ Result<CheckpointReport> Server::Checkpoint() {
     snap.go_node = session->live.go_node;
     snap.answer_labels = session->live.answer_labels;
     snap.graph = std::move(frozen.graph);
-    snap.csr = std::move(frozen.csr);
     state.sessions.push_back(std::move(snap));
   }
   for (auto& [repr, entry] : service_.cache().Export()) {

@@ -83,7 +83,6 @@ UpdateApplier::FrozenState UpdateApplier::Freeze() const {
   std::shared_lock<std::shared_mutex> reader(mu_);
   FrozenState frozen;
   frozen.graph = graph_;
-  frozen.csr = csr_;
   frozen.wal_lsn = last_wal_lsn_;
   return frozen;
 }

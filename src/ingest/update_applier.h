@@ -74,14 +74,14 @@ class UpdateApplier {
   UpdateApplier(QueryGraph graph, serve::RankingService* service);
 
   /// The warm-boot constructor: like the primary one, but adopts a
-  /// preloaded flat snapshot (storage/snapshot.h's bounds-checked load)
-  /// instead of rebuilding it from the graph. The caller guarantees
-  /// `preloaded_csr` is the snapshot of `graph` — it was serialized from
-  /// this same pair and validated on load; re-canonicalization then
-  /// traverses byte-identical arrays, which is half of the recovered
-  /// server's bit-identity story. `applied_lsn` seeds last_wal_lsn()
-  /// with the checkpoint's per-session position so a re-checkpoint
-  /// before any new delta still covers the already-baked-in history.
+  /// preloaded flat snapshot instead of rebuilding it from the graph. The
+  /// caller guarantees `preloaded_csr` is the snapshot of `graph`
+  /// (storage/snapshot.h's load builds it from the decoded graph);
+  /// re-canonicalization then traverses byte-identical arrays, which is
+  /// half of the recovered server's bit-identity story. `applied_lsn`
+  /// seeds last_wal_lsn() with the checkpoint's per-session position so
+  /// a re-checkpoint before any new delta still covers the
+  /// already-baked-in history.
   UpdateApplier(QueryGraph graph, serve::RankingService* service,
                 CsrSnapshot preloaded_csr, uint64_t applied_lsn);
 
@@ -113,13 +113,11 @@ class UpdateApplier {
   /// replayed); 0 before any. Reader lock.
   uint64_t last_wal_lsn() const;
 
-  /// A checkpoint capture: the live graph, the maintained flat snapshot,
-  /// and the applied LSN, all copied under one reader lock so they are
-  /// mutually consistent (a concurrent writer either happened before the
-  /// whole triple or after it).
+  /// A checkpoint capture: the live graph and the applied LSN, copied
+  /// under one reader lock so they are mutually consistent (a concurrent
+  /// writer either happened before the pair or after it).
   struct FrozenState {
     QueryGraph graph;
-    CsrSnapshot csr;
     uint64_t wal_lsn = 0;
   };
   FrozenState Freeze() const;

@@ -16,53 +16,6 @@ namespace {
 constexpr char kMagic[8] = {'B', 'R', 'S', 'N', 'A', 'P', '0', '1'};
 constexpr uint32_t kVersion = 2;
 
-// --- flat array (de)serialization ------------------------------------
-//
-// Vectors of trivially-copyable elements are written as u64 count + raw
-// bytes (the in-memory little-endian representation, doubles by bit
-// pattern). GetCount's plausibility check plus the byte-size check below
-// bound every read.
-
-template <typename T>
-void PutArray(ByteWriter& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable<T>::value, "raw array codec");
-  out.PutU64(v.size());
-  if (!v.empty()) out.PutBytes(v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-Status GetArray(ByteReader& in, std::vector<T>& v) {
-  uint64_t n = 0;
-  BIORANK_RETURN_IF_ERROR(in.GetCount(n, sizeof(T)));
-  v.resize(static_cast<size_t>(n));
-  if (n == 0) return Status::OK();
-  return in.GetBytesInto(v.data(), static_cast<size_t>(n) * sizeof(T));
-}
-
-void PutCsr(ByteWriter& out, const CsrSnapshot& csr) {
-  PutArray(out, csr.node_p);
-  PutArray(out, csr.orig_id);
-  PutArray(out, csr.dense_id);
-  PutArray(out, csr.out_offset);
-  PutArray(out, csr.out_to);
-  PutArray(out, csr.out_q);
-  PutArray(out, csr.in_offset);
-  PutArray(out, csr.in_from);
-  PutArray(out, csr.in_q);
-}
-
-Status GetCsr(ByteReader& in, CsrSnapshot& csr) {
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.node_p));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.orig_id));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.dense_id));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.out_offset));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.out_to));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.out_q));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.in_offset));
-  BIORANK_RETURN_IF_ERROR(GetArray(in, csr.in_from));
-  return GetArray(in, csr.in_q);
-}
-
 // --- graph (de)serialization ------------------------------------------
 
 void PutGraph(ByteWriter& out, const QueryGraph& qg) {
@@ -205,7 +158,6 @@ void PutSession(ByteWriter& out, const SnapshotSession& session) {
     out.PutString(label);
   }
   PutGraph(out, session.graph);
-  PutCsr(out, session.csr);
 }
 
 Status GetSession(ByteReader& in, SnapshotSession& session) {
@@ -230,12 +182,7 @@ Status GetSession(ByteReader& in, SnapshotSession& session) {
     session.answer_labels.emplace(node, std::move(label));
   }
   BIORANK_RETURN_IF_ERROR(GetGraph(in, session.graph));
-  BIORANK_RETURN_IF_ERROR(GetCsr(in, session.csr));
-  // The stored CSR is served as the session's flat view, so it must be
-  // exactly the snapshot of the stored graph, not merely well-formed.
-  if (!CsrBytesEqual(session.csr, BuildCsrSnapshot(session.graph.graph))) {
-    return Status::DataLoss("snapshot csr disagrees with its graph");
-  }
+  session.csr = BuildCsrSnapshot(session.graph.graph);
   return Status::OK();
 }
 

@@ -1,12 +1,11 @@
 // Versioned checkpoint files: one file serializes the server's whole
-// durable state — every live session's exact graph (tombstones and all)
-// plus its maintained CsrSnapshot flat arrays verbatim, the resolved
-// entries of the canonical reliability cache, and the covering WAL LSN
-// the state is consistent with. Loading is a bounds-checked read back
-// into the same structs. Each session's CSR arrays must be byte-equal
-// (core::CsrBytesEqual) to a fresh BuildCsrSnapshot of its decoded
-// graph, or the file is rejected; that is what makes a recovered
-// server's rankings bit-identical to the never-killed one.
+// durable state — every live session's exact graph (tombstones and all),
+// the resolved entries of the canonical reliability cache, and the
+// covering WAL LSN the state is consistent with. Loading is a
+// bounds-checked read back into the same structs. A session's CSR is not
+// stored: loading rebuilds it from the decoded graph, so it cannot
+// disagree with that graph, and a recovered server's rankings are
+// bit-identical to the never-killed one's.
 //
 // File layout:
 //
@@ -57,8 +56,8 @@ struct SnapshotSession {
   /// probabilities are preserved id-for-id, so replayed deltas address
   /// the same ids they were logged against.
   QueryGraph graph;
-  /// The applier's maintained flat view, serialized verbatim and checked
-  /// against `graph` on load.
+  /// BuildCsrSnapshot(graph.graph), set on load. Not written: encoding
+  /// ignores it.
   CsrSnapshot csr;
 };
 
@@ -82,9 +81,8 @@ struct SnapshotState {
 std::string EncodeSnapshot(const SnapshotState& state);
 
 /// Parses and verifies a snapshot file image. kDataLoss on a checksum,
-/// magic, version, bounds, or structural-invariant failure (each
-/// session's CSR must be byte-equal to BuildCsrSnapshot of its decoded
-/// graph); kFailedPrecondition when the file's fingerprint differs from
+/// magic, version, bounds, or structural-invariant failure;
+/// kFailedPrecondition when the file's fingerprint differs from
 /// `expected_fingerprint`.
 Result<SnapshotState> DecodeSnapshot(const std::string& bytes,
                                      uint64_t expected_fingerprint);
