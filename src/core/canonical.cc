@@ -314,12 +314,8 @@ Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options, const CsrSnapshot* graph_csr) {
   BIORANK_RETURN_IF_ERROR(ValidateCanonicalizeTargets(query_graph, {target}));
-  if (graph_csr != nullptr) {
-    return CanonicalizeValidatedCandidate(query_graph, target, options,
-                                          *graph_csr);
-  }
   return CanonicalizeValidatedCandidate(query_graph, target, options,
-                                        BuildCsrSnapshot(query_graph.graph));
+                                        *graph_csr);
 }
 
 CanonicalCandidate CanonicalizeValidatedCandidate(

@@ -93,14 +93,13 @@ struct CanonicalCandidate {
 /// The restriction runs target-first over a flat snapshot of
 /// `query_graph.graph` (core/csr_snapshot.h), so an answer costs time
 /// proportional to its evidence subgraph rather than to the request
-/// graph. `graph_csr`, when given, must be an unmasked snapshot of that
-/// graph; callers canonicalizing many targets against one graph (the
-/// serving fan-out, ingest recanonicalization) build it once and pass it
-/// to every call. Null builds one snapshot for this call.
+/// graph. `graph_csr` must be non-null: an unmasked snapshot of that
+/// graph (BuildCsrSnapshot), which callers canonicalizing many targets
+/// against one graph (the serving fan-out, ingest recanonicalization)
+/// build once and pass to every call.
 Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
-    const CanonicalizeOptions& options = {},
-    const CsrSnapshot* graph_csr = nullptr);
+    const CanonicalizeOptions& options, const CsrSnapshot* graph_csr);
 
 /// CanonicalizeCandidate's input checks for a batch of targets: the query
 /// graph validates, every target is one of its answers, and no target

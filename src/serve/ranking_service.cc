@@ -56,11 +56,6 @@ Status RankingService::CanonicalizeTargets(
     const CanonicalizeOptions& canonicalize,
     std::vector<CanonicalCandidate>& out, const CsrSnapshot* graph_csr) {
   BIORANK_RETURN_IF_ERROR(ValidateCanonicalizeTargets(graph, targets));
-  CsrSnapshot built;
-  if (graph_csr == nullptr) {
-    built = BuildCsrSnapshot(graph.graph);
-    graph_csr = &built;
-  }
   out.clear();
   out.resize(targets.size());
   ParallelFor(static_cast<int64_t>(targets.size()), [&](int, int64_t i) {

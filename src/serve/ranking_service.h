@@ -216,15 +216,15 @@ class RankingService {
   /// and the ingest applier's dirty-answer re-canonicalization (a
   /// subset) share this one fan-out, so pool
   /// selection, parallelism caps, and error propagation cannot drift
-  /// apart. `graph_csr`, when non-null, is an unmasked flat snapshot of
+  /// apart. `graph_csr` must be non-null: an unmasked flat snapshot of
   /// `graph` shared read-only by every target's restriction traversal
   /// (Prepare builds one per request; the ingest applier maintains one
-  /// across deltas); null builds one snapshot for the batch.
+  /// across deltas).
   Status CanonicalizeTargets(const QueryGraph& graph,
                              const std::vector<NodeId>& targets,
                              const CanonicalizeOptions& canonicalize,
                              std::vector<CanonicalCandidate>& out,
-                             const CsrSnapshot* graph_csr = nullptr);
+                             const CsrSnapshot* graph_csr);
 
   // --- Pipeline phase primitives -------------------------------------
   //

@@ -24,6 +24,14 @@
 namespace biorank {
 namespace {
 
+/// CanonicalizeCandidate over a snapshot built for this one call.
+Result<CanonicalCandidate> Canonicalize(
+    const QueryGraph& graph, NodeId target,
+    const CanonicalizeOptions& options = {}) {
+  const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+  return CanonicalizeCandidate(graph, target, options, &csr);
+}
+
 // s -(0.5)-> m -(0.8)-> t, plus a decoy branch that reduction removes.
 QueryGraph MakeChain(double q1, double q2, bool decoy_first) {
   QueryGraphBuilder b;
@@ -42,8 +50,8 @@ QueryGraph MakeChain(double q1, double q2, bool decoy_first) {
 TEST(CanonicalTest, IsomorphicGraphsCollideAcrossInsertionOrders) {
   QueryGraph a = MakeChain(0.5, 0.8, /*decoy_first=*/false);
   QueryGraph b = MakeChain(0.5, 0.8, /*decoy_first=*/true);
-  Result<CanonicalCandidate> ka = CanonicalizeCandidate(a, a.answers[0]);
-  Result<CanonicalCandidate> kb = CanonicalizeCandidate(b, b.answers[0]);
+  Result<CanonicalCandidate> ka = Canonicalize(a, a.answers[0]);
+  Result<CanonicalCandidate> kb = Canonicalize(b, b.answers[0]);
   ASSERT_TRUE(ka.ok()) << ka.status();
   ASSERT_TRUE(kb.ok()) << kb.status();
   EXPECT_EQ(ka.value().key.repr, kb.value().key.repr);
@@ -63,8 +71,8 @@ TEST(CanonicalTest, SymmetricAnswersOfOneGraphShareAKey) {
   b.Edge(m1, t1, 0.6);
   b.Edge(m2, t2, 0.6);
   QueryGraph g = std::move(b).Build({t1, t2});
-  Result<CanonicalCandidate> k1 = CanonicalizeCandidate(g, g.answers[0]);
-  Result<CanonicalCandidate> k2 = CanonicalizeCandidate(g, g.answers[1]);
+  Result<CanonicalCandidate> k1 = Canonicalize(g, g.answers[0]);
+  Result<CanonicalCandidate> k2 = Canonicalize(g, g.answers[1]);
   ASSERT_TRUE(k1.ok()) << k1.status();
   ASSERT_TRUE(k2.ok()) << k2.status();
   EXPECT_EQ(k1.value().key.repr, k2.value().key.repr);
@@ -73,8 +81,8 @@ TEST(CanonicalTest, SymmetricAnswersOfOneGraphShareAKey) {
 TEST(CanonicalTest, DifferentProbabilitiesSplitKeys) {
   QueryGraph a = MakeChain(0.5, 0.8, false);
   QueryGraph b = MakeChain(0.5, 0.81, false);
-  Result<CanonicalCandidate> ka = CanonicalizeCandidate(a, a.answers[0]);
-  Result<CanonicalCandidate> kb = CanonicalizeCandidate(b, b.answers[0]);
+  Result<CanonicalCandidate> ka = Canonicalize(a, a.answers[0]);
+  Result<CanonicalCandidate> kb = Canonicalize(b, b.answers[0]);
   ASSERT_TRUE(ka.ok() && kb.ok());
   EXPECT_NE(ka.value().key.repr, kb.value().key.repr);
 }
@@ -82,8 +90,8 @@ TEST(CanonicalTest, DifferentProbabilitiesSplitKeys) {
 TEST(CanonicalTest, SerialParallelAndBridgeTopologiesSplitKeys) {
   QueryGraph a = MakeFig4aSerialParallel();
   QueryGraph b = MakeFig4bWheatstoneBridge();
-  Result<CanonicalCandidate> ka = CanonicalizeCandidate(a, a.answers[0]);
-  Result<CanonicalCandidate> kb = CanonicalizeCandidate(b, b.answers[0]);
+  Result<CanonicalCandidate> ka = Canonicalize(a, a.answers[0]);
+  Result<CanonicalCandidate> kb = Canonicalize(b, b.answers[0]);
   ASSERT_TRUE(ka.ok() && kb.ok());
   EXPECT_NE(ka.value().key.repr, kb.value().key.repr);
 }
@@ -91,7 +99,7 @@ TEST(CanonicalTest, SerialParallelAndBridgeTopologiesSplitKeys) {
 TEST(CanonicalTest, CanonicalRebuildPreservesReliability) {
   for (const QueryGraph& g :
        {MakeFig4aSerialParallel(), MakeFig4bWheatstoneBridge()}) {
-    Result<CanonicalCandidate> c = CanonicalizeCandidate(g, g.answers[0]);
+    Result<CanonicalCandidate> c = Canonicalize(g, g.answers[0]);
     ASSERT_TRUE(c.ok()) << c.status();
     ASSERT_TRUE(c.value().canonical.Validate().ok());
     Result<double> original = ExactReliabilityBruteForce(g, g.answers[0]);
@@ -104,7 +112,7 @@ TEST(CanonicalTest, CanonicalRebuildPreservesReliability) {
 
 TEST(CanonicalTest, ReductionStatsReportTheDecoyDeletion) {
   QueryGraph g = MakeChain(0.5, 0.8, false);
-  Result<CanonicalCandidate> c = CanonicalizeCandidate(g, g.answers[0]);
+  Result<CanonicalCandidate> c = Canonicalize(g, g.answers[0]);
   ASSERT_TRUE(c.ok());
   // The decoy sink is dropped by restriction/reduction; the chain
   // collapses to a single source -> target edge.
@@ -118,7 +126,7 @@ TEST(CanonicalTest, UnreachableTargetYieldsIsolatedCanonicalAnswer) {
   NodeId t = b.Node(0.5, "t");
   b.Edge(t, m, 0.5);  // Only an edge *from* t: t unreachable from source.
   QueryGraph g = std::move(b).Build({t});
-  Result<CanonicalCandidate> c = CanonicalizeCandidate(g, t);
+  Result<CanonicalCandidate> c = Canonicalize(g, t);
   ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_TRUE(c.value().canonical.Validate().ok());
   Result<double> r = ExactReliabilityBruteForce(c.value().canonical,
@@ -129,11 +137,11 @@ TEST(CanonicalTest, UnreachableTargetYieldsIsolatedCanonicalAnswer) {
 
 TEST(CanonicalTest, NonAnswerTargetIsRejected) {
   QueryGraph g = MakeFig4aSerialParallel();
-  Result<CanonicalCandidate> c = CanonicalizeCandidate(g, g.source);
+  Result<CanonicalCandidate> c = Canonicalize(g, g.source);
   EXPECT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
   for (NodeId outside : {kInvalidNode, g.graph.node_capacity()}) {
-    EXPECT_EQ(CanonicalizeCandidate(g, outside).status().code(),
+    EXPECT_EQ(Canonicalize(g, outside).status().code(),
               StatusCode::kInvalidArgument);
   }
 }

@@ -16,6 +16,14 @@
 namespace biorank::ingest {
 namespace {
 
+/// CanonicalizeCandidate over a snapshot built for this one call.
+Result<CanonicalCandidate> Canonicalize(
+    const QueryGraph& graph, NodeId target,
+    const CanonicalizeOptions& options = {}) {
+  const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+  return CanonicalizeCandidate(graph, target, options, &csr);
+}
+
 /// Two answers with disjoint evidence paths plus one stranded node:
 ///
 ///   s -(e_sa)-> a -(e_at1)-> t1        (answer 0)
@@ -48,8 +56,8 @@ Fixture Make() {
 
   CanonicalizeOptions options;
   options.collect_provenance = true;
-  f.c0 = CanonicalizeCandidate(f.graph, f.t1, options).value();
-  f.c1 = CanonicalizeCandidate(f.graph, f.t2, options).value();
+  f.c0 = Canonicalize(f.graph, f.t1, options).value();
+  f.c1 = Canonicalize(f.graph, f.t2, options).value();
   f.index.Register(0, f.c0.key, f.c0.provenance, f.graph);
   f.index.Register(1, f.c1.key, f.c1.provenance, f.graph);
   return f;
@@ -69,8 +77,7 @@ TEST(DependencyIndexTest, ProvenanceCoversExactlyTheRestrictedSubgraph) {
 
 TEST(DependencyIndexTest, ProvenanceIsOffByDefault) {
   Fixture f = Make();
-  CanonicalCandidate plain =
-      CanonicalizeCandidate(f.graph, f.t1, {}).value();
+  CanonicalCandidate plain = Canonicalize(f.graph, f.t1).value();
   EXPECT_TRUE(plain.provenance.nodes.empty());
   EXPECT_TRUE(plain.provenance.edges.empty());
   EXPECT_EQ(plain.key.repr, f.c0.key.repr)
@@ -148,7 +155,7 @@ TEST(DependencyIndexTest, ExclusiveKeysSpareSharedOnes) {
   DependencyIndex index;
   std::vector<CanonicalCandidate> c;
   for (size_t i = 0; i < g.answers.size(); ++i) {
-    c.push_back(CanonicalizeCandidate(g, g.answers[i], options).value());
+    c.push_back(Canonicalize(g, g.answers[i], options).value());
     index.Register(static_cast<int>(i), c.back().key, c.back().provenance,
                    g);
   }

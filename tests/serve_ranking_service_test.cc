@@ -75,7 +75,8 @@ TEST(RankingServiceTest, CanonicalizeTargetsChecksTheBatchUpFront) {
   std::vector<CanonicalCandidate> out;
   ASSERT_TRUE(service.CanonicalizeTargets(g, g.answers, {}, out, &csr).ok());
   ASSERT_EQ(out.size(), 1u);
-  Result<CanonicalCandidate> single = CanonicalizeCandidate(g, g.answers[0]);
+  Result<CanonicalCandidate> single =
+      CanonicalizeCandidate(g, g.answers[0], {}, &csr);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(out[0].key.repr, single.value().key.repr);
 
