@@ -464,5 +464,31 @@ TEST(DependencyGoldenTest, SeededDeltasMatchTheFixture) {
   EXPECT_EQ(mismatches, 0u) << "actual lines in dependency_golden.actual.txt";
 }
 
+TEST(DependencyGoldenTest, DirtyCoverIsSound) {
+  // The header's claim: every answer whose restricted subgraph a delta
+  // changes is dirtied. A from-scratch canonicalization with provenance
+  // after each delta is the witness — any answer whose key or footprint
+  // moved must be in AffectedAnswers.
+  int witnessed[kOpKinds] = {};
+  size_t missed = 0;
+  for (const ReplayedDelta& r : Replayed()) {
+    for (int answer : r.changed) {
+      if (!std::binary_search(r.affected.begin(), r.affected.end(),
+                              answer) &&
+          ++missed <= 5) {
+        ADD_FAILURE() << "answer " << answer << " changed but was not "
+                      << "dirtied: " << r.golden_line.substr(0, 80);
+      }
+    }
+    if (!r.changed.empty()) ++witnessed[r.lead_kind];
+  }
+  EXPECT_EQ(missed, 0u) << "changed answers missing from AffectedAnswers";
+  // Every op kind must actually move some answer, or the check above
+  // would say nothing about its rule.
+  for (int kind = 0; kind < kOpKinds; ++kind) {
+    EXPECT_GT(witnessed[kind], 0) << "op kind " << kind;
+  }
+}
+
 }  // namespace
 }  // namespace biorank::ingest
