@@ -127,7 +127,7 @@ Status Server::BootStorage() {
     for (storage::SnapshotSession& s : snap.state.sessions) {
       auto session = std::make_shared<Session>();
       session->live.applier = std::make_unique<ingest::UpdateApplier>(
-          std::move(s.graph), &service_, std::move(s.csr), s.applied_lsn);
+          std::move(s.graph), &service_, s.applied_lsn);
       session->live.go_node = std::move(s.go_node);
       session->live.answer_labels = std::move(s.answer_labels);
       session->live.matched_proteins = s.matched_proteins;

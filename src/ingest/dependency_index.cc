@@ -1,125 +1,88 @@
 #include "ingest/dependency_index.h"
 
 #include <algorithm>
+#include <string>
 
 namespace biorank::ingest {
 
 namespace {
 
-/// Inserts `value` into sorted `list` (no duplicates).
-void SortedInsert(std::vector<int>& list, int value) {
-  auto it = std::lower_bound(list.begin(), list.end(), value);
-  if (it == list.end() || *it != value) list.insert(it, value);
+bool SameKey(const CanonicalKey& a, const CanonicalKey& b) {
+  return a.hash == b.hash && a.repr == b.repr;
 }
 
-void SortedErase(std::vector<int>& list, int value) {
-  auto it = std::lower_bound(list.begin(), list.end(), value);
-  if (it != list.end() && *it == value) list.erase(it);
+/// Whether `id` is in range of `marks` and marked.
+bool Marked(const std::vector<bool>& marks, int id) {
+  return id >= 0 && static_cast<size_t>(id) < marks.size() &&
+         marks[static_cast<size_t>(id)];
+}
+
+/// Marks `id` if it is in range; an out-of-range id marks nothing.
+void Mark(std::vector<bool>& marks, int id) {
+  if (id >= 0 && static_cast<size_t>(id) < marks.size()) {
+    marks[static_cast<size_t>(id)] = true;
+  }
 }
 
 }  // namespace
 
 void DependencyIndex::Register(int answer_index, const CanonicalKey& key,
                                const CandidateProvenance& provenance,
-                               const QueryGraph& graph) {
-  Unregister(answer_index);
-  AnswerEntry entry;
+                               const QueryGraph& /*graph*/) {
+  const size_t slot = static_cast<size_t>(answer_index);
+  if (slot >= entries_.size()) entries_.resize(slot + 1);
+  AnswerEntry& entry = entries_[slot];
+  entry.registered = true;
   entry.key = key;
   entry.nodes = provenance.nodes;
   entry.edges = provenance.edges;
-  for (NodeId id : provenance.nodes) {
-    const std::string& set = graph.graph.node(id).entity_set;
-    if (!set.empty()) entry.entity_sets.push_back(set);
-  }
-  std::sort(entry.entity_sets.begin(), entry.entity_sets.end());
-  entry.entity_sets.erase(
-      std::unique(entry.entity_sets.begin(), entry.entity_sets.end()),
-      entry.entity_sets.end());
-
-  for (NodeId id : entry.nodes) SortedInsert(by_node_[id], answer_index);
-  for (EdgeId e : entry.edges) SortedInsert(by_edge_[e], answer_index);
-  for (const std::string& set : entry.entity_sets) {
-    SortedInsert(by_entity_set_[set], answer_index);
-  }
-  SortedInsert(by_key_[key.repr], answer_index);
-  by_answer_[answer_index] = std::move(entry);
-}
-
-void DependencyIndex::Unregister(int answer_index) {
-  auto it = by_answer_.find(answer_index);
-  if (it == by_answer_.end()) return;
-  const AnswerEntry& entry = it->second;
-  for (NodeId id : entry.nodes) {
-    auto posting = by_node_.find(id);
-    if (posting == by_node_.end()) continue;
-    SortedErase(posting->second, answer_index);
-    if (posting->second.empty()) by_node_.erase(posting);
-  }
-  for (EdgeId e : entry.edges) {
-    auto posting = by_edge_.find(e);
-    if (posting == by_edge_.end()) continue;
-    SortedErase(posting->second, answer_index);
-    if (posting->second.empty()) by_edge_.erase(posting);
-  }
-  for (const std::string& set : entry.entity_sets) {
-    auto posting = by_entity_set_.find(set);
-    if (posting == by_entity_set_.end()) continue;
-    SortedErase(posting->second, answer_index);
-    if (posting->second.empty()) by_entity_set_.erase(posting);
-  }
-  auto users = by_key_.find(entry.key.repr);
-  if (users != by_key_.end()) {
-    SortedErase(users->second, answer_index);
-    if (users->second.empty()) by_key_.erase(users);
-  }
-  by_answer_.erase(it);
-}
-
-const CanonicalKey* DependencyIndex::KeyOf(int answer_index) const {
-  auto it = by_answer_.find(answer_index);
-  return it == by_answer_.end() ? nullptr : &it->second.key;
 }
 
 std::vector<int> DependencyIndex::AffectedAnswers(
     const EvidenceDelta& delta, const AppliedDelta& applied,
     const QueryGraph& updated_graph) const {
-  std::vector<int> affected;
-  auto add_postings = [&](const std::vector<int>* postings) {
-    if (postings == nullptr) return;
-    affected.insert(affected.end(), postings->begin(), postings->end());
-  };
-  auto find = [](const auto& map, const auto& key) -> const std::vector<int>* {
-    auto it = map.find(key);
-    return it == map.end() ? nullptr : &it->second;
-  };
-
+  const ProbabilisticEntityGraph& graph = updated_graph.graph;
+  std::vector<bool> edge_marks(static_cast<size_t>(graph.edge_capacity()));
+  std::vector<bool> node_marks(static_cast<size_t>(graph.node_capacity()));
   for (const EvidenceDelta::RemoveEdge& op : delta.remove_edges) {
-    add_postings(find(by_edge_, op.edge));
+    Mark(edge_marks, op.edge);
   }
   for (const EvidenceDelta::ReweightEdge& op : delta.reweight_edges) {
-    add_postings(find(by_edge_, op.edge));
+    Mark(edge_marks, op.edge);
   }
   for (const EvidenceDelta::ReviseNodeProb& op : delta.revise_node_probs) {
-    add_postings(find(by_node_, op.node));
+    Mark(node_marks, op.node);
   }
-  for (const EvidenceDelta::ReviseSourcePrior& op :
-       delta.revise_source_priors) {
-    add_postings(find(by_entity_set_, op.entity_set));
-  }
+  // A node's entity set is fixed when it is added, so the updated graph
+  // answers for every registration.
+  auto prior_revised = [&](NodeId id) {
+    if (delta.revise_source_priors.empty()) return false;
+    const std::string& set = graph.node(id).entity_set;
+    if (set.empty()) return false;
+    for (const EvidenceDelta::ReviseSourcePrior& op :
+         delta.revise_source_priors) {
+      if (op.entity_set == set) return true;
+    }
+    return false;
+  };
+  auto footprint_hit = [&](const AnswerEntry& entry) {
+    if (!entry.registered) return false;
+    for (EdgeId e : entry.edges) {
+      if (Marked(edge_marks, e)) return true;
+    }
+    for (NodeId id : entry.nodes) {
+      if (Marked(node_marks, id) || prior_revised(id)) return true;
+    }
+    return false;
+  };
 
   // Add-edge rule: every answer reachable from the new edge's head in the
   // updated graph. Any subgraph change caused by an added edge (u, v) is
   // witnessed by a path through that edge continuing v -> ... -> t, so
   // the affected targets are exactly a subset of v's descendants.
+  std::vector<bool> visited;
   if (!applied.new_edges.empty()) {
-    const ProbabilisticEntityGraph& graph = updated_graph.graph;
-    std::unordered_map<NodeId, int> answer_of;
-    answer_of.reserve(updated_graph.answers.size());
-    for (size_t i = 0; i < updated_graph.answers.size(); ++i) {
-      answer_of.emplace(updated_graph.answers[i], static_cast<int>(i));
-    }
-    std::vector<bool> visited(
-        static_cast<size_t>(graph.node_capacity()), false);
+    visited.assign(static_cast<size_t>(graph.node_capacity()), false);
     std::vector<NodeId> stack;
     for (EdgeId e : applied.new_edges) {
       NodeId head = graph.edge(e).to;
@@ -132,8 +95,6 @@ std::vector<int> DependencyIndex::AffectedAnswers(
     while (!stack.empty()) {
       NodeId x = stack.back();
       stack.pop_back();
-      auto hit = answer_of.find(x);
-      if (hit != answer_of.end()) affected.push_back(hit->second);
       graph.ForEachOutEdge(x, [&](EdgeId e) {
         NodeId y = graph.edge(e).to;
         if (!visited[static_cast<size_t>(y)]) {
@@ -144,44 +105,46 @@ std::vector<int> DependencyIndex::AffectedAnswers(
     }
   }
 
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
+  std::vector<int> affected;
+  const size_t answers = updated_graph.answers.size();
+  for (size_t i = 0; i < std::max(entries_.size(), answers); ++i) {
+    if ((i < entries_.size() && footprint_hit(entries_[i])) ||
+        (i < answers && Marked(visited, updated_graph.answers[i]))) {
+      affected.push_back(static_cast<int>(i));
+    }
+  }
   return affected;
 }
 
 std::vector<CanonicalKey> DependencyIndex::ExclusiveKeys(
     const std::vector<int>& answers) const {
   std::vector<CanonicalKey> keys;
-  std::vector<std::string> seen;
   for (int answer : answers) {
-    auto it = by_answer_.find(answer);
-    if (it == by_answer_.end()) continue;
-    const std::string& repr = it->second.key.repr;
-    if (std::binary_search(seen.begin(), seen.end(), repr)) continue;
-    auto users = by_key_.find(repr);
-    if (users == by_key_.end()) continue;
+    const size_t slot = static_cast<size_t>(answer);
+    if (answer < 0 || slot >= entries_.size() || !entries_[slot].registered) {
+      continue;
+    }
+    const CanonicalKey& key = entries_[slot].key;
+    // Exclusive when every user of the key is in `answers`; a user
+    // earlier in `answers` has already decided this key, so it is skipped
+    // here to emit each key once.
     bool exclusive = true;
-    for (int user : users->second) {
-      if (!std::binary_search(answers.begin(), answers.end(), user)) {
-        exclusive = false;
-        break;
-      }
+    for (size_t j = 0; j < entries_.size() && exclusive; ++j) {
+      if (!entries_[j].registered || !SameKey(entries_[j].key, key)) continue;
+      exclusive = j >= slot && std::binary_search(answers.begin(),
+                                                  answers.end(),
+                                                  static_cast<int>(j));
     }
-    if (exclusive) {
-      keys.push_back(it->second.key);
-      seen.insert(std::lower_bound(seen.begin(), seen.end(), repr), repr);
-    }
+    if (exclusive) keys.push_back(key);
   }
   return keys;
 }
 
-void DependencyIndex::Clear() {
-  by_answer_.clear();
-  by_node_.clear();
-  by_edge_.clear();
-  by_entity_set_.clear();
-  by_key_.clear();
+bool DependencyIndex::HasKey(const CanonicalKey& key) const {
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [&](const AnswerEntry& entry) {
+                       return entry.registered && SameKey(entry.key, key);
+                     });
 }
 
 }  // namespace biorank::ingest

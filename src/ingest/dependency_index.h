@@ -1,11 +1,10 @@
-// Reverse dependency index over a live query graph: which answers' (and
-// therefore which canonical cache keys') restricted evidence subgraphs
-// contain a given tuple (node), evidence link (edge), or source (entity
-// set). Populated from the provenance that core/canonical.cc records
-// during canonicalization, and consulted when an EvidenceDelta lands so
-// the update applier dirties exactly the affected answers and the
-// ReliabilityCache drops exactly the orphaned keys — instead of a full
-// rebuild plus cache flush.
+// Dependency index over a live query graph: each answer's (and therefore
+// each canonical cache key's) footprint — the nodes and edges of its
+// restricted evidence subgraph, as recorded by core/canonical.cc during
+// canonicalization. Consulted when an EvidenceDelta lands so the update
+// applier dirties exactly the affected answers and the ReliabilityCache
+// drops exactly the orphaned keys — instead of a full rebuild plus cache
+// flush.
 //
 // Soundness note: cache keys are pure functions of the subgraph (see
 // core/canonical.h), so a *missed* invalidation can never produce a
@@ -20,12 +19,18 @@
 //                              the new edge continues from v, so any
 //                              affected target t is a descendant of v)
 // The first three are exact; the last is a conservative superset.
+//
+// Cost model: the index is one forward table, answer -> footprint, with
+// no reverse postings. A delta marks the elements it touches and then
+// scans every footprint, so it costs O(total footprint) plus, for added
+// edges, one descendant walk. That is the right trade for the traffic it
+// serves — tens of answers per session, a delta touching a few percent
+// of the edges — where keeping reverse postings in step cost more than
+// the scan.
 
 #ifndef BIORANK_INGEST_DEPENDENCY_INDEX_H_
 #define BIORANK_INGEST_DEPENDENCY_INDEX_H_
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/canonical.h"
@@ -34,30 +39,25 @@
 
 namespace biorank::ingest {
 
-/// Maps graph elements to the answers (by index into the live graph's
-/// answer list) depending on them, and answers to their current
-/// canonical keys. Not internally synchronized: the update applier
-/// guards it with the same writer lock as the graph.
+/// Maps answers (by index into the live graph's answer list) to their
+/// current canonical keys and footprints. Not internally synchronized:
+/// the update applier guards it with the same writer lock as the graph.
 class DependencyIndex {
  public:
   DependencyIndex() = default;
 
   /// (Re)registers answer `answer_index`: its current canonical key and
   /// the provenance of its restricted subgraph. Replaces any previous
-  /// registration of the same answer.
+  /// registration of the same answer. The graph argument is unused; it
+  /// stays so existing callers compile unchanged.
   void Register(int answer_index, const CanonicalKey& key,
                 const CandidateProvenance& provenance,
-                const QueryGraph& graph);
-
-  /// Drops answer `answer_index`'s postings and key. No-op if absent.
-  void Unregister(int answer_index);
-
-  /// Current canonical key of an answer, or nullptr if unregistered.
-  const CanonicalKey* KeyOf(int answer_index) const;
+                const QueryGraph& /*graph*/);
 
   /// Answer indices whose subgraphs `delta` can affect, sorted and
   /// deduplicated. `updated_graph` must be the graph *after* the delta
-  /// was applied (the add-edge rule walks descendants in it);
+  /// was applied (the add-edge rule walks descendants in it, and the
+  /// source-prior rule reads footprint nodes' entity sets from it);
   /// `applied.new_edges` identifies the added edges.
   std::vector<int> AffectedAnswers(const EvidenceDelta& delta,
                                    const AppliedDelta& applied,
@@ -75,32 +75,18 @@ class DependencyIndex {
   /// uses this after re-canonicalization to keep cache entries whose key
   /// a dirty answer re-derived unchanged (a no-op revision must not cost
   /// the cache).
-  bool HasKey(const CanonicalKey& key) const {
-    return by_key_.count(key.repr) > 0;
-  }
-
-  /// Registered answer count (for tests).
-  int registered() const { return static_cast<int>(by_answer_.size()); }
-
-  void Clear();
+  bool HasKey(const CanonicalKey& key) const;
 
  private:
   struct AnswerEntry {
+    bool registered = false;
     CanonicalKey key;
-    std::vector<NodeId> nodes;
-    std::vector<EdgeId> edges;
-    std::vector<std::string> entity_sets;  ///< Distinct sets among nodes.
+    std::vector<NodeId> nodes;  ///< Ascending.
+    std::vector<EdgeId> edges;  ///< Ascending.
   };
 
-  /// Postings: element -> sorted answer indices. Kept sorted by the
-  /// (re)build in Register/Unregister.
-  std::unordered_map<int, AnswerEntry> by_answer_;
-  std::unordered_map<NodeId, std::vector<int>> by_node_;
-  std::unordered_map<EdgeId, std::vector<int>> by_edge_;
-  std::unordered_map<std::string, std::vector<int>> by_entity_set_;
-  /// Key repr -> answers currently mapped to it (the user sets behind
-  /// ExclusiveKeys).
-  std::unordered_map<std::string, std::vector<int>> by_key_;
+  /// Indexed by answer index.
+  std::vector<AnswerEntry> entries_;
 };
 
 }  // namespace biorank::ingest

@@ -9,25 +9,13 @@
 namespace biorank::ingest {
 
 UpdateApplier::UpdateApplier(QueryGraph graph,
-                             serve::RankingService* service)
-    : graph_(std::move(graph)), service_(service) {
+                             serve::RankingService* service,
+                             uint64_t applied_lsn)
+    : graph_(std::move(graph)), service_(service),
+      last_wal_lsn_(applied_lsn) {
   init_status_ = graph_.Validate();
   if (!init_status_.ok()) return;
   csr_ = BuildCsrSnapshot(graph_.graph);
-  Init();
-}
-
-UpdateApplier::UpdateApplier(QueryGraph graph,
-                             serve::RankingService* service,
-                             CsrSnapshot preloaded_csr, uint64_t applied_lsn)
-    : graph_(std::move(graph)), service_(service),
-      csr_(std::move(preloaded_csr)), last_wal_lsn_(applied_lsn) {
-  init_status_ = graph_.Validate();
-  if (!init_status_.ok()) return;
-  Init();
-}
-
-void UpdateApplier::Init() {
   canonicalize_ = service_->options().canonicalize;
   canonicalize_.collect_provenance = true;
   canonicals_.resize(graph_.answers.size());

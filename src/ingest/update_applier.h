@@ -69,21 +69,13 @@ class UpdateApplier {
  public:
   /// Takes ownership of `graph` (the answer set stays fixed for the
   /// session; deltas revise evidence, not the question). `service` must
-  /// outlive the applier. Canonicalizes every answer up front; a
-  /// canonicalization failure surfaces on the first method call.
-  UpdateApplier(QueryGraph graph, serve::RankingService* service);
-
-  /// The warm-boot constructor: like the primary one, but adopts a
-  /// preloaded flat snapshot instead of rebuilding it from the graph. The
-  /// caller guarantees `preloaded_csr` is the snapshot of `graph`
-  /// (storage/snapshot.h's load builds it from the decoded graph);
-  /// re-canonicalization then traverses byte-identical arrays, which is
-  /// half of the recovered server's bit-identity story. `applied_lsn`
-  /// seeds last_wal_lsn() with the checkpoint's per-session position so
-  /// a re-checkpoint before any new delta still covers the
-  /// already-baked-in history.
+  /// outlive the applier. Builds the flat snapshot and canonicalizes
+  /// every answer up front; a failure surfaces on the first method call.
+  /// `applied_lsn` seeds last_wal_lsn(): warm boot passes a checkpoint's
+  /// per-session position, so a re-checkpoint before any new delta still
+  /// covers the already-baked-in history.
   UpdateApplier(QueryGraph graph, serve::RankingService* service,
-                CsrSnapshot preloaded_csr, uint64_t applied_lsn);
+                uint64_t applied_lsn = 0);
 
   /// Validates and applies one delta under the writer lock, invalidates
   /// exactly the orphaned cache keys, and re-canonicalizes exactly the
@@ -133,17 +125,13 @@ class UpdateApplier {
 
   int answer_count() const;
 
-  /// The dependency index. Not synchronized — inspect only while no
-  /// writer is running (tests).
-  const DependencyIndex& dependency_index() const { return index_; }
-
   /// The maintained flat snapshot of the live graph (core/csr_snapshot.h):
   /// rebuilt after every successful ApplyDelta graph mutation, before the
   /// dirty answers re-canonicalize, so re-canonicalization always
   /// traverses the packed arrays of the *updated* graph. Byte-equal to
   /// BuildCsrSnapshot(GraphSnapshot().graph) at every quiesce point
   /// (asserted in tests). Not synchronized — inspect only while no writer
-  /// is running, like dependency_index().
+  /// is running.
   const CsrSnapshot& csr_snapshot() const { return csr_; }
 
  private:
@@ -151,9 +139,6 @@ class UpdateApplier {
   /// per answer) and registers them in the dependency index. Requires the
   /// writer lock (or the constructor's exclusivity).
   Status Recanonicalize(const std::vector<int>& answer_indices);
-
-  /// Shared init tail of both constructors (canonicalize every answer).
-  void Init();
 
   /// The delta pipeline body; requires the writer lock. `replay_lsn` 0
   /// means a live delta (append to the attached WAL, if any); nonzero

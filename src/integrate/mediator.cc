@@ -65,11 +65,11 @@ class CrawlContext {
   NodeId GetOrCreateNode(const std::string& key,
                          const std::string& entity_set, double pr,
                          const std::string& label) {
-    auto it = node_by_key_.find(key);
-    if (it != node_by_key_.end()) return it->second;
+    auto it = key_to_node_.find(key);
+    if (it != key_to_node_.end()) return it->second;
     double p = metrics_.NodeProbability(entity_set, pr);
     NodeId id = result_.query_graph.graph.AddNode(p, label, entity_set);
-    node_by_key_.emplace(key, id);
+    key_to_node_.emplace(key, id);
     return id;
   }
 
@@ -90,7 +90,7 @@ class CrawlContext {
   }
 
   bool HasNode(const std::string& key) const {
-    return node_by_key_.count(key) > 0;
+    return key_to_node_.count(key) > 0;
   }
 
   NodeId source() const { return result_.query_graph.source; }
@@ -112,7 +112,7 @@ class CrawlContext {
   const SourceRegistry& sources_;
   const ProbabilisticMetrics& metrics_;
   ExploratoryQueryResult result_;
-  std::unordered_map<std::string, NodeId> node_by_key_;
+  std::unordered_map<std::string, NodeId> key_to_node_;
 };
 
 /// EntrezProtein record node.

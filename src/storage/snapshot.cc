@@ -182,7 +182,6 @@ Status GetSession(ByteReader& in, SnapshotSession& session) {
     session.answer_labels.emplace(node, std::move(label));
   }
   BIORANK_RETURN_IF_ERROR(GetGraph(in, session.graph));
-  session.csr = BuildCsrSnapshot(session.graph.graph);
   return Status::OK();
 }
 

@@ -3,9 +3,9 @@
 // the resolved entries of the canonical reliability cache, and the
 // covering WAL LSN the state is consistent with. Loading is a
 // bounds-checked read back into the same structs. A session's CSR is not
-// stored: loading rebuilds it from the decoded graph, so it cannot
-// disagree with that graph, and a recovered server's rankings are
-// bit-identical to the never-killed one's.
+// stored: the recovered session's update applier builds it from the
+// decoded graph, so it cannot disagree with that graph, and a recovered
+// server's rankings are bit-identical to the never-killed one's.
 //
 // File layout:
 //
@@ -56,8 +56,9 @@ struct SnapshotSession {
   /// probabilities are preserved id-for-id, so replayed deltas address
   /// the same ids they were logged against.
   QueryGraph graph;
-  /// BuildCsrSnapshot(graph.graph), set on load. Not written: encoding
-  /// ignores it.
+  /// Neither written nor read: encoding ignores it and load leaves it
+  /// empty (the session's applier builds its own snapshot from `graph`).
+  /// Kept only because bench_ledger's pipeline copy assigns it.
   CsrSnapshot csr;
 };
 

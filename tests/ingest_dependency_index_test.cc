@@ -1,8 +1,10 @@
-// Dependency-index semantics: provenance registration, reverse postings
-// by node/edge/entity set, the affected-answer cover for every delta op
-// (including the add-edge descendant rule, where the affected answer's
-// subgraph contains neither endpoint of the new edge), and exclusive-key
-// extraction for cache invalidation.
+// Dependency-index semantics: provenance registration, the
+// affected-answer cover for every delta op (including the add-edge
+// descendant rule, where the affected answer's subgraph contains neither
+// endpoint of the new edge), exclusive-key extraction for cache
+// invalidation, and — on a seeded delta stream over the Table-1 graphs —
+// a golden fixture of the index's answers and a from-scratch check that
+// the dirty cover is sound.
 
 #include "ingest/dependency_index.h"
 
@@ -112,7 +114,7 @@ TEST(DependencyIndexTest, EdgeOpsAffectExactlyTheContainingAnswers) {
       << "an edge in no answer's subgraph dirties nothing";
 }
 
-TEST(DependencyIndexTest, NodeAndSourcePriorOpsUsePostings) {
+TEST(DependencyIndexTest, NodeAndSourcePriorOpsHitFootprints) {
   Fixture f = Make();
   AppliedDelta applied;
   EvidenceDelta revise;
@@ -182,21 +184,24 @@ TEST(DependencyIndexTest, ExclusiveKeysSpareSharedOnes) {
   EXPECT_EQ(index.ExclusiveKeys({0, 1, 2}).size(), 2u);
 }
 
-TEST(DependencyIndexTest, UnregisterDropsPostings) {
+TEST(DependencyIndexTest, ReRegistrationReplacesTheEntry) {
   Fixture f = Make();
-  EXPECT_EQ(f.index.registered(), 2);
-  f.index.Unregister(0);
-  EXPECT_EQ(f.index.registered(), 1);
-  EXPECT_EQ(f.index.KeyOf(0), nullptr);
-  ASSERT_NE(f.index.KeyOf(1), nullptr);
   AppliedDelta applied;
   EvidenceDelta revise;
   revise.revise_node_probs.push_back({f.a, 0.5});
+  ASSERT_EQ(f.index.AffectedAnswers(revise, applied, f.graph),
+            (std::vector<int>{0}));
+  // Answer 0 re-registered with answer 1's key and footprint: its old
+  // footprint and key are gone, and the key is now shared.
+  f.index.Register(0, f.c1.key, f.c1.provenance, f.graph);
   EXPECT_TRUE(f.index.AffectedAnswers(revise, applied, f.graph).empty());
+  EXPECT_FALSE(f.index.HasKey(f.c0.key));
+  EXPECT_TRUE(f.index.ExclusiveKeys({0}).empty());
   // Re-registration restores them.
   f.index.Register(0, f.c0.key, f.c0.provenance, f.graph);
   EXPECT_EQ(f.index.AffectedAnswers(revise, applied, f.graph),
             (std::vector<int>{0}));
+  EXPECT_TRUE(f.index.HasKey(f.c0.key));
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,8 @@
 
 #include "api/server.h"
 #include "core/csr_snapshot.h"
+#include "ingest/update_applier.h"
+#include "serve/ranking_service.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
 #include "testing/metrics.h"
@@ -309,9 +311,16 @@ TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded.value().sessions.size(), 1u);
   const storage::SnapshotSession& back = decoded.value().sessions[0];
-  EXPECT_TRUE(CsrBytesEqual(back.csr, state.sessions[0].csr));
   EXPECT_TRUE(CsrBytesEqual(BuildCsrSnapshot(back.graph.graph),
                             state.sessions[0].csr));
+  // The recovered session's applier serves the snapshot of the decoded
+  // graph, byte-equal to the one served before the checkpoint.
+  serve::RankingService service;
+  ingest::UpdateApplier applier(back.graph, &service, back.applied_lsn);
+  EXPECT_TRUE(CsrBytesEqual(applier.csr_snapshot(),
+                            BuildCsrSnapshot(back.graph.graph)));
+  EXPECT_TRUE(CsrBytesEqual(applier.csr_snapshot(), state.sessions[0].csr));
+  EXPECT_EQ(applier.last_wal_lsn(), 7u);
   EXPECT_EQ(back.answer_labels, state.sessions[0].answer_labels);
   EXPECT_EQ(back.go_node, state.sessions[0].go_node);
 
@@ -336,10 +345,10 @@ TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
 }
 
 TEST(StorageRecoveryTest, LoadedCsrIsRebuiltFromItsGraph) {
-  // The loaded CSR is served as the session's flat view, so it must be
-  // the snapshot of the loaded graph. A session whose in-memory CSR
-  // disagrees with its graph (one edge probability changed) encodes to
-  // the same bytes as a consistent one and loads with the consistent CSR.
+  // The recovered session's flat view must be the snapshot of the loaded
+  // graph. A session whose in-memory CSR disagrees with its graph (one
+  // edge probability changed) encodes to the same bytes as a consistent
+  // one, and its recovered applier serves the consistent CSR.
   Rng rng(20260810);
   testing::RandomDagOptions options;
   options.layers = 3;
@@ -356,8 +365,11 @@ TEST(StorageRecoveryTest, LoadedCsrIsRebuiltFromItsGraph) {
   Result<storage::SnapshotState> decoded = storage::DecodeSnapshot(bytes, 99);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const storage::SnapshotSession& back = decoded.value().sessions[0];
-  EXPECT_TRUE(CsrBytesEqual(back.csr, BuildCsrSnapshot(back.graph.graph)));
-  EXPECT_FALSE(CsrBytesEqual(back.csr, state.sessions[0].csr));
+  serve::RankingService service;
+  ingest::UpdateApplier applier(back.graph, &service, back.applied_lsn);
+  EXPECT_TRUE(CsrBytesEqual(applier.csr_snapshot(),
+                            BuildCsrSnapshot(back.graph.graph)));
+  EXPECT_FALSE(CsrBytesEqual(applier.csr_snapshot(), state.sessions[0].csr));
 }
 
 TEST(StorageRecoveryTest, CheckpointUnderConcurrentDeltasRecoversCleanly) {
