@@ -18,6 +18,8 @@ job summary. Exit status is nonzero when
     re-checks them against the report the artifact actually carries, or
   * a bench in EXACT_ROW_BENCHES reports `rows` that differ in any field
     from its committed baseline's (a reproduced paper figure moved), or
+  * a metric listed in EXACT_METRICS differs from its committed
+    baseline's value (a deterministic count moved), or
   * a baseline bench produced no report at all (a silently skipped bench
     would otherwise look like a perf win).
 
@@ -219,6 +221,30 @@ EXACT_ROW_BENCHES = {
     "table3_scenario3": "Table 3 midpoint rank per method",
     "theorem32_reducibility": "Theorem 3.2 reducibility per schema",
 }
+
+
+# Deterministic counts of benches whose rows carry timings (so the rows
+# cannot gate exactly): each listed metric must equal the committed
+# baseline's value. The ingest counts pin which answers every delta
+# dirties and which cache keys it orphans.
+EXACT_METRICS = {
+    "ingest_updates": ("dirty_answers", "clean_answers", "stale_keys",
+                       "invalidated_entries", "cache_entries",
+                       "cache_invalidations", "preserved_hit_rate"),
+}
+
+
+def metrics_match(current_metrics, baseline_metrics, keys):
+    """Failure strings for each listed metric that differs or is absent."""
+    failures = []
+    for key in keys:
+        if key not in current_metrics or key not in baseline_metrics:
+            failures.append(f"{key} is missing from the report or the "
+                            f"baseline")
+        elif current_metrics[key] != baseline_metrics[key]:
+            failures.append(f"{key} is {current_metrics[key]}, the baseline "
+                            f"has {baseline_metrics[key]}")
+    return failures
 
 
 def rows_match(current_rows, baseline_rows, what):
@@ -455,6 +481,13 @@ def main() -> int:
                 f"{name}: {failure}" for failure in rows_match(
                     current[name].get("rows", []),
                     baseline[name].get("rows", []), what))
+
+    for name, keys in sorted(EXACT_METRICS.items()):
+        if name in current and name in baseline:
+            failures.extend(
+                f"{name}: {failure}" for failure in metrics_match(
+                    current[name].get("metrics", {}),
+                    baseline[name].get("metrics", {}), keys))
 
     failures.extend(check_metrics_shape(args.run_dir, current))
 
