@@ -242,7 +242,7 @@ constexpr int kOpKinds = 5;
 /// alone and in pairs. Edges and nodes come from a random answer's
 /// footprint three times in four (so most ops hit some answer) and from
 /// the whole graph otherwise. Every tenth delta adds a node wired from a
-/// footprint node into another answer's footprint; the other add deltas
+/// footprint node (or the source) into the graph; the other add deltas
 /// add an edge between existing nodes.
 EvidenceDelta MakeSeededDelta(const QueryGraph& graph,
                               const std::vector<CanonicalCandidate>& current,
