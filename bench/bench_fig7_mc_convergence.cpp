@@ -17,10 +17,9 @@
 #include "api/server.h"
 #include "bench_json.h"
 #include "bench_util.h"
-#include "core/reliability_mc.h"
 #include "eval/experiment_stats.h"
 #include "integrate/scenario_harness.h"
-#include "util/parallel.h"
+#include "lane_duel.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -111,50 +110,13 @@ int main() {
   report.SetMetric("closed_solution_ap", closed_ap);
   report.SetMetric("random_baseline_ap", random_ap);
 
-  // CSR-vs-pointer head-to-head: one single-thread timed pass over every
-  // query at 5000 trials per backend, scores compared bitwise. The
-  // pointer path is the seed-era hot loop kept as the reference backend,
-  // so this ratio is the snapshot refactor's speedup on this workload.
-  const int64_t duel_trials = 5000;
-  bool csr_bit_identical = true;
-  double backend_seconds[2] = {0.0, 0.0};
-  ThreadPool inline_pool(0);
-  std::vector<double> backend_scores[2];
-  const McOptions::Backend backends[2] = {McOptions::Backend::kCsrSnapshot,
-                                          McOptions::Backend::kPointerView};
-  for (int b = 0; b < 2; ++b) {
-    bench::WallTimer timer;
-    for (const ScenarioQuery& query : queries.value()) {
-      McOptions mc;
-      mc.trials = duel_trials;
-      mc.seed = 7;
-      mc.pool = &inline_pool;
-      mc.backend = backends[b];
-      Result<McEstimate> estimate = EstimateReliabilityMc(query.graph, mc);
-      if (!estimate.ok()) {
-        std::cerr << estimate.status() << "\n";
-        return 1;
-      }
-      backend_scores[b].insert(backend_scores[b].end(),
-                               estimate.value().scores.begin(),
-                               estimate.value().scores.end());
-    }
-    backend_seconds[b] = timer.Seconds();
-  }
-  csr_bit_identical = backend_scores[0] == backend_scores[1];
-  double csr_speedup = backend_seconds[0] > 0.0
-                           ? backend_seconds[1] / backend_seconds[0]
-                           : 0.0;
-  std::cout << "\nCSR snapshot vs pointer view (1 thread, " << duel_trials
-            << " trials/query): " << FormatDouble(csr_speedup, 2)
-            << "x, scores "
-            << (csr_bit_identical ? "bit-identical" : "NOT IDENTICAL (BUG)")
-            << ".\n";
-  report.SetMetric("csr_speedup", csr_speedup);
-  report.SetMetric("csr_bit_identical", csr_bit_identical);
+  // The 64-lane naive kernel the serve layer runs against the traversal
+  // kernel the curve above ran, one thread each at 5000 trials per query.
+  const bool lane_deterministic =
+      bench::RunLaneDuel(queries.value(), 5000, report);
   report.SetMetric(
       "hardware_concurrency",
       static_cast<int64_t>(
           std::max(1u, std::thread::hardware_concurrency())));
-  return report.Write().ok() && csr_bit_identical ? 0 : 1;
+  return report.Write().ok() && lane_deterministic ? 0 : 1;
 }

@@ -24,6 +24,7 @@
 #include "bench_util.h"
 #include "core/reliability_mc.h"
 #include "integrate/scenario_harness.h"
+#include "lane_duel.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -35,25 +36,12 @@ namespace {
 /// One timed pass: MC reliability for every query at the given
 /// parallelism. Returns concatenated scores for the determinism check.
 std::vector<double> RunAllQueries(const std::vector<ScenarioQuery>& queries,
-                                  int64_t trials, ThreadPool& pool,
-                                  McOptions::Backend backend =
-                                      McOptions::Backend::kCsrSnapshot) {
-  std::vector<double> all_scores;
-  for (const ScenarioQuery& query : queries) {
-    McOptions mc;
-    mc.trials = trials;
-    mc.seed = 42;
-    mc.pool = &pool;
-    mc.backend = backend;
-    Result<McEstimate> estimate = EstimateReliabilityMc(query.graph, mc);
-    if (!estimate.ok()) {
-      std::cerr << estimate.status() << "\n";
-      std::exit(1);
-    }
-    all_scores.insert(all_scores.end(), estimate.value().scores.begin(),
-                      estimate.value().scores.end());
-  }
-  return all_scores;
+                                  int64_t trials, ThreadPool& pool) {
+  McOptions mc;
+  mc.trials = trials;
+  mc.seed = 42;
+  mc.pool = &pool;
+  return bench::EstimateAllQueries(queries, mc);
 }
 
 }  // namespace
@@ -141,36 +129,10 @@ int main() {
   }
   table.Print(std::cout);
 
-  // CSR-vs-pointer head-to-head at 1 thread: the seed-era pointer path
-  // is kept verbatim as the reference backend, so this measures exactly
-  // what the flat snapshot bought — and asserts that both backends flip
-  // the same coins (bit-identical concatenated scores).
-  double csr_speedup = 0.0;
-  bool csr_bit_identical = true;
-  {
-    ThreadPool pool(0);
-    std::vector<double> pointer_scores = RunAllQueries(
-        queries.value(), trials, pool, McOptions::Backend::kPointerView);
-    csr_bit_identical = pointer_scores == reference_scores;
-    bench::WallTimer timer;
-    for (int rep = 0; rep < reps; ++rep) {
-      RunAllQueries(queries.value(), trials, pool,
-                    McOptions::Backend::kPointerView);
-    }
-    double pointer_s = timer.Seconds();
-    csr_speedup =
-        single_thread_s > 0.0 ? pointer_s / single_thread_s : 0.0;
-    double pointer_trials_per_sec =
-        pointer_s > 0.0 ? static_cast<double>(total_trials) / pointer_s : 0.0;
-    report.SetMetric("pointer_trials_per_sec", pointer_trials_per_sec);
-    report.SetMetric("csr_speedup", csr_speedup);
-    report.SetMetric("csr_bit_identical", csr_bit_identical);
-    std::cout << "\nCSR snapshot vs pointer view (1 thread): "
-              << FormatDouble(csr_speedup, 2) << "x, scores "
-              << (csr_bit_identical ? "bit-identical"
-                                    : "NOT IDENTICAL (BUG)")
-              << ".\n";
-  }
+  // The 64-lane naive kernel the serve layer runs against the traversal
+  // kernel timed above, one thread each at the same trials per graph.
+  const bool lane_deterministic =
+      bench::RunLaneDuel(queries.value(), trials, report);
 
   std::cout << "\nDeterminism: scores at 2/4/8 threads are "
             << (deterministic ? "bit-identical" : "NOT IDENTICAL (BUG)")
@@ -195,5 +157,5 @@ int main() {
   report.SetMetric("threads_swept", static_cast<int64_t>(sweep.size()));
   report.SetMetric("max_threads_timed", sweep.back());
   Status write_status = report.Write();
-  return deterministic && csr_bit_identical && write_status.ok() ? 0 : 1;
+  return deterministic && lane_deterministic && write_status.ok() ? 0 : 1;
 }

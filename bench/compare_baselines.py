@@ -13,7 +13,7 @@ job summary. Exit status is nonzero when
   * any per-bench acceptance assertion in BENCH_GATES fails — the one
     schema-driven source of truth for every report's correctness bits
     and floor metrics (bit-identity flags, cache hit-rate floors, the
-    CSR duel speedup, the open-loop SLO). Most of these floors
+    MC lane duel speedup, the open-loop SLO). Most of these floors
     are also enforced by the bench binary's own exit code; this gate
     re-checks them against the report the artifact actually carries, or
   * a bench in EXACT_ROW_BENCHES reports `rows` that differ in any field
@@ -102,27 +102,15 @@ def positive(key):
     return check
 
 
-def csr_duel(metrics):
-    """CSR-vs-pointer duel: bit-identical, and fast enough. On a
-    single-core runner the pointer path is already CSR-shaped
-    (CompactGraphView), so the duel only measures the inlined sampler
-    and threshold tables — clamp the floor to 1.0 there rather than
-    institutionalising a number the hardware cannot produce."""
-    if "csr_speedup" not in metrics:
-        return []
-    failures = []
-    if not metrics.get("csr_bit_identical", False):
-        failures.append("CSR backend scores diverged bitwise from the "
-                        "pointer-view reference")
-    single_core = int(metrics.get("hardware_concurrency", 0)) <= 1
-    speedup_floor = 1.0 if single_core else 3.0
-    speedup = float(metrics.get("csr_speedup", 0.0))
-    if speedup < speedup_floor:
-        failures.append(
-            f"csr_speedup {speedup:.2f}x is below the {speedup_floor:g}x "
-            f"floor" + (" (clamped for a single-core runner)"
-                        if single_core else ""))
-    return failures
+def lane_duel(metrics):
+    """64-lane naive kernel vs traversal kernel: thread-count invariant,
+    and fast enough. Both sides run on one thread, so the 3x floor holds
+    on single-core runners too and is not clamped."""
+    deterministic = flag(
+        "lane_deterministic",
+        "64-lane naive scores diverged between 1 and 4 threads")
+    fast_enough = floor("lane_speedup", 3.0, strict=False)
+    return deterministic(metrics) + fast_enough(metrics)
 
 
 def open_loop_slo(metrics):
@@ -184,10 +172,10 @@ BENCH_GATES = {
     "parallel_scaling": [
         flag("deterministic_across_threads",
              "thread-sweep output diverged across thread counts"),
-        csr_duel,
+        lane_duel,
     ],
     "fig7_mc_convergence": [
-        csr_duel,
+        lane_duel,
     ],
     "durability": [
         flag("recovery_identical",
@@ -260,7 +248,7 @@ def rows_match(current_rows, baseline_rows, what):
 # Headline metrics worth a column when both sides have them.
 TRACKED_METRICS = ("cache_hit_rate", "pruned_fraction", "trials_per_sec",
                    "preserved_hit_rate", "update_latency_ms_mean",
-                   "mixed_hit_rate", "batch_s_mean", "csr_speedup",
+                   "mixed_hit_rate", "batch_s_mean", "lane_speedup",
                    "p99_ratio", "anytime_p99_s",
                    "queue_s_total", "anytime_refine_s",
                    "obs_overhead_ratio", "hist_p50_ms", "hist_p99_ms",

@@ -340,7 +340,8 @@ class Server {
   void InitMetrics();
 
   /// FNV-style hash over every option that determines ranking values
-  /// (universe shape + seed, mediator sources, MC seed + trial plan).
+  /// (universe shape + seed, mediator sources, MC seed + trial plan and
+  /// the served MC estimator's version).
   /// Stamped into the WAL header and every snapshot; a mismatch on boot
   /// means the directory belongs to a differently-configured server and
   /// replaying it would silently change results.

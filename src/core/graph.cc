@@ -161,30 +161,4 @@ std::vector<EdgeId> ProbabilisticEntityGraph::AliveEdges() const {
   return result;
 }
 
-CompactGraphView CompactGraphView::FromGraph(
-    const ProbabilisticEntityGraph& graph) {
-  CompactGraphView view;
-  int n = graph.node_capacity();
-  view.node_p.assign(n, 0.0);
-  view.out_offset.assign(n + 1, 0);
-  for (NodeId i = 0; i < n; ++i) {
-    if (graph.IsValidNode(i)) view.node_p[i] = graph.node(i).p;
-    // A dead node has no alive edges, so its out-degree is 0.
-    view.out_offset[i + 1] = view.out_offset[i] + graph.OutDegree(i);
-  }
-  int total = view.out_offset[n];
-  view.edge_to.assign(total, kInvalidNode);
-  view.edge_q.assign(total, 0.0);
-  std::vector<int32_t> out_cursor(view.out_offset.begin(),
-                                  view.out_offset.end() - 1);
-  for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
-    if (!graph.IsValidEdge(e)) continue;
-    const GraphEdge& edge = graph.edge(e);
-    int32_t oc = out_cursor[edge.from]++;
-    view.edge_to[oc] = edge.to;
-    view.edge_q[oc] = edge.q;
-  }
-  return view;
-}
-
 }  // namespace biorank

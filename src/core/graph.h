@@ -175,27 +175,6 @@ class ProbabilisticEntityGraph {
   Trail trail_;
 };
 
-/// Read-only forward CSR (compressed sparse row) view of the alive part of
-/// a graph: the MC pointer reference until ROADMAP item 4. Only
-/// EstimateReliabilityMc's Backend::kPointerView walks it; every other
-/// read-side consumer runs on BuildCsrSnapshot (core/csr_snapshot.h).
-///
-/// Dead nodes keep their ids (p forced to 0, no edges) so score vectors
-/// index directly by the original NodeId.
-struct CompactGraphView {
-  /// Node presence probabilities, indexed by NodeId; 0 for dead nodes.
-  std::vector<double> node_p;
-  /// CSR offsets into `edge_to` / `edge_q`, size node_capacity + 1.
-  std::vector<int32_t> out_offset;
-  std::vector<NodeId> edge_to;     ///< Flattened out-edge targets.
-  std::vector<double> edge_q;      ///< Edge probabilities, parallel to edge_to.
-
-  int node_count() const { return static_cast<int>(node_p.size()); }
-
-  /// Builds the view from the alive part of `graph`.
-  static CompactGraphView FromGraph(const ProbabilisticEntityGraph& graph);
-};
-
 }  // namespace biorank
 
 #endif  // BIORANK_CORE_GRAPH_H_

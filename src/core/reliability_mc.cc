@@ -24,108 +24,9 @@ Status ValidateMcOptions(const McOptions& options) {
   return Status::OK();
 }
 
-/// Per-executor scratch reused across every shard a thread runs, so shard
-/// granularity costs no allocations. Reach counts are integers, which is
-/// what makes the cross-shard sum order-independent and the final estimate
-/// bit-identical for any thread count.
-struct TrialWorkspace {
-  std::vector<int64_t> reach_count;
-  /// `last_sim[x] == epoch` marks x as simulated in the current trial.
-  /// The epoch increments monotonically across trials *and shards*, so
-  /// reuse needs no clearing.
-  std::vector<int64_t> last_sim;
-  std::vector<NodeId> stack;
-  int64_t epoch = 0;
-  // Naive-mode buffers (unused in traversal mode).
-  std::vector<uint8_t> node_present;
-  std::vector<uint8_t> edge_present;
-
-  void Init(int node_count, int edge_count, McOptions::Mode mode) {
-    reach_count.assign(node_count, 0);
-    last_sim.assign(node_count, -1);
-    stack.reserve(64);
-    if (mode == McOptions::Mode::kNaive) {
-      node_present.assign(node_count, 0);
-      edge_present.assign(edge_count, 0);
-    }
-  }
-};
-
-/// Runs `trials` traversal trials (Algorithm 3.1), accumulating per-node
-/// reach counts into `ws.reach_count`.
-void RunTraversalTrials(const CompactGraphView& view, NodeId source,
-                        int64_t trials, Rng rng, TrialWorkspace& ws) {
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    const int64_t epoch = ++ws.epoch;
-    ws.stack.clear();
-    ws.last_sim[source] = epoch;
-    if (rng.NextBernoulli(view.node_p[source])) {
-      ++ws.reach_count[source];
-      ws.stack.push_back(source);
-    }
-    while (!ws.stack.empty()) {
-      NodeId x = ws.stack.back();
-      ws.stack.pop_back();
-      for (int32_t i = view.out_offset[x]; i < view.out_offset[x + 1]; ++i) {
-        // One coin per edge per trial: x expands at most once per trial.
-        if (!rng.NextBernoulli(view.edge_q[i])) continue;
-        NodeId y = view.edge_to[i];
-        if (ws.last_sim[y] == epoch) continue;
-        ws.last_sim[y] = epoch;
-        if (rng.NextBernoulli(view.node_p[y])) {
-          ++ws.reach_count[y];
-          ws.stack.push_back(y);
-        }
-      }
-    }
-  }
-}
-
-/// Runs `trials` naive trials: every element flips a coin, then a DFS over
-/// the sampled subgraph counts reached-and-present nodes.
-void RunNaiveTrials(const CompactGraphView& view, NodeId source,
-                    int64_t trials, Rng rng, TrialWorkspace& ws) {
-  const int n = static_cast<int>(view.node_p.size());
-  const int m = static_cast<int>(view.edge_q.size());
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    const int64_t epoch = ++ws.epoch;
-    for (int i = 0; i < n; ++i) {
-      ws.node_present[i] = rng.NextBernoulli(view.node_p[i]) ? 1 : 0;
-    }
-    for (int i = 0; i < m; ++i) {
-      ws.edge_present[i] = rng.NextBernoulli(view.edge_q[i]) ? 1 : 0;
-    }
-    if (!ws.node_present[source]) continue;
-    ws.stack.clear();
-    ws.stack.push_back(source);
-    ws.last_sim[source] = epoch;
-    ++ws.reach_count[source];
-    while (!ws.stack.empty()) {
-      NodeId x = ws.stack.back();
-      ws.stack.pop_back();
-      for (int32_t i = view.out_offset[x]; i < view.out_offset[x + 1]; ++i) {
-        if (!ws.edge_present[i]) continue;
-        NodeId y = view.edge_to[i];
-        if (ws.last_sim[y] == epoch || !ws.node_present[y]) continue;
-        ws.last_sim[y] = epoch;
-        ++ws.reach_count[y];
-        ws.stack.push_back(y);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CSR-snapshot backend. Same trials, same coins, flat arrays, and a
-// fully inlined sampler: the pointer path pays an out-of-line Rng call
-// per coin, which dominates the per-edge cost of the traversal kernel.
-// ---------------------------------------------------------------------------
-
-/// xoshiro256++ inlined into the kernel, bit-compatible with util/rng.h's
-/// Rng: same SplitMix64 seeding, same output function, same top-53-bit
-/// double mapping, and the same "certain elements consume no draw"
-/// shortcut. Any divergence from Rng breaks the pointer-vs-CSR
-/// bit-identity the differential suite asserts, so it cannot rot quietly.
+/// xoshiro256++ inlined into the kernels, bit-compatible with util/rng.h's
+/// Rng: same SplitMix64 seeding and the same output function, so shard i
+/// draws exactly the words of Rng::ForStream(seed, i).
 struct InlineRng {
   uint64_t s[4];
 
@@ -145,23 +46,16 @@ struct InlineRng {
     s[3] = ((s[3] << 45) | (s[3] >> 19));
     return result;
   }
-
-  inline bool Bernoulli(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53 < p;
-  }
 };
 
-/// Probabilities pre-scaled to 53-bit integer thresholds so the kernel
-/// compares the raw 53-bit draw directly: for integer x < 2^53 and
-/// p in (0,1), (double)x * 2^-53 < p  ⟺  x < ceil(p * 2^53) — both
-/// sides are exact (power-of-two scaling is lossless and x has ≤ 53
-/// bits), so the accept/reject decision is bit-identical to
-/// Rng::NextBernoulli. Certain and impossible elements get sentinel
-/// values that preserve the "no draw consumed" shortcut. On the Fig. 7
-/// workload 76% of edges are certain, so the hot loop's common case
-/// collapses to one integer compare with no RNG advance.
+/// Probabilities pre-scaled to 53-bit integer thresholds so the kernels
+/// compare raw 53-bit draws directly: for integer x < 2^53 and p in
+/// (0,1), (double)x * 2^-53 < p  ⟺  x < ceil(p * 2^53) — both sides are
+/// exact (power-of-two scaling is lossless and x has ≤ 53 bits), so the
+/// accept/reject decision equals Rng::NextBernoulli's. Certain and
+/// impossible elements get sentinels and consume no draw. On the Fig. 7
+/// workload 76% of edges are certain, so the common case collapses to
+/// one integer compare with no RNG advance.
 constexpr uint64_t kThreshNever = 0;                     // p <= 0: false, no draw
 constexpr uint64_t kThreshCertain = ~uint64_t{0};        // p >= 1: true, no draw
 
@@ -192,32 +86,47 @@ struct CsrThresholds {
   }
 };
 
-/// Dense scratch for the CSR kernels; arrays are sized to the snapshot's
-/// node count (no tombstone slack), so the per-trial working set is as
-/// small as the kept subgraph.
-struct CsrTrialWorkspace {
+/// Per-slot scratch reused across every shard a thread runs, so no shard
+/// allocates. Arrays are sized to the snapshot's node and edge counts (no
+/// tombstone slack). Reach counts are integers, which is what makes the
+/// cross-shard sum order-independent and the final estimate bit-identical
+/// for any thread count.
+struct ShardWorkspace {
   std::vector<int64_t> reach_count;
+  // Traversal: `last_sim[x] == epoch` marks x as simulated in the current
+  // trial. The epoch increments across trials *and shards*, so reuse
+  // needs no clearing.
   std::vector<int64_t> last_sim;
   std::vector<uint32_t> stack;
   int64_t epoch = 0;
-  std::vector<uint8_t> node_present;
-  std::vector<uint8_t> edge_present;
+  // 64 lanes: one presence mask per node and edge, one reach mask per
+  // node, and a FIFO worklist of nodes whose reach mask grew.
+  std::vector<uint64_t> node_mask;
+  std::vector<uint64_t> edge_mask;
+  std::vector<uint64_t> reach;
+  std::vector<uint32_t> queue;
+  std::vector<uint8_t> queued;
 
   void Init(uint32_t node_count, uint32_t edge_count, McOptions::Mode mode) {
     reach_count.assign(node_count, 0);
-    last_sim.assign(node_count, -1);
-    stack.reserve(64);
-    if (mode == McOptions::Mode::kNaive) {
-      node_present.assign(node_count, 0);
-      edge_present.assign(edge_count, 0);
+    if (mode == McOptions::Mode::kTraversal) {
+      last_sim.assign(node_count, -1);
+      stack.reserve(64);
+    } else {
+      node_mask.assign(node_count, 0);
+      edge_mask.assign(edge_count, 0);
+      reach.assign(node_count, 0);
+      queue.assign(node_count, 0);
+      queued.assign(node_count, 0);
     }
   }
 };
 
-void RunCsrTraversalTrials(const CsrSnapshot& csr,
-                           const CsrThresholds& thresholds, uint32_t source,
-                           int64_t trials, InlineRng rng,
-                           CsrTrialWorkspace& ws) {
+/// Runs `trials` traversal trials (Algorithm 3.1), accumulating per-node
+/// reach counts into `ws.reach_count`.
+void RunTraversalTrials(const CsrSnapshot& csr,
+                        const CsrThresholds& thresholds, uint32_t source,
+                        int64_t trials, InlineRng rng, ShardWorkspace& ws) {
   const uint64_t* const node_t = thresholds.node.data();
   const uint64_t* const edge_t = thresholds.edge.data();
   const uint32_t* const out_offset = csr.out_offset.data();
@@ -237,6 +146,7 @@ void RunCsrTraversalTrials(const CsrSnapshot& csr,
       ws.stack.pop_back();
       const uint32_t end = out_offset[x + 1];
       for (uint32_t i = out_offset[x]; i < end; ++i) {
+        // One coin per edge per trial: x expands at most once per trial.
         const uint64_t et = edge_t[i];
         if (et != kThreshCertain &&
             (et == kThreshNever || !DrawAgainst(rng, et))) {
@@ -256,102 +166,97 @@ void RunCsrTraversalTrials(const CsrSnapshot& csr,
   }
 }
 
-void RunCsrNaiveTrials(const CsrSnapshot& csr,
-                       const CsrThresholds& thresholds, uint32_t source,
-                       int64_t trials, InlineRng rng,
-                       CsrTrialWorkspace& ws) {
-  const uint32_t n = csr.num_nodes();
-  const uint32_t m = csr.num_edges();
-  const uint64_t* const node_t = thresholds.node.data();
-  const uint64_t* const edge_t = thresholds.edge.data();
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    const int64_t epoch = ++ws.epoch;
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t t = node_t[i];
-      ws.node_present[i] =
-          (t == kThreshCertain ||
-           (t != kThreshNever && DrawAgainst(rng, t)))
-              ? 1
-              : 0;
-    }
-    for (uint32_t i = 0; i < m; ++i) {
-      const uint64_t t = edge_t[i];
-      ws.edge_present[i] =
-          (t == kThreshCertain ||
-           (t != kThreshNever && DrawAgainst(rng, t)))
-              ? 1
-              : 0;
-    }
-    if (!ws.node_present[source]) continue;
-    ws.stack.clear();
-    ws.stack.push_back(source);
-    ws.last_sim[source] = epoch;
-    ++ws.reach_count[source];
-    while (!ws.stack.empty()) {
-      const uint32_t x = ws.stack.back();
-      ws.stack.pop_back();
-      const uint32_t end = csr.out_offset[x + 1];
-      for (uint32_t i = csr.out_offset[x]; i < end; ++i) {
-        if (!ws.edge_present[i]) continue;
-        const uint32_t y = csr.out_to[i];
-        if (ws.last_sim[y] == epoch || !ws.node_present[y]) continue;
-        ws.last_sim[y] = epoch;
-        ++ws.reach_count[y];
-        ws.stack.push_back(y);
-      }
-    }
+constexpr int kLanes = 64;
+
+/// 64 independent Bernoulli(threshold / 2^53) coins, one per bit. Lane j
+/// compares a uniform 53-bit x_j with the threshold most significant bit
+/// first, and word k supplies bit 52 - k of every lane's x_j at once. A
+/// lane is decided at its first bit that differs from the threshold's:
+/// x_j < threshold iff that bit is 0 in x_j and 1 in the threshold. Each
+/// word decides about half the undecided lanes, so a mask costs about 7
+/// words rather than 64. The draw also stops at the threshold's lowest
+/// set bit: a lane still equal to the threshold there has x_j >= it.
+inline uint64_t DrawLaneMask(InlineRng& rng, uint64_t threshold) {
+  const int lowest = __builtin_ctzll(threshold);
+  uint64_t undecided = ~uint64_t{0};
+  uint64_t accept = 0;
+  for (int bit = 52;; --bit) {
+    const uint64_t word = rng.Next();
+    const uint64_t threshold_bit = uint64_t{0} - ((threshold >> bit) & 1);
+    accept |= undecided & ~word & threshold_bit;
+    undecided &= ~(word ^ threshold_bit);
+    if (bit == lowest || undecided == 0) return accept;
   }
 }
 
-/// The seed-era pointer-view estimator, byte-for-byte the original hot
-/// path — now the differential reference backend.
-Result<McEstimate> EstimateOnPointerView(const QueryGraph& query_graph,
-                                         const McOptions& options) {
-  CompactGraphView view = CompactGraphView::FromGraph(query_graph.graph);
-  const int n = view.node_count();
-  const int m = static_cast<int>(view.edge_q.size());
+/// A lane mask for one element; certain and impossible elements draw no
+/// word.
+inline uint64_t LaneMask(InlineRng& rng, uint64_t threshold) {
+  if (threshold == kThreshCertain) return ~uint64_t{0};
+  if (threshold == kThreshNever) return 0;
+  return DrawLaneMask(rng, threshold);
+}
 
-  // Fixed shard schedule: shard i runs shards[i] trials on RNG stream
-  // (seed, i). Which thread runs which shard never affects the counts.
-  Result<std::vector<int64_t>> plan =
-      PlanTrialShards(options.trials, options.shard_trials);
-  if (!plan.ok()) return plan.status();
-  const std::vector<int64_t>& shards = plan.value();
-
-  ThreadPool& pool = options.pool != nullptr ? *options.pool
-                                             : ThreadPool::Global();
-  const int max_parallelism = options.num_threads == 0
-                                  ? ThreadPool::kUnlimitedParallelism
-                                  : options.num_threads;
-
-  std::vector<TrialWorkspace> workspaces(pool.slot_count());
-  pool.ParallelFor(
-      static_cast<int64_t>(shards.size()),
-      [&](int slot, int64_t shard) {
-        TrialWorkspace& ws = workspaces[slot];
-        if (ws.reach_count.empty()) ws.Init(n, m, options.mode);
-        Rng rng = Rng::ForStream(options.seed, static_cast<uint64_t>(shard));
-        if (options.mode == McOptions::Mode::kTraversal) {
-          RunTraversalTrials(view, query_graph.source, shards[shard], rng, ws);
-        } else {
-          RunNaiveTrials(view, query_graph.source, shards[shard], rng, ws);
+/// Runs `trials` naive trials 64 at a time: every node and then every
+/// edge draws its lane mask, reach masks propagate from the source by
+/// AND/OR over a worklist, and each node counts the lanes it was reached
+/// and present in. Masks only grow, so the worklist drains on cyclic
+/// graphs too, and its fixpoint does not depend on the visiting order.
+void RunLaneTrials(const CsrSnapshot& csr, const CsrThresholds& thresholds,
+                   uint32_t source, int64_t trials, InlineRng rng,
+                   ShardWorkspace& ws) {
+  const uint32_t n = csr.num_nodes();
+  const uint32_t m = csr.num_edges();
+  const uint32_t* const out_offset = csr.out_offset.data();
+  const uint32_t* const out_to = csr.out_to.data();
+  uint64_t* const node_mask = ws.node_mask.data();
+  uint64_t* const edge_mask = ws.edge_mask.data();
+  uint64_t* const reach = ws.reach.data();
+  uint32_t* const queue = ws.queue.data();
+  uint8_t* const queued = ws.queued.data();
+  for (int64_t first = 0; first < trials; first += kLanes) {
+    const int64_t lanes = std::min<int64_t>(kLanes, trials - first);
+    const uint64_t live =
+        lanes == kLanes ? ~uint64_t{0} : (uint64_t{1} << lanes) - 1;
+    for (uint32_t i = 0; i < n; ++i) {
+      node_mask[i] = LaneMask(rng, thresholds.node[i]);
+    }
+    for (uint32_t i = 0; i < m; ++i) {
+      edge_mask[i] = LaneMask(rng, thresholds.edge[i]);
+    }
+    std::fill(reach, reach + n, uint64_t{0});
+    // Masking the source's lanes masks every node's: reach only flows
+    // out of the source.
+    reach[source] = node_mask[source] & live;
+    if (reach[source] == 0) continue;
+    uint32_t head = 0;
+    uint32_t size = 1;
+    queue[0] = source;
+    queued[source] = 1;
+    while (size > 0) {
+      const uint32_t x = queue[head];
+      head = head + 1 == n ? 0 : head + 1;
+      --size;
+      queued[x] = 0;
+      const uint64_t from = reach[x];
+      const uint32_t end = out_offset[x + 1];
+      for (uint32_t i = out_offset[x]; i < end; ++i) {
+        const uint32_t y = out_to[i];
+        const uint64_t grown = from & edge_mask[i] & node_mask[y] & ~reach[y];
+        if (grown == 0) continue;
+        reach[y] |= grown;
+        if (!queued[y]) {
+          queued[y] = 1;
+          const uint32_t tail = head + size;
+          queue[tail >= n ? tail - n : tail] = y;
+          ++size;
         }
-      },
-      max_parallelism);
-
-  McEstimate estimate;
-  estimate.trials = options.trials;
-  estimate.scores.assign(n, 0.0);
-  std::vector<int64_t> totals(n, 0);
-  for (const TrialWorkspace& ws : workspaces) {
-    if (ws.reach_count.empty()) continue;
-    for (int i = 0; i < n; ++i) totals[i] += ws.reach_count[i];
+      }
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      ws.reach_count[i] += __builtin_popcountll(reach[i]);
+    }
   }
-  for (int i = 0; i < n; ++i) {
-    estimate.scores[i] = static_cast<double>(totals[i]) /
-                         static_cast<double>(options.trials);
-  }
-  return estimate;
 }
 
 }  // namespace
@@ -388,30 +293,30 @@ Result<McShardTallies> TallyReliabilityMcShards(
                                   : options.num_threads;
 
   const CsrThresholds thresholds(csr);
-  std::vector<CsrTrialWorkspace> workspaces(pool.slot_count());
+  std::vector<ShardWorkspace> workspaces(pool.slot_count());
   pool.ParallelFor(
       range,
       [&](int slot, int64_t offset) {
         const int64_t shard = shard_begin + offset;
-        CsrTrialWorkspace& ws = workspaces[slot];
+        ShardWorkspace& ws = workspaces[slot];
         if (ws.reach_count.empty()) ws.Init(n, m, options.mode);
         // Same per-shard stream as Rng::ForStream(seed, shard).
         InlineRng rng(DeriveStreamSeed(options.seed,
                                        static_cast<uint64_t>(shard)));
         if (options.mode == McOptions::Mode::kTraversal) {
-          RunCsrTraversalTrials(csr, thresholds, snapshot.source,
-                                shards[shard], rng, ws);
+          RunTraversalTrials(csr, thresholds, snapshot.source, shards[shard],
+                             rng, ws);
         } else {
-          RunCsrNaiveTrials(csr, thresholds, snapshot.source, shards[shard],
-                            rng, ws);
+          RunLaneTrials(csr, thresholds, snapshot.source, shards[shard], rng,
+                        ws);
         }
       },
       max_parallelism);
 
   // Dense integer totals, then one expansion back to original NodeId
-  // indexing (dead nodes count 0) so callers are backend-agnostic.
+  // indexing (dead nodes count 0).
   std::vector<int64_t> totals(n, 0);
-  for (const CsrTrialWorkspace& ws : workspaces) {
+  for (const ShardWorkspace& ws : workspaces) {
     if (ws.reach_count.empty()) continue;
     for (uint32_t i = 0; i < n; ++i) totals[i] += ws.reach_count[i];
   }
@@ -452,9 +357,6 @@ Result<McEstimate> EstimateReliabilityMc(const QueryGraph& query_graph,
                                          const McOptions& options) {
   BIORANK_RETURN_IF_ERROR(query_graph.Validate());
   BIORANK_RETURN_IF_ERROR(ValidateMcOptions(options));
-  if (options.backend == McOptions::Backend::kPointerView) {
-    return EstimateOnPointerView(query_graph, options);
-  }
   Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(query_graph);
   if (!snapshot.ok()) return snapshot.status();
   return EstimateReliabilityMcOnSnapshot(snapshot.value(), options);

@@ -1,6 +1,8 @@
 // Monte Carlo estimation of source-target reliability (the paper's
-// Algorithm 3.1), with both a naive sampler and the lazy depth-first
-// sampler that only flips coins for elements actually reached.
+// Algorithm 3.1) on the flat CSR snapshot, with two kernels: the lazy
+// depth-first sampler that only flips coins for elements actually
+// reached, and a naive sampler that flips every coin for 64 trials at a
+// time.
 
 #ifndef BIORANK_CORE_RELIABILITY_MC_H_
 #define BIORANK_CORE_RELIABILITY_MC_H_
@@ -17,35 +19,35 @@ namespace biorank {
 
 /// Monte Carlo estimation options (Section 3.1, Algorithm 3.1).
 struct McOptions {
-  /// How the random subgraph is sampled per trial.
+  /// How the random subgraph is sampled per trial. The two modes are
+  /// the same estimator (each trial is one random subgraph, and a node
+  /// scores the fraction of trials it was reached and present in) but
+  /// draw different coins, so their estimates differ at a fixed seed.
   enum class Mode {
-    /// Algorithm 3.1: depth-first traversal from the source that only
-    /// flips coins for elements actually reached. Identical estimator to
-    /// kNaive, substantially faster (the paper reports an average 3.4x
-    /// speedup on its scenario graphs).
+    /// Algorithm 3.1: one trial at a time, a depth-first traversal from
+    /// the source that only flips coins for elements actually reached
+    /// (the paper reports an average 3.4x speedup over a scalar naive
+    /// sampler on its scenario graphs). The default: Ranker, the
+    /// scenario harness and the Figure 7 reproduction run it, and
+    /// tests/testdata/mc_golden.txt pins its estimates.
     kTraversal,
-    /// The naive simulation: flip a coin for every node and every edge,
-    /// then test reachability. Kept as the baseline for the speedup
-    /// comparison in `bench_reduction_stats`.
+    /// Every element flips its coin, 64 trials at a time. Per block of
+    /// 64 consecutive trials of a shard, each uncertain node and then
+    /// each uncertain edge (dense CSR order) gets one 64-bit presence
+    /// mask, bit j for trial j: an exact Bernoulli draw against the
+    /// 53-bit threshold ceil(p * 2^53), made as a most-significant-bit-
+    /// first bit-sliced compare over fresh generator words (about 7
+    /// words per mask, not 64). Certain and impossible elements draw
+    /// nothing. Reach masks then propagate from the source by AND/OR
+    /// over a worklist, and each node adds the popcount of its reach
+    /// mask, with the lanes past a shard's last trial masked off. The
+    /// serve layer's RankingService runs this mode.
     kNaive,
-  };
-
-  /// Which graph substrate the trials run on. Both backends flip the
-  /// same coins in the same order, so every estimate is bit-identical
-  /// between them (pinned by tests/core_csr_differential_test.cc).
-  enum class Backend {
-    /// Flat CSR snapshot (core/csr_snapshot.h) with an inlined sampler —
-    /// the hot path. Default.
-    kCsrSnapshot,
-    /// The seed-era CompactGraphView walk. Kept verbatim as the
-    /// differential reference and for A/B timing in the benches.
-    kPointerView,
   };
 
   int64_t trials = 10000;
   uint64_t seed = 42;
   Mode mode = Mode::kTraversal;
-  Backend backend = Backend::kCsrSnapshot;
   /// Parallelism. Trials are split into fixed shards of `shard_trials`
   /// whose RNG streams depend only on (seed, shard index), and the
   /// per-shard reach counts are integers, so the estimate is bit-identical
@@ -59,7 +61,8 @@ struct McOptions {
   /// Trials per parallel shard. Larger shards amortize scheduling; smaller
   /// shards load-balance better. Changing this changes the RNG streams
   /// (and thus the exact estimate), so it is part of the reproducibility
-  /// key.
+  /// key. kNaive draws whole 64-trial blocks, so a multiple of 64 wastes
+  /// no lanes.
   int64_t shard_trials = 512;
   /// Pool to fan shards out on; nullptr = ThreadPool::Global().
   ThreadPool* pool = nullptr;
@@ -81,8 +84,7 @@ Result<McEstimate> EstimateReliabilityMc(const QueryGraph& query_graph,
 
 /// Same estimator on a prebuilt CSR query snapshot, skipping the
 /// per-call snapshot build — the fast path for callers that run many
-/// batches against one graph (the Figure 7 repetition harness).
-/// `options.backend` is ignored (the snapshot *is* the backend); scores
+/// batches against one graph (the Figure 7 repetition harness). Scores
 /// come back indexed by the snapshot's original NodeIds, exactly like
 /// EstimateReliabilityMc.
 Result<McEstimate> EstimateReliabilityMcOnSnapshot(

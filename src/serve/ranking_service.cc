@@ -232,6 +232,7 @@ Status RankingService::AdvanceMonteCarlo(UniqueState& u,
                                          int64_t trial_budget) {
   if (u.entry.has_value) return Status::OK();
   McOptions mc;
+  mc.mode = McOptions::Mode::kNaive;
   mc.trials = mc_trials_;
   mc.seed = DeriveStreamSeed(options_.seed, u.canonical->key.hash);
   mc.shard_trials = options_.mc_shard_trials;

@@ -101,6 +101,12 @@ struct RequestStats {
   }
 };
 
+/// Version of the Monte Carlo estimator the service serves: 1 was the
+/// traversal kernel, 2 is the 64-lane kNaive kernel. Served values are a
+/// function of it, so api::Server folds it into its storage fingerprint
+/// and a store written under another version is refused at boot.
+inline constexpr uint64_t kServedMcEstimatorVersion = 2;
+
 /// Configuration for RankingService.
 struct RankingServiceOptions {
   CanonicalizeOptions canonicalize;
@@ -264,7 +270,8 @@ class RankingService {
 
   /// Phase 6b: advance a survivor's Monte Carlo state by whole shards of
   /// the deterministic schedule PlanTrialShards(McTrialsPerCandidate(),
-  /// mc_shard_trials), resuming at the entry's `trials` position.
+  /// mc_shard_trials), resuming at the entry's `trials` position. The
+  /// shards run the 64-lane McOptions::Mode::kNaive kernel.
   /// `trial_budget` <= 0 runs to convergence; otherwise the increment
   /// covers the fewest whole shards totalling >= trial_budget trials.
   /// Because shard i always draws from the stream derived from (seed,

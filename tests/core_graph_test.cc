@@ -174,47 +174,5 @@ TEST(GraphTest, UndoScopeRevertsJournaledMutationsExactly) {
   static_assert(std::is_nothrow_move_constructible_v<ProbabilisticEntityGraph>);
 }
 
-TEST(CompactViewTest, MirrorsAliveStructure) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(0.9);
-  NodeId b = g.AddNode(0.8);
-  NodeId c = g.AddNode(0.7);
-  g.AddEdge(a, b, 0.5).value();
-  g.AddEdge(b, c, 0.4).value();
-  g.AddEdge(a, c, 0.3).value();
-  CompactGraphView view = CompactGraphView::FromGraph(g);
-  EXPECT_EQ(view.node_count(), 3);
-  EXPECT_DOUBLE_EQ(view.node_p[a], 0.9);
-  EXPECT_EQ(view.out_offset[a + 1] - view.out_offset[a], 2);
-  EXPECT_EQ(view.out_offset[b + 1] - view.out_offset[b], 1);
-  EXPECT_EQ(view.out_offset[c + 1] - view.out_offset[c], 0);
-}
-
-TEST(CompactViewTest, DeadNodesHaveZeroProbAndNoEdges) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(0.9);
-  NodeId b = g.AddNode(0.8);
-  NodeId c = g.AddNode(0.7);
-  g.AddEdge(a, b, 0.5).value();
-  g.AddEdge(b, c, 0.4).value();
-  g.RemoveNode(b);
-  CompactGraphView view = CompactGraphView::FromGraph(g);
-  EXPECT_EQ(view.node_count(), 3);  // Ids preserved.
-  EXPECT_DOUBLE_EQ(view.node_p[b], 0.0);
-  EXPECT_EQ(view.out_offset[a + 1] - view.out_offset[a], 0);
-  EXPECT_EQ(view.out_offset[b + 1] - view.out_offset[b], 0);
-}
-
-TEST(CompactViewTest, EdgeDataMatches) {
-  ProbabilisticEntityGraph g;
-  NodeId a = g.AddNode(1.0);
-  NodeId b = g.AddNode(1.0);
-  g.AddEdge(a, b, 0.25).value();
-  CompactGraphView view = CompactGraphView::FromGraph(g);
-  ASSERT_EQ(view.edge_to.size(), 1u);
-  EXPECT_EQ(view.edge_to[0], b);
-  EXPECT_DOUBLE_EQ(view.edge_q[0], 0.25);
-}
-
 }  // namespace
 }  // namespace biorank

@@ -52,7 +52,7 @@ constexpr char kGoldenHeader[] =
     "# (each score least significant byte first).\n";
 
 /// One golden line per (round, threads, shard_trials), in that order.
-std::vector<std::string> GoldenLines(McOptions::Backend backend) {
+std::vector<std::string> GoldenLines() {
   ThreadPool pool(3);
   Rng rng(20260808);
   std::vector<std::string> lines;
@@ -64,7 +64,6 @@ std::vector<std::string> GoldenLines(McOptions::Backend backend) {
         mc.trials = 1500;
         mc.seed = 1000 + static_cast<uint64_t>(round);
         mc.mode = McOptions::Mode::kTraversal;
-        mc.backend = backend;
         mc.num_threads = threads;
         mc.pool = threads > 1 ? &pool : nullptr;
         mc.shard_trials = shard_trials;
@@ -86,13 +85,13 @@ std::vector<std::string> GoldenLines(McOptions::Backend backend) {
   return lines;
 }
 
-void ExpectMatchesFixture(const std::vector<std::string>& actual,
-                          const char* what) {
+TEST(McGoldenTest, TraversalMatchesTheFixture) {
   std::vector<std::string> expected;
   std::ifstream fixture(BIORANK_TESTDATA_DIR "/mc_golden.txt");
   for (std::string line; std::getline(fixture, line);) {
     if (!line.empty() && line[0] != '#') expected.push_back(line);
   }
+  const std::vector<std::string> actual = GoldenLines();
   if (actual != expected) {
     // Only for an intentional change to the traversal estimator: diff
     // this file, then copy it over tests/testdata/mc_golden.txt.
@@ -101,26 +100,16 @@ void ExpectMatchesFixture(const std::vector<std::string>& actual,
     for (const std::string& line : actual) out << line << "\n";
   }
   ASSERT_EQ(actual.size(), expected.size())
-      << what << ": see mc_golden.actual.txt";
+      << "see mc_golden.actual.txt";
   size_t mismatches = 0;
   for (size_t i = 0; i < actual.size(); ++i) {
     if (actual[i] != expected[i] && ++mismatches <= 5) {
-      ADD_FAILURE() << what << ": expected " << expected[i]
+      ADD_FAILURE() << "expected " << expected[i]
                     << "\n  actual   " << actual[i];
     }
   }
-  EXPECT_EQ(mismatches, 0u) << what << ": traversal MC estimates moved; "
-                               "actual values in mc_golden.actual.txt";
-}
-
-TEST(McGoldenTest, CsrTraversalMatchesTheFixture) {
-  ExpectMatchesFixture(GoldenLines(McOptions::Backend::kCsrSnapshot),
-                       "CSR snapshot");
-}
-
-TEST(McGoldenTest, PointerTraversalMatchesTheFixture) {
-  ExpectMatchesFixture(GoldenLines(McOptions::Backend::kPointerView),
-                       "pointer view");
+  EXPECT_EQ(mismatches, 0u) << "traversal MC estimates moved; actual "
+                               "values in mc_golden.actual.txt";
 }
 
 }  // namespace

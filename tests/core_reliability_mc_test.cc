@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "core/csr_snapshot.h"
 #include "core/query_graph.h"
+#include "core/reliability_exact.h"
 #include "core/trial_bound.h"
+#include "testing/random_graphs.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace biorank {
 namespace {
@@ -55,6 +62,8 @@ TEST(McTest, ConvergesToBridgeReliability) {
 }
 
 TEST(McTest, NaiveAndTraversalAgreeInDistribution) {
+  // Same estimator, different coins: the 64-lane naive kernel and the
+  // traversal kernel land within sampling noise of each other.
   QueryGraph g = MakeFig4bWheatstoneBridge();
   McOptions traversal;
   traversal.trials = 100000;
@@ -195,6 +204,8 @@ TEST(McTest, AutoThreadsMatchesExplicitPool) {
 }
 
 TEST(McTest, NaiveModeIsAlsoThreadCountInvariant) {
+  // 6000 trials = 11 full 512-trial shards plus a 368-trial one, whose
+  // last 64-lane block is partial.
   QueryGraph g = MakeFig4bWheatstoneBridge();
   McOptions options;
   options.trials = 6000;
@@ -204,12 +215,196 @@ TEST(McTest, NaiveModeIsAlsoThreadCountInvariant) {
   Result<McEstimate> reference = EstimateReliabilityMc(g, options);
   ASSERT_TRUE(reference.ok());
   ThreadPool pool(3);
-  McOptions parallel = options;
-  parallel.num_threads = 4;
-  parallel.pool = &pool;
-  Result<McEstimate> r = EstimateReliabilityMc(g, parallel);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().scores, reference.value().scores);
+  for (int threads : {3, 4}) {
+    McOptions parallel = options;
+    parallel.num_threads = threads;
+    parallel.pool = &pool;
+    Result<McEstimate> r = EstimateReliabilityMc(g, parallel);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().scores, reference.value().scores)
+        << threads << " threads";
+  }
+}
+
+/// Sums the naive kernel's tallies over consecutive ranges of the shard
+/// schedule that end at the shards where `cuts` has a bit set (bit i: a
+/// range ends after shard i).
+McShardTallies TallyInRanges(const CsrQuerySnapshot& snapshot,
+                             const McOptions& options, int64_t num_shards,
+                             uint32_t cuts) {
+  McShardTallies sum;
+  int64_t begin = 0;
+  for (int64_t shard = 0; shard < num_shards; ++shard) {
+    const bool last = shard == num_shards - 1;
+    if (!last && ((cuts >> shard) & 1) == 0) continue;
+    Result<McShardTallies> range =
+        TallyReliabilityMcShards(snapshot, options, begin, shard + 1);
+    EXPECT_TRUE(range.ok()) << range.status();
+    if (!range.ok()) return sum;
+    if (sum.counts.empty()) sum.counts.assign(range.value().counts.size(), 0);
+    for (size_t i = 0; i < sum.counts.size(); ++i) {
+      sum.counts[i] += range.value().counts[i];
+    }
+    sum.trials += range.value().trials;
+    begin = shard + 1;
+  }
+  return sum;
+}
+
+TEST(McTest, NaiveTalliesAreBitIdenticalAcrossThreadsAndShardPartitions) {
+  // Shard i draws only from stream (seed, i) and tallies are integers,
+  // so every partition of the schedule into TallyReliabilityMcShards
+  // ranges, at any thread count, sums to the one-shot counts. The trial
+  // counts leave a short last shard, and shard sizes 1 and 7 run
+  // partial 64-lane blocks only.
+  struct Plan {
+    int64_t shard_trials;
+    int64_t trials;
+  };
+  const Plan plans[] = {{1, 9}, {7, 45}, {64, 300}, {512, 1100}};
+  Rng rng(4242);
+  ThreadPool pool(3);
+  for (int round = 0; round < 3; ++round) {
+    Result<CsrQuerySnapshot> snapshot =
+        BuildCsrQuerySnapshot(testing::MakeRoundRobinGraph(rng, round));
+    ASSERT_TRUE(snapshot.ok());
+    for (const Plan& plan : plans) {
+      McOptions options;
+      options.mode = McOptions::Mode::kNaive;
+      options.trials = plan.trials;
+      options.shard_trials = plan.shard_trials;
+      options.seed = 900 + static_cast<uint64_t>(round);
+      options.num_threads = 1;
+      const int64_t num_shards =
+          PlanTrialShards(plan.trials, plan.shard_trials).value().size();
+      Result<McShardTallies> reference = TallyReliabilityMcShards(
+          snapshot.value(), options, 0, num_shards);
+      ASSERT_TRUE(reference.ok());
+      ASSERT_EQ(reference.value().trials, plan.trials);
+      for (int threads : {3, 4}) {
+        McOptions parallel = options;
+        parallel.num_threads = threads;
+        parallel.pool = &pool;
+        Result<McShardTallies> r = TallyReliabilityMcShards(
+            snapshot.value(), parallel, 0, num_shards);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.value().counts, reference.value().counts)
+            << "round " << round << ", shard_trials " << plan.shard_trials
+            << ", " << threads << " threads";
+      }
+      for (uint32_t cuts = 0; cuts < (1u << (num_shards - 1)); ++cuts) {
+        McShardTallies sum =
+            TallyInRanges(snapshot.value(), options, num_shards, cuts);
+        EXPECT_EQ(sum.trials, plan.trials);
+        EXPECT_EQ(sum.counts, reference.value().counts)
+            << "round " << round << ", shard_trials " << plan.shard_trials
+            << ", cuts " << cuts;
+      }
+    }
+  }
+}
+
+TEST(McTest, NaiveCertainAndImpossibleElementsDrawNoWord) {
+  // The extended graph adds certain and impossible elements, with the
+  // source's new out-edges ahead of every other node's edges in draw
+  // order. Had any of them drawn a word, every later mask would shift
+  // and the original nodes' estimates would move.
+  auto build = [](bool extended) {
+    QueryGraphBuilder b;
+    NodeId s = b.Source();
+    NodeId a = b.Node(0.8, "a");
+    NodeId c = b.Node(0.7, "c");
+    NodeId u = b.Node(0.9, "u");
+    b.Edge(s, a, 0.6);
+    b.Edge(s, c, 0.5);
+    b.Edge(a, c, 0.3);
+    b.Edge(a, u, 0.55);
+    b.Edge(c, u, 0.45);
+    if (extended) {
+      NodeId certain = b.Node(1.0, "certain");
+      NodeId impossible = b.Node(0.0, "impossible");
+      b.Edge(s, certain, 1.0);
+      b.Edge(s, impossible, 1.0);
+      b.Edge(s, u, 0.0);
+      b.Edge(u, s, 1.0);
+    }
+    return std::move(b).Build({u});
+  };
+  QueryGraph base = build(false);
+  QueryGraph extended = build(true);
+  McOptions options;
+  options.mode = McOptions::Mode::kNaive;
+  options.trials = 1000;
+  options.seed = 61;
+  Result<McEstimate> rb = EstimateReliabilityMc(base, options);
+  Result<McEstimate> re = EstimateReliabilityMc(extended, options);
+  ASSERT_TRUE(rb.ok());
+  ASSERT_TRUE(re.ok());
+  const std::vector<double>& scores = re.value().scores;
+  ASSERT_EQ(scores.size(), rb.value().scores.size() + 2);
+  EXPECT_EQ(std::vector<double>(scores.begin(),
+                                scores.begin() + rb.value().scores.size()),
+            rb.value().scores);
+  EXPECT_EQ(scores[scores.size() - 2], 1.0);  // Certain, off the source.
+  EXPECT_EQ(scores.back(), 0.0);              // Impossible.
+}
+
+TEST(McTest, NaiveEstimatesMatchExactReliability) {
+  // Every graph of the seeded random-graph corpus that factoring resolves
+  // within 20,000 calls (45 of its 80), at the serve layer's trial count for epsilon 0.02 and delta
+  // 0.05: each answer's estimate lies within 0.02 of the exact value,
+  // and the mean signed error over the corpus lies within 3 standard
+  // errors of 0, so a bit-order or threshold slip in the lane coins
+  // fails even when it stays inside the per-answer tolerance.
+  const int64_t trials = RequiredMcTrials(0.02, 0.05).value();
+  FactoringOptions factoring;
+  factoring.max_calls = 20000;
+  double error_sum = 0.0;
+  double variance_sum = 0.0;
+  int graphs = 0;
+  std::vector<QueryGraph> corpus = testing::MakeRestrictionCorpus();
+  for (size_t index = 0; index < corpus.size(); ++index) {
+    const QueryGraph& graph = corpus[index];
+    std::vector<double> exact;
+    for (NodeId answer : graph.answers) {
+      Result<double> r = ExactReliabilityFactoring(graph, answer, factoring);
+      if (!r.ok()) break;
+      exact.push_back(r.value());
+    }
+    if (exact.size() != graph.answers.size()) continue;
+    McOptions options;
+    options.mode = McOptions::Mode::kNaive;
+    options.trials = trials;
+    options.seed = 7000 + index;
+    options.num_threads = 1;
+    Result<McEstimate> estimate = EstimateReliabilityMc(graph, options);
+    ASSERT_TRUE(estimate.ok());
+    // A graph's answers share trials, so their errors may correlate:
+    // bound the variance of their mean by the square of their mean
+    // standard deviation.
+    double graph_error = 0.0;
+    double graph_sd = 0.0;
+    for (size_t i = 0; i < exact.size(); ++i) {
+      const double value =
+          estimate.value().scores[static_cast<size_t>(graph.answers[i])];
+      EXPECT_NEAR(value, exact[i], 0.02)
+          << "graph " << index << ", answer " << graph.answers[i];
+      graph_error += value - exact[i];
+      graph_sd += std::sqrt(exact[i] * (1.0 - exact[i]) /
+                            static_cast<double>(trials));
+    }
+    graph_error /= static_cast<double>(exact.size());
+    graph_sd /= static_cast<double>(exact.size());
+    error_sum += graph_error;
+    variance_sum += graph_sd * graph_sd;
+    ++graphs;
+  }
+  ASSERT_EQ(graphs, 45) << "the corpus or the factoring budget changed";
+  const double mean_error = error_sum / graphs;
+  const double standard_error = std::sqrt(variance_sum) / graphs;
+  EXPECT_LE(std::fabs(mean_error), 3.0 * standard_error)
+      << "mean signed error " << mean_error << " over " << graphs
+      << " graphs";
 }
 
 TEST(McTest, RejectsNonPositiveTrials) {

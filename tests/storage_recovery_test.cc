@@ -269,6 +269,36 @@ TEST(StorageRecoveryTest, FingerprintMismatchFallsBackToMemoryOnly) {
   EXPECT_TRUE(response.ok()) << response.status();
 }
 
+TEST(StorageRecoveryTest, StoreFromTheTraversalServingEstimatorIsRefused) {
+  // The default-options fingerprint of servers that served Monte Carlo
+  // with the traversal kernel (estimator version 1). Their stores hold
+  // MC values the 64-lane kernel would not reproduce, so a default server
+  // must stamp a different fingerprint and refuse such a store.
+  constexpr uint64_t kTraversalServingFingerprint = 0xeccbcfd71b44b939ULL;
+  std::string dir = FreshDir("recovery_mc_version");
+  {
+    Server server(DurableOptions(dir));
+    ASSERT_TRUE(server.storage_status().ok());
+  }
+  std::string header(16, '\0');
+  {
+    std::ifstream wal(storage::WalPath(dir), std::ios::binary);
+    ASSERT_TRUE(wal.read(header.data(), 16));
+  }
+  ASSERT_EQ(header.compare(0, 8, "BRWAL001"), 0);
+  uint64_t fingerprint = 0;
+  std::memcpy(&fingerprint, header.data() + 8, sizeof(fingerprint));
+  EXPECT_NE(fingerprint, kTraversalServingFingerprint);
+
+  ASSERT_TRUE(util::AtomicFileWrite(
+                  storage::WalPath(dir),
+                  storage::WalFileHeader(kTraversalServingFingerprint))
+                  .ok());
+  Server booted(DurableOptions(dir));
+  EXPECT_EQ(booted.storage_status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(booted.durable());
+}
+
 /// A checkpoint state (fingerprint 99) holding one session over `graph`
 /// with its CSR snapshot.
 storage::SnapshotState OneSessionState(const QueryGraph& graph) {

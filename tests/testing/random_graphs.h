@@ -51,8 +51,9 @@ QueryGraph MakeRoundRobinGraph(Rng& rng, int round);
 void ApplyDeltaShapes(Rng& rng, QueryGraph& query_graph);
 
 /// The seeded restriction/canonicalization corpus: 40 round-robin graphs,
-/// each followed by a delta-shaped copy. The CSR-vs-pointer differential
-/// suite and the canonical-key golden fixture both sweep it.
+/// each followed by a delta-shaped copy. The canonical-key and iterative
+/// golden fixtures sweep it, and so does the 64-lane MC kernel's check
+/// against exact reliability.
 std::vector<QueryGraph> MakeRestrictionCorpus();
 
 }  // namespace biorank::testing
