@@ -92,10 +92,6 @@ struct QueryOptions {
   /// without it. Null (the default) costs one branch per span site.
   obs::Trace* trace = nullptr;
 
-  bool has_deadline() const {
-    return budget_s > 0.0 ||
-           deadline != std::chrono::steady_clock::time_point{};
-  }
   /// The effective absolute deadline for a request accepted at `start`:
   /// min(deadline, start + budget_s), or time_point::max() when neither
   /// is set.

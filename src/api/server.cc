@@ -97,7 +97,7 @@ uint64_t Server::StorageFingerprint() const {
   };
   double_field(r.mc_epsilon);
   double_field(r.mc_delta);
-  double_field(r.bound_resolve_epsilon);
+  double_field(serve::kBoundResolveEpsilon);
   return Fnv1a64(key);
 }
 

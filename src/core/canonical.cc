@@ -40,52 +40,10 @@ uint64_t Mix(uint64_t a, uint64_t b) {
 constexpr uint8_t kRoleSource = 1;
 constexpr uint8_t kRoleTarget = 2;
 
-/// Dense, label-free view of the alive part of a query graph.
-struct LabelView {
-  int n = 0;
-  std::vector<double> p;
-  std::vector<uint64_t> p_bits;
-  std::vector<uint8_t> role;
-  struct Edge {
-    int from = 0;
-    int to = 0;
-    double q = 0.0;
-    uint64_t q_bits = 0;
-  };
-  std::vector<Edge> edges;
-  std::vector<std::vector<int>> out;
-  std::vector<std::vector<int>> in;
-};
-
-LabelView BuildView(const QueryGraph& query_graph) {
-  const ProbabilisticEntityGraph& graph = query_graph.graph;
-  LabelView view;
-  std::vector<int> dense(graph.node_capacity(), -1);
-  for (NodeId id : graph.AliveNodes()) {
-    dense[id] = view.n++;
-    const GraphNode& node = graph.node(id);
-    view.p.push_back(node.p);
-    view.p_bits.push_back(DoubleBits(node.p));
-    view.role.push_back(0);
-  }
-  view.role[dense[query_graph.source]] |= kRoleSource;
-  for (NodeId t : query_graph.answers) view.role[dense[t]] |= kRoleTarget;
-  view.out.resize(view.n);
-  view.in.resize(view.n);
-  for (EdgeId e : graph.AliveEdges()) {
-    const GraphEdge& edge = graph.edge(e);
-    LabelView::Edge dense_edge;
-    dense_edge.from = dense[edge.from];
-    dense_edge.to = dense[edge.to];
-    dense_edge.q = edge.q;
-    dense_edge.q_bits = DoubleBits(edge.q);
-    int index = static_cast<int>(view.edges.size());
-    view.edges.push_back(dense_edge);
-    view.out[dense_edge.from].push_back(index);
-    view.in[dense_edge.to].push_back(index);
-  }
-  return view;
-}
+/// Canonical labeling individualizes one node of the first ambiguous
+/// color class and recurses; this caps the total number of candidate
+/// labelings explored (see CanonicalKey).
+constexpr int kMaxLabelLeaves = 64;
 
 int CountClasses(const std::vector<uint64_t>& colors) {
   std::vector<uint64_t> sorted = colors;
@@ -98,29 +56,30 @@ int CountClasses(const std::vector<uint64_t>& colors) {
 /// multisets of (edge q, neighbor color) signatures — out- and in-edges
 /// separately — into every node's color, until the partition stops
 /// splitting.
-void Refine(const LabelView& view, std::vector<uint64_t>& colors) {
+void Refine(const CsrSnapshot& csr, std::vector<uint64_t>& colors) {
+  const uint32_t n = csr.num_nodes();
   int classes = CountClasses(colors);
   std::vector<uint64_t> next(colors.size());
   std::vector<uint64_t> signature;
-  for (int round = 0; round < view.n; ++round) {
-    for (int i = 0; i < view.n; ++i) {
-      uint64_t h = Mix(colors[static_cast<size_t>(i)], 0xA1);
+  for (uint32_t round = 0; round < n; ++round) {
+    for (uint32_t i = 0; i < n; ++i) {
+      uint64_t h = Mix(colors[i], 0xA1);
       signature.clear();
-      for (int e : view.out[i]) {
-        signature.push_back(
-            Mix(view.edges[e].q_bits, colors[view.edges[e].to]));
+      for (uint32_t k = csr.out_offset[i]; k < csr.out_offset[i + 1]; ++k) {
+        signature.push_back(Mix(DoubleBits(csr.out_q[k]),
+                                colors[csr.out_to[k]]));
       }
       std::sort(signature.begin(), signature.end());
       for (uint64_t s : signature) h = Mix(h, s);
       h = Mix(h, 0xB2);
       signature.clear();
-      for (int e : view.in[i]) {
-        signature.push_back(
-            Mix(view.edges[e].q_bits, colors[view.edges[e].from]));
+      for (uint32_t k = csr.in_offset[i]; k < csr.in_offset[i + 1]; ++k) {
+        signature.push_back(Mix(DoubleBits(csr.in_q[k]),
+                                colors[csr.in_from[k]]));
       }
       std::sort(signature.begin(), signature.end());
       for (uint64_t s : signature) h = Mix(h, s);
-      next[static_cast<size_t>(i)] = h;
+      next[i] = h;
     }
     colors.swap(next);
     int next_classes = CountClasses(colors);
@@ -136,75 +95,86 @@ void AppendHex(std::string& out, uint64_t value) {
   out += buffer;
 }
 
-/// Serializes the graph under the total node order induced by discrete
-/// colors. Equal strings imply identical labeled probabilistic graphs.
-std::string SerializeOrdered(const LabelView& view,
-                             const std::vector<uint64_t>& colors,
-                             std::vector<int>* position_out) {
-  std::vector<int> order(static_cast<size_t>(view.n));
-  for (int i = 0; i < view.n; ++i) order[static_cast<size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return colors[static_cast<size_t>(a)] < colors[static_cast<size_t>(b)];
-  });
-  std::vector<int> position(static_cast<size_t>(view.n));
-  for (int pos = 0; pos < view.n; ++pos) {
-    position[static_cast<size_t>(order[static_cast<size_t>(pos)])] = pos;
-  }
-  if (position_out != nullptr) *position_out = position;
+/// One edge in canonical positions.
+struct EdgeTuple {
+  int from;
+  int to;
+  double q;
+};
 
-  std::string out;
-  out.reserve(32 + 32 * static_cast<size_t>(view.n) +
-              40 * view.edges.size());
-  out += "g " + std::to_string(view.n) + " " +
-         std::to_string(view.edges.size()) + "\n";
-  for (int pos = 0; pos < view.n; ++pos) {
-    int node = order[static_cast<size_t>(pos)];
-    out += "v " + std::to_string(pos) + " ";
-    AppendHex(out, view.p_bits[static_cast<size_t>(node)]);
-    out += " " + std::to_string(view.role[static_cast<size_t>(node)]) + "\n";
+/// A total node order: the dense node at each canonical position, and
+/// the edges as position tuples ordered by (from, to, q bits).
+struct Labeling {
+  std::vector<int> node_at;
+  std::vector<EdgeTuple> edges;
+};
+
+Labeling MakeLabeling(const CsrSnapshot& csr, std::vector<int> node_at) {
+  std::vector<int> position(node_at.size());
+  for (size_t pos = 0; pos < node_at.size(); ++pos) {
+    position[static_cast<size_t>(node_at[pos])] = static_cast<int>(pos);
   }
-  struct EdgeTuple {
-    int from;
-    int to;
-    uint64_t q_bits;
-  };
-  std::vector<EdgeTuple> tuples;
-  tuples.reserve(view.edges.size());
-  for (const LabelView::Edge& edge : view.edges) {
-    tuples.push_back({position[static_cast<size_t>(edge.from)],
-                      position[static_cast<size_t>(edge.to)], edge.q_bits});
+  Labeling labeling;
+  labeling.edges.reserve(csr.num_edges());
+  for (uint32_t d = 0; d < csr.num_nodes(); ++d) {
+    for (uint32_t k = csr.out_offset[d]; k < csr.out_offset[d + 1]; ++k) {
+      labeling.edges.push_back(
+          {position[d], position[csr.out_to[k]], csr.out_q[k]});
+    }
   }
-  std::sort(tuples.begin(), tuples.end(),
+  std::sort(labeling.edges.begin(), labeling.edges.end(),
             [](const EdgeTuple& a, const EdgeTuple& b) {
               if (a.from != b.from) return a.from < b.from;
               if (a.to != b.to) return a.to < b.to;
-              return a.q_bits < b.q_bits;
+              return DoubleBits(a.q) < DoubleBits(b.q);
             });
-  for (const EdgeTuple& t : tuples) {
+  labeling.node_at = std::move(node_at);
+  return labeling;
+}
+
+/// Serializes the graph under `labeling`. Equal strings imply identical
+/// labeled probabilistic graphs.
+std::string Serialize(const CsrSnapshot& csr, const std::vector<uint8_t>& role,
+                      const Labeling& labeling) {
+  std::string out;
+  out.reserve(32 + 32 * labeling.node_at.size() +
+              40 * labeling.edges.size());
+  out += "g " + std::to_string(labeling.node_at.size()) + " " +
+         std::to_string(labeling.edges.size()) + "\n";
+  for (size_t pos = 0; pos < labeling.node_at.size(); ++pos) {
+    size_t node = static_cast<size_t>(labeling.node_at[pos]);
+    out += "v " + std::to_string(pos) + " ";
+    AppendHex(out, DoubleBits(csr.node_p[node]));
+    out += " " + std::to_string(role[node]) + "\n";
+  }
+  for (const EdgeTuple& t : labeling.edges) {
     out += "e " + std::to_string(t.from) + " " + std::to_string(t.to) + " ";
-    AppendHex(out, t.q_bits);
+    AppendHex(out, DoubleBits(t.q));
     out += "\n";
   }
   return out;
 }
 
 /// Individualization-refinement search for the lexicographically smallest
-/// serialization. Within the leaf budget every member of the first
-/// ambiguous color class is tried, which makes the result a true
+/// serialization of a residue: its CSR snapshot plus one source/target
+/// role byte per dense node. Within the leaf budget every member of the
+/// first ambiguous color class is tried, which makes the result a true
 /// canonical form; past the budget only the first branch is kept (still
 /// deterministic, possibly non-canonical — a cache-hit-rate concern, not
 /// a correctness one).
 struct Canonizer {
-  const LabelView& view;
+  const CsrSnapshot& csr;
+  const std::vector<uint8_t>& role;
   int leaves_left;
   std::string best;
-  std::vector<int> best_position;
+  Labeling best_labeling;
 
   void Run(std::vector<uint64_t> colors) {
-    Refine(view, colors);
-    // Find the ambiguous class with the smallest color value.
-    std::vector<int> order(static_cast<size_t>(view.n));
-    for (int i = 0; i < view.n; ++i) order[static_cast<size_t>(i)] = i;
+    Refine(csr, colors);
+    // Order the nodes by color and find the ambiguous class with the
+    // smallest color value.
+    std::vector<int> order(csr.num_nodes());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       return colors[static_cast<size_t>(a)] < colors[static_cast<size_t>(b)];
     });
@@ -224,12 +194,13 @@ struct Canonizer {
       i = j;
     }
     if (ambiguous.empty()) {
-      std::vector<int> position;
-      std::string repr = SerializeOrdered(view, colors, &position);
+      // Discrete colors: `order` is this leaf's total node order.
+      Labeling labeling = MakeLabeling(csr, std::move(order));
+      std::string repr = Serialize(csr, role, labeling);
       --leaves_left;
       if (best.empty() || repr < best) {
         best = std::move(repr);
-        best_position = std::move(position);
+        best_labeling = std::move(labeling);
       }
       return;
     }
@@ -245,26 +216,6 @@ struct Canonizer {
     }
   }
 };
-
-/// Canonical labeling of `query_graph`: repr + the original-dense-id ->
-/// canonical-position map.
-CanonicalKey CanonicalizeView(const LabelView& view,
-                              const CanonicalizeOptions& options,
-                              std::vector<int>& position_out) {
-  std::vector<uint64_t> colors(static_cast<size_t>(view.n));
-  for (int i = 0; i < view.n; ++i) {
-    colors[static_cast<size_t>(i)] =
-        Mix(view.p_bits[static_cast<size_t>(i)],
-            view.role[static_cast<size_t>(i)]);
-  }
-  Canonizer canonizer{view, std::max(1, options.max_label_leaves), {}, {}};
-  canonizer.Run(std::move(colors));
-  CanonicalKey key;
-  key.repr = std::move(canonizer.best);
-  key.hash = Fnv1a64(key.repr);
-  position_out = std::move(canonizer.best_position);
-  return key;
-}
 
 /// Fills `provenance` from the restriction's kept nodes (ascending
 /// original ids). Only kept nodes' out-edges can land in the subgraph, so
@@ -336,45 +287,32 @@ CanonicalCandidate CanonicalizeValidatedCandidate(
   }
   out.reduction_stats = ReduceQueryGraph(restricted, options.reduction);
 
-  LabelView view = BuildView(restricted);
-  std::vector<int> position;
-  out.key = CanonicalizeView(view, options, position);
+  const CsrSnapshot csr = BuildCsrSnapshot(restricted.graph);
+  std::vector<uint8_t> role(csr.num_nodes(), 0);
+  role[csr.dense_id[static_cast<size_t>(restricted.source)]] |= kRoleSource;
+  for (NodeId t : restricted.answers) {
+    role[csr.dense_id[static_cast<size_t>(t)]] |= kRoleTarget;
+  }
+  std::vector<uint64_t> colors(csr.num_nodes());
+  for (uint32_t d = 0; d < csr.num_nodes(); ++d) {
+    colors[d] = Mix(DoubleBits(csr.node_p[d]), role[d]);
+  }
+  Canonizer canonizer{csr, role, kMaxLabelLeaves, {}, {}};
+  canonizer.Run(std::move(colors));
+  out.key.repr = std::move(canonizer.best);
+  out.key.hash = Fnv1a64(out.key.repr);
 
   // Rebuild the reduced graph in canonical order so every isomorphic
   // input produces this exact graph (same numbering, same probability
   // bits) and downstream computations become pure functions of the key.
-  std::vector<int> node_at(position.size());
-  for (size_t i = 0; i < position.size(); ++i) {
-    node_at[static_cast<size_t>(position[i])] = static_cast<int>(i);
+  const Labeling& labeling = canonizer.best_labeling;
+  for (int node : labeling.node_at) {
+    const size_t d = static_cast<size_t>(node);
+    NodeId id = out.canonical.graph.AddNode(csr.node_p[d]);
+    if (role[d] & kRoleSource) out.canonical.source = id;
+    if (role[d] & kRoleTarget) out.canonical.answers.push_back(id);
   }
-  for (int pos = 0; pos < view.n; ++pos) {
-    int node = node_at[static_cast<size_t>(pos)];
-    NodeId id =
-        out.canonical.graph.AddNode(view.p[static_cast<size_t>(node)]);
-    uint8_t role = view.role[static_cast<size_t>(node)];
-    if (role & kRoleSource) out.canonical.source = id;
-    if (role & kRoleTarget) out.canonical.answers.push_back(id);
-  }
-  struct EdgeTuple {
-    int from;
-    int to;
-    uint64_t q_bits;
-    double q;
-  };
-  std::vector<EdgeTuple> tuples;
-  tuples.reserve(view.edges.size());
-  for (const LabelView::Edge& edge : view.edges) {
-    tuples.push_back({position[static_cast<size_t>(edge.from)],
-                      position[static_cast<size_t>(edge.to)], edge.q_bits,
-                      edge.q});
-  }
-  std::sort(tuples.begin(), tuples.end(),
-            [](const EdgeTuple& a, const EdgeTuple& b) {
-              if (a.from != b.from) return a.from < b.from;
-              if (a.to != b.to) return a.to < b.to;
-              return a.q_bits < b.q_bits;
-            });
-  for (const EdgeTuple& t : tuples) {
+  for (const EdgeTuple& t : labeling.edges) {
     out.canonical.graph.AddEdge(t.from, t.to, t.q).value();
   }
   out.target = out.canonical.answers.empty() ? kInvalidNode

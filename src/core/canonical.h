@@ -24,10 +24,17 @@ namespace biorank {
 /// bit patterns + source/target roles), so equal reprs imply genuinely
 /// identical probabilistic graphs — a cache keyed on `repr` can never
 /// return the reliability of a *different* graph. Isomorphic graphs map
-/// to the same repr whenever the canonical labeling search converges
-/// (always, for graphs within CanonicalizeOptions::max_label_leaves; see
-/// CanonicalizeOptions); a missed identification only costs a cache miss,
-/// never a wrong value.
+/// to the same repr whenever the canonical labeling search converges.
+/// The search runs on the reduced residue's CSR snapshot
+/// (core/csr_snapshot.h): it individualizes one node of the first
+/// ambiguous color class and recurses, exploring at most 64 candidate
+/// labelings (a constant in core/canonical.cc). Within that cap the
+/// labeling is truly canonical (isomorphic graphs collide); beyond it the
+/// search keeps only the first branch per class — still deterministic
+/// and still collision-free, but two isomorphic graphs may then receive
+/// different keys. A missed identification only costs a cache miss,
+/// never a wrong value; reduced evidence graphs are tiny, so the cap is
+/// effectively never hit on real workloads.
 struct CanonicalKey {
   std::string repr;  ///< Canonical serialization; equality = same graph.
   uint64_t hash = 0; ///< FNV-1a of repr: shard selector and MC stream id.
@@ -37,15 +44,6 @@ struct CanonicalKey {
 struct CanonicalizeOptions {
   /// Reduction rules applied to the per-answer subgraph before labeling.
   ReductionOptions reduction;
-  /// Canonical labeling individualizes one node of the first ambiguous
-  /// color class and recurses; this caps the total number of candidate
-  /// labelings explored. Within the cap the labeling is truly canonical
-  /// (isomorphic graphs collide); beyond it the search keeps only the
-  /// first branch per class — still deterministic and still
-  /// collision-free, but two isomorphic graphs may then receive
-  /// different keys (a cache miss, not a bug). Reduced evidence graphs
-  /// are tiny, so the cap is effectively never hit on real workloads.
-  int max_label_leaves = 64;
   /// Record which original-graph nodes and edges the candidate's
   /// *pre-reduction* restricted subgraph contains (the ingest layer's
   /// dependency index consumes this). Off by default: provenance does not

@@ -67,6 +67,9 @@ Status RankingService::CanonicalizeTargets(
 
 namespace {
 
+/// Factoring call budget for one surviving candidate's exact resolution.
+constexpr int64_t kExactMaxCalls = 200000;
+
 /// A prepared state advanced to convergence, read off as a TopKResult.
 Result<TopKResult> Converge(RankingService& service,
                             Result<RefinementState> prepared) {
@@ -184,7 +187,7 @@ double RankingService::ClassifySurvivors(const std::vector<int>& unique_index,
       ++stats.pruned;
       continue;
     }
-    if (u.entry.upper - u.entry.lower <= options_.bound_resolve_epsilon) {
+    if (u.entry.upper - u.entry.lower <= kBoundResolveEpsilon) {
       u.entry.has_value = true;
       u.entry.value = u.entry.lower;
       u.entry.exact = true;
@@ -211,7 +214,7 @@ Status RankingService::TryResolveExact(UniqueState& u) {
   if (graph.graph.num_edges() > options_.exact_max_edges) return Status::OK();
   u.exact_attempted = true;
   FactoringOptions factoring;
-  factoring.max_calls = options_.exact_max_calls;
+  factoring.max_calls = kExactMaxCalls;
   Result<double> exact =
       ExactReliabilityFactoring(graph, u.canonical->target, factoring);
   if (exact.ok()) {

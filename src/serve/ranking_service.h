@@ -107,21 +107,22 @@ struct RequestStats {
 /// and a store written under another version is refused at boot.
 inline constexpr uint64_t kServedMcEstimatorVersion = 2;
 
+/// Bounds whose width is at most this resolve the candidate outright
+/// (covers fully-reduced single-edge residues, where lower and upper
+/// agree up to rounding). api::Server folds it into its storage
+/// fingerprint.
+inline constexpr double kBoundResolveEpsilon = 1e-12;
+
 /// Configuration for RankingService.
 struct RankingServiceOptions {
   CanonicalizeOptions canonicalize;
   ReliabilityCacheOptions cache;
   ReliabilityBoundsOptions bounds;
-  /// Bounds whose width is at most this resolve the candidate outright
-  /// (covers fully-reduced single-edge residues, where lower and upper
-  /// agree up to rounding).
-  double bound_resolve_epsilon = 1e-12;
   /// Surviving candidates whose reduced canonical graph has at most this
   /// many edges are resolved exactly by factoring; larger residues go to
-  /// Monte Carlo. The factoring call budget below caps pathological
+  /// Monte Carlo. A fixed factoring call budget caps pathological
   /// cases (on FailedPrecondition the candidate falls through to MC).
   int exact_max_edges = 24;
-  int64_t exact_max_calls = 200000;
   /// Theorem 3.1 parameters for the MC trial count: relative error
   /// epsilon with confidence 1 - delta (0.02 / 0.05 -> 7,896 trials).
   double mc_epsilon = 0.02;

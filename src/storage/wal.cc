@@ -174,7 +174,6 @@ Result<WalReplay> ReadWal(const std::string& path, uint64_t fingerprint) {
 Wal::Wal(std::string path, int fd, uint64_t last_lsn, WalOptions options)
     : path_(std::move(path)), options_(options), fd_(fd),
       last_lsn_(last_lsn) {
-  last_sync_monotonic_s_ = MonotonicSeconds();
   stats_.last_lsn = last_lsn;
   if (options_.registry != nullptr) {
     append_seconds_ = options_.registry->GetHistogram(
@@ -192,7 +191,7 @@ Wal::Wal(std::string path, int fd, uint64_t last_lsn, WalOptions options)
 
 Wal::~Wal() {
   if (fd_ >= 0) {
-    if (options_.fsync) ::fsync(fd_);
+    ::fsync(fd_);
     ::close(fd_);
   }
 }
@@ -264,19 +263,8 @@ Result<uint64_t> Wal::Append(WalRecordType type, uint64_t session_id,
   stats_.last_lsn = lsn;
   unsynced_records_++;
 
-  bool should_sync = false;
-  if (options_.fsync) {
-    if (options_.fsync_every_n > 0 &&
-        unsynced_records_ >= options_.fsync_every_n) {
-      should_sync = true;
-    }
-    if (options_.fsync_interval_s > 0.0 &&
-        MonotonicSeconds() - last_sync_monotonic_s_ >=
-            options_.fsync_interval_s) {
-      should_sync = true;
-    }
-  }
-  if (should_sync) {
+  if (options_.fsync_every_n > 0 &&
+      unsynced_records_ >= options_.fsync_every_n) {
     BIORANK_RETURN_IF_ERROR(SyncLocked());
   }
   if (records_total_ != nullptr) {
@@ -289,12 +277,11 @@ Result<uint64_t> Wal::Append(WalRecordType type, uint64_t session_id,
 
 Status Wal::SyncLocked() {
   if (unsynced_records_ == 0) return Status::OK();
-  if (options_.fsync && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     broken_ = true;
     return Status::Internal("wal fsync failed: " + path_);
   }
   unsynced_records_ = 0;
-  last_sync_monotonic_s_ = MonotonicSeconds();
   stats_.syncs++;
   if (syncs_total_ != nullptr) syncs_total_->Add(1);
   return Status::OK();

@@ -16,10 +16,11 @@
 // definition last), so it surfaces as typed kDataLoss — the
 // kTolerateCorruptedTailRecords distinction.
 //
-// Durability: group fsync. Appends are synced every `fsync_every_n`
-// records (and on explicit Sync(), which Checkpoint() calls before
-// stamping a snapshot's covering LSN). Between syncs a crash may lose
-// the un-synced suffix — which recovery then treats as a torn tail.
+// Durability: group fsync, always on. Appends are synced every
+// `fsync_every_n` records, on explicit Sync() (which Checkpoint() calls
+// before stamping a snapshot's covering LSN) and when the handle closes.
+// Between syncs a crash may lose the un-synced suffix — which recovery
+// then treats as a torn tail.
 
 #ifndef BIORANK_STORAGE_WAL_H_
 #define BIORANK_STORAGE_WAL_H_
@@ -53,14 +54,8 @@ struct WalRecord {
 /// Group-fsync knobs.
 struct WalOptions {
   /// fsync after every n-th appended record; 1 = every append, 0
-  /// disables count-based syncing (Sync()/interval only).
+  /// disables count-based syncing (Sync() only).
   uint64_t fsync_every_n = 32;
-  /// Also fsync when this much wall time passed since the last sync
-  /// (<= 0 disables the interval trigger).
-  double fsync_interval_s = 0.0;
-  /// Master switch; false skips fsync entirely (tests, benches that
-  /// measure the append path alone).
-  bool fsync = true;
   /// Metrics sink: when set, appends record into
   /// biorank_storage_wal_append_seconds / _wal_bytes_total /
   /// _wal_records_total / _wal_syncs_total. Borrowed, must outlive the
@@ -136,7 +131,6 @@ class Wal {
   int fd_ = -1;
   uint64_t last_lsn_ = 0;
   uint64_t unsynced_records_ = 0;
-  double last_sync_monotonic_s_ = 0.0;
   bool broken_ = false;  ///< A write failed; later appends fail fast.
   WalStats stats_;
 

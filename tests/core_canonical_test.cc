@@ -10,6 +10,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "core/reliability_exact.h"
 #include "integrate/scenario_harness.h"
 #include "testing/random_graphs.h"
+#include "util/rng.h"
 
 namespace biorank {
 namespace {
@@ -47,6 +49,61 @@ QueryGraph MakeChain(double q1, double q2, bool decoy_first) {
   return std::move(b).Build({t});
 }
 
+/// `graph` with its alive nodes renumbered by a random permutation and
+/// its alive edges inserted in a random order; `relabel` maps each
+/// original node id to its new id.
+QueryGraph RelabeledCopy(const QueryGraph& graph, Rng& rng,
+                         std::vector<NodeId>& relabel) {
+  std::vector<NodeId> nodes = graph.graph.AliveNodes();
+  std::vector<EdgeId> edges = graph.graph.AliveEdges();
+  rng.Shuffle(nodes);
+  rng.Shuffle(edges);
+  QueryGraph copy;
+  relabel.assign(static_cast<size_t>(graph.graph.node_capacity()),
+                 kInvalidNode);
+  for (NodeId id : nodes) {
+    relabel[static_cast<size_t>(id)] =
+        copy.graph.AddNode(graph.graph.node(id).p);
+  }
+  for (EdgeId e : edges) {
+    const GraphEdge& edge = graph.graph.edge(e);
+    copy.graph
+        .AddEdge(relabel[static_cast<size_t>(edge.from)],
+                 relabel[static_cast<size_t>(edge.to)], edge.q)
+        .value();
+  }
+  copy.source = relabel[static_cast<size_t>(graph.source)];
+  for (NodeId a : graph.answers) {
+    copy.answers.push_back(relabel[static_cast<size_t>(a)]);
+  }
+  return copy;
+}
+
+/// The canonical graph as bytes: node p bits in id order, then each edge
+/// (from, to, q bits) in id order, then the source and target.
+std::string CanonicalBytes(const CanonicalCandidate& c) {
+  const ProbabilisticEntityGraph& graph = c.canonical.graph;
+  std::string bytes;
+  auto put = [&bytes](uint64_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto put_double = [&put](double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    put(bits);
+  };
+  for (NodeId id : graph.AliveNodes()) put_double(graph.node(id).p);
+  for (EdgeId e : graph.AliveEdges()) {
+    const GraphEdge& edge = graph.edge(e);
+    put(static_cast<uint64_t>(edge.from));
+    put(static_cast<uint64_t>(edge.to));
+    put_double(edge.q);
+  }
+  put(static_cast<uint64_t>(c.canonical.source));
+  put(static_cast<uint64_t>(c.target));
+  return bytes;
+}
+
 TEST(CanonicalTest, IsomorphicGraphsCollideAcrossInsertionOrders) {
   QueryGraph a = MakeChain(0.5, 0.8, /*decoy_first=*/false);
   QueryGraph b = MakeChain(0.5, 0.8, /*decoy_first=*/true);
@@ -56,6 +113,76 @@ TEST(CanonicalTest, IsomorphicGraphsCollideAcrossInsertionOrders) {
   ASSERT_TRUE(kb.ok()) << kb.status();
   EXPECT_EQ(ka.value().key.repr, kb.value().key.repr);
   EXPECT_EQ(ka.value().key.hash, kb.value().key.hash);
+
+  // Seeded random graphs under a random node relabeling and edge
+  // insertion order: every answer keeps its key and its canonical graph,
+  // byte for byte. Serial collapses and parallel merges stay off: they
+  // fold probabilities in adjacency order, so a relabeled copy may reduce
+  // to a residue one ulp away (a cache miss, never a wrong value).
+  CanonicalizeOptions exact_residue;
+  exact_residue.reduction.collapse_serial = false;
+  exact_residue.reduction.merge_parallel = false;
+  Rng rng(8086);
+  int compared = 0;
+  for (const QueryGraph& graph : testing::MakeRestrictionCorpus()) {
+    std::vector<NodeId> relabel;
+    QueryGraph copy = RelabeledCopy(graph, rng, relabel);
+    for (NodeId answer : graph.answers) {
+      Result<CanonicalCandidate> original =
+          Canonicalize(graph, answer, exact_residue);
+      Result<CanonicalCandidate> relabeled = Canonicalize(
+          copy, relabel[static_cast<size_t>(answer)], exact_residue);
+      ASSERT_TRUE(original.ok()) << original.status();
+      ASSERT_TRUE(relabeled.ok()) << relabeled.status();
+      EXPECT_EQ(original.value().key.repr, relabeled.value().key.repr);
+      EXPECT_EQ(CanonicalBytes(original.value()),
+                CanonicalBytes(relabeled.value()));
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+TEST(CanonicalTest, LeafCapKeepsASymmetricResidueDeterministic) {
+  // source -> 4 nodes -> complete bipartite 4x4 -> target, every node and
+  // edge alike: nothing reduces, and the labeling search has 4! * 4! =
+  // 576 leaves, past the cap of 64. The graph is fully symmetric, so
+  // every leaf serializes alike and the capped key is still canonical.
+  QueryGraphBuilder b;
+  NodeId s = b.Source();
+  std::vector<NodeId> left;
+  std::vector<NodeId> right;
+  for (int i = 0; i < 4; ++i) left.push_back(b.Node(0.9, ""));
+  for (int i = 0; i < 4; ++i) right.push_back(b.Node(0.9, ""));
+  NodeId t = b.Node(0.9, "t");
+  for (NodeId l : left) b.Edge(s, l, 0.7);
+  for (NodeId l : left) {
+    for (NodeId r : right) b.Edge(l, r, 0.6);
+  }
+  for (NodeId r : right) b.Edge(r, t, 0.7);
+  QueryGraph graph = std::move(b).Build({t});
+
+  Result<CanonicalCandidate> first = Canonicalize(graph, t);
+  Result<CanonicalCandidate> second = Canonicalize(graph, t);
+  Rng rng(6502);
+  std::vector<NodeId> relabel;
+  QueryGraph copy = RelabeledCopy(graph, rng, relabel);
+  Result<CanonicalCandidate> reordered =
+      Canonicalize(copy, relabel[static_cast<size_t>(t)]);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_TRUE(reordered.ok()) << reordered.status();
+  EXPECT_EQ(first.value().canonical.graph.num_edges(), 24);
+  EXPECT_EQ(first.value().key.repr, second.value().key.repr);
+  EXPECT_EQ(first.value().key.repr, reordered.value().key.repr);
+  EXPECT_EQ(CanonicalBytes(first.value()), CanonicalBytes(reordered.value()));
+
+  Result<double> original = ExactReliabilityFactoring(graph, t);
+  Result<double> canonical = ExactReliabilityFactoring(
+      first.value().canonical, first.value().target);
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_TRUE(canonical.ok()) << canonical.status();
+  EXPECT_NEAR(original.value(), canonical.value(), 1e-12);
 }
 
 TEST(CanonicalTest, SymmetricAnswersOfOneGraphShareAKey) {

@@ -269,6 +269,31 @@ TEST(StorageRecoveryTest, FingerprintMismatchFallsBackToMemoryOnly) {
   EXPECT_TRUE(response.ok()) << response.status();
 }
 
+/// The fingerprint in the header of `dir`'s WAL; 0 when the file does not
+/// start with a readable header.
+uint64_t WalHeaderFingerprint(const std::string& dir) {
+  std::string header(16, '\0');
+  std::ifstream wal(storage::WalPath(dir), std::ios::binary);
+  if (!wal.read(header.data(), 16) || header.compare(0, 8, "BRWAL001") != 0) {
+    return 0;
+  }
+  uint64_t fingerprint = 0;
+  std::memcpy(&fingerprint, header.data() + 8, sizeof(fingerprint));
+  return fingerprint;
+}
+
+TEST(StorageRecoveryTest, DefaultFingerprintIsUnchanged) {
+  // Retiring settable ranking options into constants must hash the same
+  // values in the same slots, so stores written by a default server keep
+  // booting warm.
+  std::string dir = FreshDir("recovery_default_fp");
+  {
+    Server server(DurableOptions(dir));
+    ASSERT_TRUE(server.storage_status().ok());
+  }
+  EXPECT_EQ(WalHeaderFingerprint(dir), 0x42b9cb6f1c9ce567ULL);
+}
+
 TEST(StorageRecoveryTest, StoreFromTheTraversalServingEstimatorIsRefused) {
   // The default-options fingerprint of servers that served Monte Carlo
   // with the traversal kernel (estimator version 1). Their stores hold
@@ -280,14 +305,8 @@ TEST(StorageRecoveryTest, StoreFromTheTraversalServingEstimatorIsRefused) {
     Server server(DurableOptions(dir));
     ASSERT_TRUE(server.storage_status().ok());
   }
-  std::string header(16, '\0');
-  {
-    std::ifstream wal(storage::WalPath(dir), std::ios::binary);
-    ASSERT_TRUE(wal.read(header.data(), 16));
-  }
-  ASSERT_EQ(header.compare(0, 8, "BRWAL001"), 0);
-  uint64_t fingerprint = 0;
-  std::memcpy(&fingerprint, header.data() + 8, sizeof(fingerprint));
+  uint64_t fingerprint = WalHeaderFingerprint(dir);
+  ASSERT_NE(fingerprint, 0u);
   EXPECT_NE(fingerprint, kTraversalServingFingerprint);
 
   ASSERT_TRUE(util::AtomicFileWrite(
