@@ -49,36 +49,6 @@ QueryGraph MakeChain(double q1, double q2, bool decoy_first) {
   return std::move(b).Build({t});
 }
 
-/// `graph` with its alive nodes renumbered by a random permutation and
-/// its alive edges inserted in a random order; `relabel` maps each
-/// original node id to its new id.
-QueryGraph RelabeledCopy(const QueryGraph& graph, Rng& rng,
-                         std::vector<NodeId>& relabel) {
-  std::vector<NodeId> nodes = graph.graph.AliveNodes();
-  std::vector<EdgeId> edges = graph.graph.AliveEdges();
-  rng.Shuffle(nodes);
-  rng.Shuffle(edges);
-  QueryGraph copy;
-  relabel.assign(static_cast<size_t>(graph.graph.node_capacity()),
-                 kInvalidNode);
-  for (NodeId id : nodes) {
-    relabel[static_cast<size_t>(id)] =
-        copy.graph.AddNode(graph.graph.node(id).p);
-  }
-  for (EdgeId e : edges) {
-    const GraphEdge& edge = graph.graph.edge(e);
-    copy.graph
-        .AddEdge(relabel[static_cast<size_t>(edge.from)],
-                 relabel[static_cast<size_t>(edge.to)], edge.q)
-        .value();
-  }
-  copy.source = relabel[static_cast<size_t>(graph.source)];
-  for (NodeId a : graph.answers) {
-    copy.answers.push_back(relabel[static_cast<size_t>(a)]);
-  }
-  return copy;
-}
-
 /// The canonical graph as bytes: node p bits in id order, then each edge
 /// (from, to, q bits) in id order, then the source and target.
 std::string CanonicalBytes(const CanonicalCandidate& c) {
@@ -126,7 +96,7 @@ TEST(CanonicalTest, IsomorphicGraphsCollideAcrossInsertionOrders) {
   int compared = 0;
   for (const QueryGraph& graph : testing::MakeRestrictionCorpus()) {
     std::vector<NodeId> relabel;
-    QueryGraph copy = RelabeledCopy(graph, rng, relabel);
+    QueryGraph copy = testing::RelabeledCopy(graph, rng, relabel);
     for (NodeId answer : graph.answers) {
       Result<CanonicalCandidate> original =
           Canonicalize(graph, answer, exact_residue);
@@ -166,7 +136,7 @@ TEST(CanonicalTest, LeafCapKeepsASymmetricResidueDeterministic) {
   Result<CanonicalCandidate> second = Canonicalize(graph, t);
   Rng rng(6502);
   std::vector<NodeId> relabel;
-  QueryGraph copy = RelabeledCopy(graph, rng, relabel);
+  QueryGraph copy = testing::RelabeledCopy(graph, rng, relabel);
   Result<CanonicalCandidate> reordered =
       Canonicalize(copy, relabel[static_cast<size_t>(t)]);
   ASSERT_TRUE(first.ok()) << first.status();

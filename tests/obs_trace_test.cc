@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,6 +22,8 @@
 #include "api/server.h"
 #include "core/query_graph.h"
 #include "obs/export.h"
+#include "storage/recovery.h"
+#include "storage/snapshot.h"
 
 namespace biorank {
 namespace {
@@ -257,6 +264,122 @@ TEST(ObsTracingIntegrationTest, ServerExportsTheMetricSurface) {
   EXPECT_NE(snapshot.FindHistogram("biorank_serve_mc_seconds"), nullptr);
   EXPECT_NE(snapshot.FindCounter("biorank_ingest_deltas_total"), nullptr);
   EXPECT_NE(snapshot.FindCounter("biorank_serve_candidates_total"), nullptr);
+}
+
+
+/// The sorted `# TYPE <name> <kind>` lines of a Prometheus exposition:
+/// which metric families a server exports, and of which kind.
+std::vector<std::string> TypeLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// The families every server exports once it has served a request,
+/// sorted. A durable server adds the four WAL families after these.
+std::vector<std::string> ServerFamilies() {
+  return {
+      "# TYPE biorank_api_admission_admitted_total counter",
+      "# TYPE biorank_api_admission_inflight gauge",
+      "# TYPE biorank_api_admission_peak_queue_depth gauge",
+      "# TYPE biorank_api_admission_queue_depth gauge",
+      "# TYPE biorank_api_admission_queue_wait_seconds gauge",
+      "# TYPE biorank_api_admission_queued_total counter",
+      "# TYPE biorank_api_admission_rejected_capacity_total counter",
+      "# TYPE biorank_api_admission_rejected_deadline_total counter",
+      "# TYPE biorank_api_batch_requests_total counter",
+      "# TYPE biorank_api_batches_total counter",
+      "# TYPE biorank_api_errors_total counter",
+      "# TYPE biorank_api_graph_rankings_total counter",
+      "# TYPE biorank_api_integrate_seconds histogram",
+      "# TYPE biorank_api_open_refinements gauge",
+      "# TYPE biorank_api_open_sessions gauge",
+      "# TYPE biorank_api_queries_total counter",
+      "# TYPE biorank_api_query_seconds histogram",
+      "# TYPE biorank_api_queue_seconds histogram",
+      "# TYPE biorank_api_rank_seconds histogram",
+      "# TYPE biorank_api_refine_seconds histogram",
+      "# TYPE biorank_api_refinements_cancelled_total counter",
+      "# TYPE biorank_api_refinements_completed_total counter",
+      "# TYPE biorank_api_refinements_started_total counter",
+      "# TYPE biorank_api_session_queries_total counter",
+      "# TYPE biorank_api_sessions_closed_total counter",
+      "# TYPE biorank_api_sessions_evicted_total counter",
+      "# TYPE biorank_api_sessions_opened_total counter",
+      "# TYPE biorank_api_slow_queries_total counter",
+      "# TYPE biorank_ingest_apply_seconds histogram",
+      "# TYPE biorank_ingest_delta_ops_total counter",
+      "# TYPE biorank_ingest_deltas_total counter",
+      "# TYPE biorank_ingest_dirty_answers_total counter",
+      "# TYPE biorank_ingest_invalidated_entries_total counter",
+      "# TYPE biorank_serve_bound_exact_total counter",
+      "# TYPE biorank_serve_bounds_seconds histogram",
+      "# TYPE biorank_serve_cache_entries gauge",
+      "# TYPE biorank_serve_cache_evictions_total counter",
+      "# TYPE biorank_serve_cache_hits_total counter",
+      "# TYPE biorank_serve_cache_insertions_total counter",
+      "# TYPE biorank_serve_cache_invalidations_total counter",
+      "# TYPE biorank_serve_cache_misses_total counter",
+      "# TYPE biorank_serve_candidates_total counter",
+      "# TYPE biorank_serve_exact_total counter",
+      "# TYPE biorank_serve_mc_seconds histogram",
+      "# TYPE biorank_serve_mc_trials_total counter",
+      "# TYPE biorank_serve_monte_carlo_total counter",
+      "# TYPE biorank_serve_pruned_total counter",
+      "# TYPE biorank_storage_checkpoints_total counter",
+      "# TYPE biorank_storage_recovery_seconds histogram",
+      "# TYPE biorank_storage_replayed_records_total counter",
+      "# TYPE biorank_storage_snapshot_write_seconds histogram",
+  };
+}
+
+TEST(ObsMetricFamiliesTest, MemoryOnlyServerAfterOneQuery) {
+  api::Server server;
+  const ProteinUniverse& universe = server.universe();
+  const std::string symbol =
+      universe.protein(universe.well_studied()[0]).gene_symbol;
+  ASSERT_TRUE(server.Query(api::MakeProteinFunctionRequest(symbol, 5)).ok());
+  EXPECT_EQ(TypeLines(server.MetricsText()), ServerFamilies());
+  // Every histogram keeps the one latency ladder: 28 doublings from 1us.
+  for (const obs::HistogramSnapshot& h : server.MetricsSnapshot().histograms) {
+    ASSERT_EQ(h.bounds.size(), 28u) << h.name;
+    EXPECT_EQ(h.bounds.front(), 1e-6) << h.name;
+  }
+}
+
+TEST(ObsMetricFamiliesTest, DurableServerAfterSessionDeltaAndCheckpoint) {
+  const std::string dir = ::testing::TempDir() + "/obs_metric_families";
+  for (const auto& [lsn, path] : storage::ListSnapshots(dir)) {
+    (void)lsn;
+    std::remove(path.c_str());
+  }
+  std::remove(storage::WalPath(dir).c_str());
+  ::rmdir(dir.c_str());
+  api::ServerOptions options;
+  options.storage_dir = dir;
+  api::Server server(options);
+  ASSERT_TRUE(server.durable()) << server.storage_status();
+  const ProteinUniverse& universe = server.universe();
+  const std::string symbol =
+      universe.protein(universe.well_studied()[0]).gene_symbol;
+  api::Result<api::SessionInfo> session =
+      server.OpenSession(api::MakeProteinFunctionRequest(symbol));
+  ASSERT_TRUE(session.ok()) << session.status();
+  ingest::EvidenceDelta delta;
+  delta.revise_source_priors.push_back({"AmiGO", 0.9});
+  ASSERT_TRUE(server.ApplyDelta(session.value().id, delta).ok());
+  ASSERT_TRUE(server.Checkpoint().ok());
+  std::vector<std::string> expected = ServerFamilies();
+  expected.insert(expected.end(),
+                  {"# TYPE biorank_storage_wal_append_seconds histogram",
+                   "# TYPE biorank_storage_wal_bytes_total counter",
+                   "# TYPE biorank_storage_wal_records_total counter",
+                   "# TYPE biorank_storage_wal_syncs_total counter"});
+  EXPECT_EQ(TypeLines(server.MetricsText()), expected);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/query_graph.h"
@@ -222,6 +224,45 @@ TEST(RankingServiceTest, IsomorphicAnswersShareOneResolution) {
   ASSERT_EQ(result.value().top.size(), 2u);
   EXPECT_EQ(result.value().top[0].reliability,
             result.value().top[1].reliability);
+}
+
+TEST(RankingServiceTest, IsomorphicCandidatesShareCacheEntries) {
+  // A relabeled copy of a graph (nodes renumbered, edges inserted in a
+  // new order) has the same canonical keys, so ranking it after the
+  // original is served entirely from the cache and adds no entry.
+  // Serial collapses and parallel merges stay off: they fold
+  // probabilities in adjacency order, so some residues would reduce one
+  // ulp apart under a relabeling and miss.
+  RankingServiceOptions options;
+  options.canonicalize.reduction.collapse_serial = false;
+  options.canonicalize.reduction.merge_parallel = false;
+  RankingService service(options);
+  Rng rng(6106);
+  int compared = 0;
+  for (const QueryGraph& graph : biorank::testing::MakeRestrictionCorpus()) {
+    const int k = static_cast<int>(graph.answers.size());
+    if (k == 0) continue;
+    Result<TopKResult> original = service.RankTopK(graph, k);
+    ASSERT_TRUE(original.ok()) << original.status();
+    const uint64_t entries = service.cache().Stats().entries;
+    std::vector<NodeId> relabel;
+    QueryGraph copy = biorank::testing::RelabeledCopy(graph, rng, relabel);
+    Result<TopKResult> relabeled = service.RankTopK(copy, k);
+    ASSERT_TRUE(relabeled.ok()) << relabeled.status();
+    EXPECT_EQ(relabeled.value().stats.cache_misses, 0);
+    EXPECT_EQ(service.cache().Stats().entries, entries);
+    std::vector<std::pair<NodeId, double>> expected;
+    for (const RankedCandidate& c : original.value().top) {
+      expected.emplace_back(relabel[static_cast<size_t>(c.node)],
+                            c.reliability);
+    }
+    std::vector<std::pair<NodeId, double>> actual = Flatten(relabeled.value());
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected);
+    compared += k;
+  }
+  EXPECT_GT(compared, 100);
 }
 
 TEST(RankingServiceTest, EmptyAnswerSetReturnsEmptyResult) {

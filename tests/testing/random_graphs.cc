@@ -160,4 +160,31 @@ std::vector<QueryGraph> MakeRestrictionCorpus() {
   return corpus;
 }
 
+QueryGraph RelabeledCopy(const QueryGraph& graph, Rng& rng,
+                         std::vector<NodeId>& relabel) {
+  std::vector<NodeId> nodes = graph.graph.AliveNodes();
+  std::vector<EdgeId> edges = graph.graph.AliveEdges();
+  rng.Shuffle(nodes);
+  rng.Shuffle(edges);
+  QueryGraph copy;
+  relabel.assign(static_cast<size_t>(graph.graph.node_capacity()),
+                 kInvalidNode);
+  for (NodeId id : nodes) {
+    relabel[static_cast<size_t>(id)] =
+        copy.graph.AddNode(graph.graph.node(id).p);
+  }
+  for (EdgeId e : edges) {
+    const GraphEdge& edge = graph.graph.edge(e);
+    copy.graph
+        .AddEdge(relabel[static_cast<size_t>(edge.from)],
+                 relabel[static_cast<size_t>(edge.to)], edge.q)
+        .value();
+  }
+  copy.source = relabel[static_cast<size_t>(graph.source)];
+  for (NodeId a : graph.answers) {
+    copy.answers.push_back(relabel[static_cast<size_t>(a)]);
+  }
+  return copy;
+}
+
 }  // namespace biorank::testing

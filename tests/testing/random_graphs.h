@@ -56,6 +56,12 @@ void ApplyDeltaShapes(Rng& rng, QueryGraph& query_graph);
 /// against exact reliability.
 std::vector<QueryGraph> MakeRestrictionCorpus();
 
+/// `graph` with its alive nodes renumbered by a random permutation and
+/// its alive edges inserted in a random order; `relabel` maps each
+/// original node id to its new id.
+QueryGraph RelabeledCopy(const QueryGraph& graph, Rng& rng,
+                         std::vector<NodeId>& relabel);
+
 }  // namespace biorank::testing
 
 #endif  // BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
