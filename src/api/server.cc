@@ -18,6 +18,9 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Captured slow-query traces the server keeps (the newest win).
+constexpr size_t kSlowTraceCapacity = 32;
+
 double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
@@ -41,8 +44,7 @@ Server::Server(ServerOptions options)
       service_(WithRegistry(options_.ranking, &obs_registry_)),
       harness_(universe_, registry_, mediator_, options_.ranker),
       admission_(options_.admission),
-      slow_log_(options_.obs.slow_trace_capacity,
-                options_.obs.slow_query_threshold_s) {
+      slow_log_(kSlowTraceCapacity, options_.obs.slow_query_threshold_s) {
   options_.ranking.registry = service_.options().registry;
   InitMetrics();
   if (!options_.storage_dir.empty()) {
@@ -428,10 +430,6 @@ void Server::RecordPhases(const PhaseTiming& timing) {
 
 std::string Server::MetricsText() const {
   return obs::RenderPrometheusText(obs_registry_.TakeSnapshot());
-}
-
-std::string Server::MetricsJson() const {
-  return obs::RenderJson(obs_registry_.TakeSnapshot());
 }
 
 obs::Snapshot Server::MetricsSnapshot() const {

@@ -32,7 +32,7 @@
 // registry is a mutex-guarded handle map holding shared_ptr sessions, so
 // a CloseSession racing an in-flight QuerySession is safe (the applier
 // dies with its last reference); per-session reader/writer coordination
-// is the UpdateApplier's shared_mutex; the cache is sharded. Idle
+// is the UpdateApplier's shared_mutex; the cache has one lock. Idle
 // sessions are evicted by server-operation age (a deterministic op
 // clock, not wall time), so eviction is testable and replayable.
 
@@ -68,15 +68,14 @@ namespace biorank::api {
 /// handle-based recording is cheap enough to never gate — but tracing
 /// is opt-in per request (QueryOptions::trace) or threshold-triggered
 /// (slow_query_threshold_s). The server always owns its metrics
-/// registry; MetricsText/MetricsJson/MetricsSnapshot read it.
+/// registry; MetricsText/MetricsSnapshot read it.
 struct ObservabilityOptions {
   /// Requests whose end-to-end latency reaches this many seconds keep
-  /// their full span tree in the slow-query ring buffer. <= 0 (the
-  /// default) disables capture — and with it the per-request Trace
-  /// allocation, keeping the always-on hot path metrics-only.
+  /// their full span tree in the slow-query ring buffer (the newest 32
+  /// captures). <= 0 (the default) disables capture — and with it the
+  /// per-request Trace allocation, keeping the always-on hot path
+  /// metrics-only.
   double slow_query_threshold_s = 0.0;
-  /// Ring-buffer capacity for captured slow-query traces.
-  size_t slow_trace_capacity = 32;
 };
 
 /// Everything a server instance is built from. One options bundle, one
@@ -252,15 +251,14 @@ class Server {
     return recovery_report_;
   }
 
-  /// Point-in-time metrics: the server's registry snapshot rendered in
-  /// Prometheus text exposition format / as one JSON object. Spans
+  /// Point-in-time metrics: the server's registry snapshot, as a value
+  /// or rendered in Prometheus text exposition format. Spans
   /// api (request counters, phase latency histograms), serve
   /// (scheduler counters, bounds/MC histograms, cache), ingest (delta
   /// counters, apply latency) and, on durable servers, storage. The
   /// registry is the one read path for server counters: read a family
   /// by name with obs::Snapshot::FindCounter / FindGauge.
   std::string MetricsText() const;
-  std::string MetricsJson() const;
   obs::Snapshot MetricsSnapshot() const;
 
   /// Captured slow-query traces (empty unless

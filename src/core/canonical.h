@@ -37,7 +37,7 @@ namespace biorank {
 /// effectively never hit on real workloads.
 struct CanonicalKey {
   std::string repr;  ///< Canonical serialization; equality = same graph.
-  uint64_t hash = 0; ///< FNV-1a of repr: shard selector and MC stream id.
+  uint64_t hash = 0; ///< FNV-1a of repr: the MC stream id.
 };
 
 /// Options for canonicalization.
@@ -114,7 +114,7 @@ CanonicalCandidate CanonicalizeValidatedCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options, const CsrSnapshot& graph_csr);
 
-/// FNV-1a 64-bit hash, exposed for tests and the cache's shard selector.
+/// FNV-1a 64-bit hash, exposed for tests and the storage fingerprint.
 uint64_t Fnv1a64(const std::string& text);
 
 }  // namespace biorank

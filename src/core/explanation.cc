@@ -177,18 +177,9 @@ Result<std::vector<EvidencePath>> ExplainAnswer(
     std::pop_heap(candidates.begin(), candidates.end(), by_probability);
     EvidencePath best = std::move(candidates.back());
     candidates.pop_back();
-    if (best.probability < options.min_probability) break;
     accepted.push_back(std::move(best));
   }
-
-  // Filter by the probability floor (the first path may also be weak).
-  std::vector<EvidencePath> result;
-  for (EvidencePath& path : accepted) {
-    if (path.probability >= options.min_probability) {
-      result.push_back(std::move(path));
-    }
-  }
-  return result;
+  return accepted;
 }
 
 std::string FormatEvidencePath(const QueryGraph& query_graph,

@@ -27,8 +27,7 @@ struct EvidencePath {
 
 /// Options for evidence-path extraction.
 struct ExplanationOptions {
-  int max_paths = 5;          ///< How many paths to return (k of k-best).
-  double min_probability = 0.0;  ///< Drop paths weaker than this.
+  int max_paths = 5;  ///< How many paths to return (k of k-best).
 };
 
 /// Returns the k most probable loopless paths from the query node to

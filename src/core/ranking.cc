@@ -149,8 +149,7 @@ Result<std::vector<RankedAnswer>> Ranker::Rank(const QueryGraph& query_graph,
                                                RankingMethod method) const {
   Result<std::vector<double>> scores = ScoreAllNodes(query_graph, method);
   if (!scores.ok()) return scores.status();
-  return RankAnswers(query_graph.answers, scores.value(),
-                     options_.tie_epsilon);
+  return RankAnswers(query_graph.answers, scores.value());
 }
 
 }  // namespace biorank

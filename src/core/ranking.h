@@ -71,7 +71,6 @@ struct RankerOptions {
   /// Apply the Section 3.1 reduction rules before Monte Carlo reliability
   /// (the paper's fastest configuration, "R&M2").
   bool reduce_before_mc = true;
-  double tie_epsilon = 1e-9;
 };
 
 /// Facade that evaluates any of the five relevance functions on a query
@@ -88,7 +87,8 @@ class Ranker {
   Result<std::vector<double>> ScoreAllNodes(const QueryGraph& query_graph,
                                             RankingMethod method) const;
 
-  /// Ranks the query graph's answer set under `method`.
+  /// Ranks the query graph's answer set under `method`, with
+  /// RankAnswers' default tie epsilon.
   Result<std::vector<RankedAnswer>> Rank(const QueryGraph& query_graph,
                                          RankingMethod method) const;
 

@@ -60,7 +60,6 @@ bool Reaches(const ProbabilisticEntityGraph& graph, NodeId start,
 struct FactoringContext {
   int64_t calls = 0;
   int64_t max_calls = 0;
-  bool use_reductions = false;
   bool budget_exceeded = false;
   DfsScratch dfs;
 };
@@ -78,9 +77,7 @@ double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   NodeId s = query_graph.source;
   NodeId t = query_graph.answers[0];
 
-  if (ctx.use_reductions) {
-    ReduceQueryGraph(query_graph);
-  }
+  ReduceQueryGraph(query_graph);
 
   // Pruning 1: unreachable even if every uncertain edge were present.
   auto any_alive = [&](EdgeId e) { return graph.edge(e).q > 0.0; };
@@ -129,7 +126,6 @@ Result<double> FactorOnSnapshot(const QueryGraph& query_graph,
 
   FactoringContext ctx;
   ctx.max_calls = options.max_calls;
-  ctx.use_reductions = options.use_reductions;
   double value = FactorRec(reified.query_graph, ctx);
   if (ctx.budget_exceeded) {
     return Status::FailedPrecondition(

@@ -28,9 +28,6 @@ Result<double> ExactReliabilityBruteForce(const QueryGraph& query_graph,
 
 /// Options for the factoring algorithm.
 struct FactoringOptions {
-  /// Interleave series-parallel reductions between conditioning steps.
-  /// Dramatically shrinks the recursion on workflow-shaped graphs.
-  bool use_reductions = true;
   /// Upper bound on recursive conditioning calls; exceeding it returns
   /// FailedPrecondition ("graph too complex"). #P-hardness (Valiant 1979)
   /// means some graphs are genuinely out of reach.

@@ -7,7 +7,7 @@
 //
 //   delta -> validate -> apply to graph (writer lock)
 //         -> dependency index: dirty answers + orphaned canonical keys
-//         -> ReliabilityCache::InvalidateKeys(orphans)  [not Clear()!]
+//         -> ReliabilityCache::InvalidateKeys(orphans), never a full flush
 //         -> re-canonicalize only the dirty answers
 //   query -> RankPrepared over the per-answer canonicals (reader lock):
 //            clean answers hit the warm cache, dirty answers re-enter

@@ -33,28 +33,6 @@ std::string EscapeHelp(const std::string& s) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendHeader(std::string& out, const std::string& name,
                   const std::string& help, const char* type) {
   out += "# HELP " + name + " " +
@@ -88,48 +66,6 @@ std::string RenderPrometheusText(const Snapshot& snapshot) {
     out += h.name + "_count " + FormatValue(static_cast<double>(h.count)) +
            "\n";
   }
-  return out;
-}
-
-std::string RenderJson(const Snapshot& snapshot) {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const CounterSnapshot& c : snapshot.counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(c.name) +
-           "\": " + FormatValue(static_cast<double>(c.value));
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const GaugeSnapshot& g : snapshot.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(g.name) + "\": " + FormatValue(g.value);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(h.name) + "\": {\n";
-    out += "      \"count\": " + FormatValue(static_cast<double>(h.count)) +
-           ",\n";
-    out += "      \"sum\": " + FormatValue(h.sum) + ",\n";
-    out += "      \"p50\": " + FormatValue(h.Quantile(0.50)) + ",\n";
-    out += "      \"p99\": " + FormatValue(h.Quantile(0.99)) + ",\n";
-    out += "      \"p999\": " + FormatValue(h.Quantile(0.999)) + ",\n";
-    out += "      \"bounds\": [";
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      out += (i ? ", " : "") + FormatValue(h.bounds[i]);
-    }
-    out += "],\n      \"counts\": [";
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      out += (i ? ", " : "") + FormatValue(static_cast<double>(h.counts[i]));
-    }
-    out += "]\n    }";
-  }
-  out += "\n  }\n}\n";
   return out;
 }
 

@@ -4,12 +4,12 @@
 //     # HELP / # TYPE comment pairs, counters as `name value`,
 //     histograms as cumulative `name_bucket{le="..."}` series plus
 //     `name_sum` / `name_count`. What api::Server::MetricsText()
-//     returns and what the bench-smoke metrics-shape gate parses.
-//   RenderJson            — the same snapshot as one JSON object
-//     (api::Server::MetricsJson()), machine-diffable in tests.
+//     returns, what explore_cli --metrics prints and what the
+//     bench-smoke metrics-shape gate parses. Programs that need a
+//     quantile read api::Server::MetricsSnapshot() and call
+//     HistogramSnapshot::Quantile instead.
 //   RenderTraceTree       — a captured slow-query trace as an indented
-//     span tree with durations and per-span counters, for logs and the
-//     explore_cli --metrics dump.
+//     span tree with durations and per-span counters, for logs.
 
 #ifndef BIORANK_OBS_EXPORT_H_
 #define BIORANK_OBS_EXPORT_H_
@@ -22,8 +22,6 @@
 namespace biorank::obs {
 
 std::string RenderPrometheusText(const Snapshot& snapshot);
-
-std::string RenderJson(const Snapshot& snapshot);
 
 std::string RenderTraceTree(const CapturedTrace& trace);
 

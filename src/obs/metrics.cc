@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 namespace biorank::obs {
 
@@ -35,67 +34,50 @@ void AtomicAddDouble(std::atomic<uint64_t>& bits, double delta) {
 
 }  // namespace
 
-int ThisThreadSlot() {
-  // Hash the thread id once per thread; threads beyond kWriteSlots
-  // share slots (still atomic, just occasionally contended).
-  static thread_local const int slot = static_cast<int>(
-      std::hash<std::thread::id>()(std::this_thread::get_id()) %
-      static_cast<size_t>(kWriteSlots));
-  return slot;
-}
-
-Histogram::Histogram(HistogramOptions options) {
-  if (options.buckets < 1) options.buckets = 1;
-  if (!(options.min_bound > 0.0)) options.min_bound = 1e-6;
-  bounds_.reserve(static_cast<size_t>(options.buckets));
-  double bound = options.min_bound;
-  for (int i = 0; i < options.buckets; ++i) {
-    bounds_.push_back(bound);
-    bound *= 2.0;
-  }
-  for (Slot& slot : slots_) {
-    slot.counts = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-  }
+const std::vector<double>& Histogram::bounds() const {
+  static const std::vector<double> ladder = [] {
+    std::vector<double> bounds;
+    double bound = kHistogramMinBound;
+    for (int i = 0; i < kHistogramBuckets; ++i) {
+      bounds.push_back(bound);
+      bound *= 2.0;
+    }
+    return bounds;
+  }();
+  return ladder;
 }
 
 void Histogram::Observe(double value) {
   if (std::isnan(value)) return;
   // First bucket whose upper bound admits the value; +Inf bucket at
-  // bounds_.size() when none does. Linear scan: the ladder is ~28
-  // doubles in one cacheline pair, and latencies cluster low.
+  // bounds.size() when none does. Linear scan: the ladder is 28
+  // doubles, and latencies cluster low.
+  const std::vector<double>& ladder = bounds();
   size_t bucket = 0;
-  while (bucket < bounds_.size() && value > bounds_[bucket]) ++bucket;
-  Slot& slot = slots_[static_cast<size_t>(ThisThreadSlot())];
-  slot.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(slot.sum_bits, value < 0.0 ? 0.0 : value);
+  while (bucket < ladder.size() && value > ladder[bucket]) ++bucket;
+  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  AtomicAddDouble(sum_bits_, value < 0.0 ? 0.0 : value);
 }
 
 uint64_t Histogram::Count() const {
   uint64_t total = 0;
-  for (const Slot& slot : slots_) {
-    for (const std::atomic<uint64_t>& c : slot.counts) {
-      total += c.load(std::memory_order_acquire);
-    }
+  for (const std::atomic<uint64_t>& c : counts_) {
+    total += c.load(std::memory_order_acquire);
   }
   return total;
 }
 
 double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Slot& slot : slots_) {
-    total += BitsToDouble(slot.sum_bits.load(std::memory_order_acquire));
-  }
-  return total;
+  return BitsToDouble(sum_bits_.load(std::memory_order_acquire));
 }
 
 std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> merged(bounds_.size() + 1, 0);
-  for (const Slot& slot : slots_) {
-    for (size_t i = 0; i < merged.size(); ++i) {
-      merged[i] += slot.counts[i].load(std::memory_order_acquire);
-    }
+  std::vector<uint64_t> counts;
+  counts.reserve(counts_.size());
+  for (const std::atomic<uint64_t>& c : counts_) {
+    counts.push_back(c.load(std::memory_order_acquire));
   }
-  return merged;
+  return counts;
 }
 
 double HistogramSnapshot::Quantile(double q) const {
@@ -130,8 +112,7 @@ double HistogramSnapshot::Quantile(double q) const {
 Counter* Registry::GetCounter(const std::string& name,
                               const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(gauges_.find(name) == gauges_.end() &&
-         histograms_.find(name) == histograms_.end());
+  assert(histograms_.find(name) == histograms_.end());
   CounterEntry& entry = counters_[name];
   if (!entry.metric) {
     entry.help = help;
@@ -140,28 +121,14 @@ Counter* Registry::GetCounter(const std::string& name,
   return entry.metric.get();
 }
 
-Gauge* Registry::GetGauge(const std::string& name, const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(counters_.find(name) == counters_.end() &&
-         histograms_.find(name) == histograms_.end());
-  GaugeEntry& entry = gauges_[name];
-  if (!entry.metric) {
-    entry.help = help;
-    entry.metric = std::make_unique<Gauge>();
-  }
-  return entry.metric.get();
-}
-
 Histogram* Registry::GetHistogram(const std::string& name,
-                                  const std::string& help,
-                                  HistogramOptions options) {
+                                  const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(counters_.find(name) == counters_.end() &&
-         gauges_.find(name) == gauges_.end());
+  assert(counters_.find(name) == counters_.end());
   HistogramEntry& entry = histograms_[name];
   if (!entry.metric) {
     entry.help = help;
-    entry.metric = std::make_unique<Histogram>(options);
+    entry.metric = std::make_unique<Histogram>();
   }
   return entry.metric.get();
 }
@@ -200,11 +167,6 @@ Snapshot Registry::TakeSnapshot() const {
   snapshot.counters.reserve(counters_.size());
   for (const auto& [name, entry] : counters_) {
     snapshot.counters.push_back({name, entry.help, entry.metric->Value()});
-  }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, entry] : gauges_) {
-    snapshot.gauges.push_back(
-        {name, entry.help, static_cast<double>(entry.metric->Value())});
   }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, entry] : histograms_) {

@@ -1,30 +1,30 @@
-// Process-local metrics registry: named counters, gauges, and
-// log-bucketed latency histograms with cheap handle-based recording on
-// hot paths. Each api::Server owns one registry, so several servers in
-// one process (tests and benches build many) never mix their metrics.
+// Process-local metrics registry: named counters and log-bucketed
+// latency histograms with cheap handle-based recording on hot paths.
+// Gauges are point-in-time state, so they come only from collectors.
+// Each api::Server owns one registry, so several servers in one process
+// (tests and benches build many) never mix their metrics.
 //
 // Recording contract (the hot-path side):
-//   - Counter::Add and Histogram::Observe are lock-free: relaxed
-//     atomics sharded across cacheline-padded slots keyed by thread, so
-//     concurrent writers never contend on one cacheline and TSan sees
-//     only atomic traffic.
-//   - Gauge is a single atomic (gauges are low-rate by nature).
+//   - Counter::Add is one relaxed atomic add; Histogram::Observe is one
+//     relaxed bucket add plus a CAS loop on the running sum. Both are
+//     lock-free, and TSan sees only atomic traffic.
 //   - Handles returned by Get* are stable for the Registry's lifetime;
 //     resolve them once at construction, not per request.
 //
 // Snapshot contract (the reading side): TakeSnapshot() holds the
 // registry mutex, runs registered collector callbacks (the bridge for
 // point-in-time state such as the cache and admission-queue gauges),
-// and returns a self-contained Snapshot sorted by metric name. Individual
-// counter reads sum their slots with acquire ordering; a snapshot is a
-// consistent *list* of metrics, each atomically summed, not a global
-// atomic cut — the same contract Prometheus scrapes live with.
+// and returns a self-contained Snapshot sorted by metric name. Values
+// are read with acquire ordering; a snapshot is a consistent *list* of
+// metrics, each read atomically, not a global atomic cut — the same
+// contract Prometheus scrapes live with.
 //
-// Histograms use a fixed ~2x bucket ladder: bucket i holds observations
-// <= min_bound * 2^i (cumulative counts are computed at snapshot time,
-// matching Prometheus `le` semantics). Quantiles are derived from the
-// bucket counts with log-linear interpolation inside the bucket —
-// approximate by construction, exact enough for p50/p99/p999 gates.
+// Every histogram uses one ~2x bucket ladder: bucket i holds
+// observations <= kHistogramMinBound * 2^i (cumulative counts are
+// computed at snapshot time, matching Prometheus `le` semantics).
+// Quantiles are derived from the bucket counts with log-linear
+// interpolation inside the bucket — approximate by construction, exact
+// enough for p50/p99/p999 gates.
 //
 // Naming convention (enforced by the exporter tests, see
 // docs/ARCHITECTURE.md §9): biorank_<layer>_<name> with layer one of
@@ -47,73 +47,32 @@
 
 namespace biorank::obs {
 
-/// Number of cacheline-padded slots a Counter/Histogram stripes its
-/// writers across. Eight covers the pool widths this repo runs (the
-/// thread pool is sized to hardware_concurrency, typically <= 8 here);
-/// more threads than slots just share slots, still atomically.
-inline constexpr int kWriteSlots = 8;
-
-/// Stable per-thread slot index in [0, kWriteSlots).
-int ThisThreadSlot();
-
-/// A monotonically increasing counter. Add() is wait-free on the hot
-/// path; Value() sums the slots.
+/// A monotonically increasing counter.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Add(uint64_t n = 1) {
-    slots_[static_cast<size_t>(ThisThreadSlot())].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Slot& slot : slots_) {
-      total += slot.v.load(std::memory_order_acquire);
-    }
-    return total;
-  }
+  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return value_.load(std::memory_order_acquire); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Slot, kWriteSlots> slots_;
+  std::atomic<uint64_t> value_{0};
 };
 
-/// A settable instantaneous value (queue depth, open sessions, ...).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
+/// The histogram ladder: kHistogramBuckets finite upper bounds
+/// kHistogramMinBound * 2^i plus an implicit +Inf bucket, spanning
+/// 1 microsecond .. ~134 seconds — wide enough for every latency this
+/// stack records, from cache probes to blocked open-loop queries.
+inline constexpr double kHistogramMinBound = 1e-6;
+inline constexpr int kHistogramBuckets = 28;
 
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_acquire); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Histogram shape: a fixed ladder of `buckets` finite upper bounds
-/// min_bound * 2^i plus an implicit +Inf bucket. The default spans
-/// 1 microsecond .. ~134 seconds in 28 doublings — wide enough for
-/// every latency this stack records, from cache probes to blocked
-/// open-loop queries.
-struct HistogramOptions {
-  double min_bound = 1e-6;
-  int buckets = 28;
-};
-
-/// A log-bucketed histogram. Observe() is wait-free (bucket search is a
-/// handful of compares on a 28-entry ladder); the running sum uses a
+/// A log-bucketed histogram on the ladder above. The running sum uses a
 /// CAS loop because C++17 has no atomic<double>::fetch_add.
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options = HistogramOptions());
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -126,21 +85,16 @@ class Histogram {
   uint64_t Count() const;
   double Sum() const;
 
-  /// Finite upper bounds (size options.buckets); the +Inf bucket is
-  /// implicit at index options.buckets in per-bucket counts.
-  const std::vector<double>& bounds() const { return bounds_; }
+  /// Finite upper bounds (size kHistogramBuckets); the +Inf bucket is
+  /// implicit at index kHistogramBuckets in per-bucket counts.
+  const std::vector<double>& bounds() const;
 
   /// Raw (non-cumulative) per-bucket counts, size bounds().size() + 1.
   std::vector<uint64_t> BucketCounts() const;
 
  private:
-  struct alignas(64) Slot {
-    std::vector<std::atomic<uint64_t>> counts;
-    std::atomic<uint64_t> sum_bits{0};  // bit-cast double accumulator
-  };
-
-  std::vector<double> bounds_;
-  std::array<Slot, kWriteSlots> slots_;
+  std::array<std::atomic<uint64_t>, kHistogramBuckets + 1> counts_{};
+  std::atomic<uint64_t> sum_bits_{0};  // bit-cast double accumulator
 };
 
 /// Point-in-time views assembled by Registry::TakeSnapshot().
@@ -198,7 +152,7 @@ using Collector = std::function<void(Snapshot&)>;
 /// name creates the metric, later calls return the same handle (help
 /// text from the first registration wins). Metric names must be
 /// distinct across kinds — registering "x" as both a counter and a
-/// gauge is a programming error and aborts in debug builds.
+/// histogram is a programming error and aborts in debug builds.
 class Registry {
  public:
   Registry() = default;
@@ -206,28 +160,23 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter* GetCounter(const std::string& name, const std::string& help = "");
-  Gauge* GetGauge(const std::string& name, const std::string& help = "");
   Histogram* GetHistogram(const std::string& name,
-                          const std::string& help = "",
-                          HistogramOptions options = HistogramOptions());
+                          const std::string& help = "");
 
   /// Registers a snapshot-time collector (see Collector above) for the
   /// registry's lifetime; whatever it reads must live as long as the
   /// registry.
   void AddCollector(Collector fn);
 
-  /// Locked point-in-time snapshot: native metrics first, then
-  /// collectors, then a stable sort by name within each kind.
+  /// Locked point-in-time snapshot: native counters and histograms
+  /// first, then collectors, then a stable sort by name within each
+  /// kind.
   Snapshot TakeSnapshot() const;
 
  private:
   struct CounterEntry {
     std::string help;
     std::unique_ptr<Counter> metric;
-  };
-  struct GaugeEntry {
-    std::string help;
-    std::unique_ptr<Gauge> metric;
   };
   struct HistogramEntry {
     std::string help;
@@ -236,7 +185,6 @@ class Registry {
 
   mutable std::mutex mu_;
   std::map<std::string, CounterEntry> counters_;
-  std::map<std::string, GaugeEntry> gauges_;
   std::map<std::string, HistogramEntry> histograms_;
   std::vector<Collector> collectors_;
 };

@@ -182,7 +182,7 @@ struct UniqueState {
 
 /// Thread-compatible ranking service; one instance owns the process-wide
 /// reliability cache. RankTopK / RankPrepared may be called from multiple
-/// threads (all request state is local and the cache is sharded); the
+/// threads (all request state is local and the cache is locked); the
 /// parallelism of one request fans out across candidates and MC shards.
 class RankingService {
  public:

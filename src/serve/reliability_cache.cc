@@ -5,127 +5,81 @@
 namespace biorank::serve {
 
 ReliabilityCache::ReliabilityCache(ReliabilityCacheOptions options)
-    : options_(options) {
-  options_.capacity = std::max<size_t>(1, options_.capacity);
-  options_.shards = std::max(1, options_.shards);
-  // A shard count above the capacity would make some shards zero-sized.
-  options_.shards = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(options_.shards), options_.capacity));
-  per_shard_capacity_ =
-      (options_.capacity + static_cast<size_t>(options_.shards) - 1) /
-      static_cast<size_t>(options_.shards);
-  shards_.reserve(static_cast<size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ReliabilityCache::Shard& ReliabilityCache::ShardFor(const CanonicalKey& key) {
-  return *shards_[key.hash % shards_.size()];
-}
+    : capacity_(std::max<size_t>(1, options.capacity)) {}
 
 std::optional<CacheEntry> ReliabilityCache::Get(const CanonicalKey& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key.repr);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key.repr);
+  if (it == index_.end()) {
+    ++misses_;
     return std::nullopt;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++hits_;
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
 }
 
 void ReliabilityCache::Put(const CanonicalKey& key, const CacheEntry& entry) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key.repr);
-  if (it != shard.index.end()) {
-    it->second->second = entry;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.emplace_front(key.repr, entry);
-  shard.index.emplace(key.repr, shard.lru.begin());
-  ++shard.insertions;
-  while (shard.index.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  PutLocked(key.repr, entry);
 }
 
-bool ReliabilityCache::Erase(const CanonicalKey& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key.repr);
-  if (it == shard.index.end()) return false;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  ++shard.invalidations;
-  return true;
+void ReliabilityCache::PutLocked(const std::string& repr,
+                                 const CacheEntry& entry) {
+  auto it = index_.find(repr);
+  if (it != index_.end()) {
+    it->second->second = entry;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  lru_.emplace_front(repr, entry);
+  index_.emplace(repr, lru_.begin());
+  ++insertions_;
+  while (index_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
+  }
 }
 
 size_t ReliabilityCache::InvalidateKeys(const std::vector<CanonicalKey>& keys) {
+  std::lock_guard<std::mutex> lock(mu_);
   size_t erased = 0;
   for (const CanonicalKey& key : keys) {
-    if (Erase(key)) ++erased;
+    auto it = index_.find(key.repr);
+    if (it == index_.end()) continue;
+    lru_.erase(it->second);
+    index_.erase(it);
+    ++erased;
   }
+  invalidations_ += erased;
   return erased;
 }
 
 CacheStats ReliabilityCache::Stats() const {
-  // Hold every shard lock at once so the aggregated snapshot is a true
-  // point-in-time state, not a smear across in-flight mutations. Stats()
-  // is the only site locking more than one shard, so the fixed ascending
-  // order cannot deadlock against the single-shard operations.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   CacheStats stats;
-  for (const auto& shard : shards_) {
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.insertions += shard->insertions;
-    stats.evictions += shard->evictions;
-    stats.invalidations += shard->invalidations;
-    stats.entries += shard->index.size();
-  }
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.insertions = insertions_;
+  stats.evictions = evictions_;
+  stats.invalidations = invalidations_;
+  stats.entries = index_.size();
   return stats;
 }
 
 std::vector<std::pair<std::string, CacheEntry>>
 ReliabilityCache::Export() const {
-  std::vector<std::pair<std::string, CacheEntry>> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Reverse iteration: LRU list is most-recent-first, so walking
-    // backwards emits oldest first.
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-      out.push_back(*it);
-    }
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  // The LRU list is most-recent-first, so walking it backwards emits
+  // oldest first.
+  return {lru_.rbegin(), lru_.rend()};
 }
 
 void ReliabilityCache::Restore(
     const std::vector<std::pair<std::string, CacheEntry>>& entries) {
-  for (const auto& [repr, entry] : entries) {
-    CanonicalKey key;
-    key.repr = repr;
-    key.hash = Fnv1a64(repr);
-    Put(key, entry);
-  }
-}
-
-void ReliabilityCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->invalidations += shard->index.size();
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [repr, entry] : entries) PutLocked(repr, entry);
 }
 
 }  // namespace biorank::serve

@@ -1,4 +1,4 @@
-// Sharded, thread-safe LRU memo mapping canonical reduced-graph keys to
+// Thread-safe LRU memo mapping canonical reduced-graph keys to
 // reliability results (deterministic bounds, and — once a candidate has
 // been resolved — the exact or converged-Monte-Carlo value). This is the
 // serving layer's cross-request reuse store: tuples and successive
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -42,15 +41,15 @@ struct CacheEntry {
   int64_t tally = 0;
 };
 
-/// Monotonic counters; `entries` is the current live total. The snapshot
-/// satisfies `insertions - evictions - invalidations == entries` because
-/// Stats() holds every shard lock at once (see Stats()).
+/// Monotonic counters; `entries` is the current live total. Stats()
+/// reads them under the cache lock, so the snapshot satisfies
+/// `insertions - evictions - invalidations == entries`.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;       ///< Capacity-driven LRU drops.
-  uint64_t invalidations = 0;   ///< Entries dropped by Erase/InvalidateKeys/Clear.
+  uint64_t invalidations = 0;   ///< Entries dropped by InvalidateKeys.
   uint64_t entries = 0;
 
   double HitRate() const {
@@ -63,17 +62,13 @@ struct CacheStats {
 
 /// Configuration for ReliabilityCache.
 struct ReliabilityCacheOptions {
-  /// Total entry budget across all shards (>= 1). Each shard holds
-  /// ceil(capacity / shards) entries and evicts its own LRU tail.
+  /// Entry budget (>= 1); beyond it the LRU tail is evicted.
   size_t capacity = 1 << 16;
-  /// Number of independent shards (clamped to [1, capacity]).
-  int shards = 16;
 };
 
-/// Sharded LRU cache. Shard = canonical hash, so isomorphic candidates
-/// always land on the same shard; each shard has its own mutex, LRU list,
-/// and capacity slice, so pool threads resolving different candidates
-/// rarely contend.
+/// LRU cache behind one mutex. A request reads and publishes the cache
+/// sequentially (which keeps the LRU order deterministic), so only
+/// concurrent requests ever meet on the lock.
 class ReliabilityCache {
  public:
   explicit ReliabilityCache(ReliabilityCacheOptions options = {});
@@ -83,71 +78,50 @@ class ReliabilityCache {
   std::optional<CacheEntry> Get(const CanonicalKey& key);
 
   /// Inserts or overwrites the entry for `key` and marks it most
-  /// recently used; evicts the shard's LRU tail beyond capacity.
+  /// recently used; evicts the LRU tail beyond capacity.
   void Put(const CanonicalKey& key, const CacheEntry& entry);
 
-  /// Removes the entry for `key` if present; returns whether one was
-  /// removed. Counts one invalidation when it was. Never counts a
-  /// hit/miss — invalidation is bookkeeping, not a lookup.
-  bool Erase(const CanonicalKey& key);
-
-  /// Batch Erase: removes every present key and returns how many entries
-  /// were dropped. The ingest layer calls this with exactly the canonical
-  /// keys an applied EvidenceDelta orphaned, so the rest of the cache
-  /// stays warm across updates (the alternative — Clear() — discards
-  /// every unaffected answer's bounds and values too).
+  /// Removes every present key and returns how many entries were
+  /// dropped, each counted as one invalidation (never as a hit or miss:
+  /// invalidation is bookkeeping, not a lookup). The ingest layer calls
+  /// this with exactly the canonical keys an applied EvidenceDelta
+  /// orphaned, so the rest of the cache stays warm across updates.
   size_t InvalidateKeys(const std::vector<CanonicalKey>& keys);
 
-  /// Race-free aggregated snapshot: all shard locks are held at once (the
-  /// only multi-shard lock site, so lock order is trivially consistent),
-  /// making the cross-shard totals a true point-in-time state — under
-  /// concurrent mutation, `insertions - evictions - invalidations ==
-  /// entries` still holds in the returned value.
+  /// Point-in-time counters, read under the cache lock.
   CacheStats Stats() const;
 
-  /// Drops every entry (monotonic counters are kept; the dropped entries
-  /// count as invalidations).
-  void Clear();
-
   /// Point-in-time copy of every entry, as (canonical repr, entry)
-  /// pairs — the storage layer's checkpoint export. Order is
-  /// shard-ascending, LRU-oldest first within a shard, so feeding the
-  /// pairs back through Restore() in order reproduces the recency order
-  /// (most recently used ends up at the front again). Bounds-only and
-  /// partial-MC entries are exported too: every CacheEntry field is a
-  /// pure function of the canonical key (the bit-identity contract), so
-  /// a restored partial state resumes exactly where the original left
-  /// off — and the bounds-only entries are what lets a warm boot keep
-  /// pruning without re-resolving, preserving the pre-kill hit rate.
+  /// pairs, LRU-oldest first — the storage layer's checkpoint export.
+  /// Feeding the pairs back through Restore() in order reproduces the
+  /// recency order (most recently used ends up at the front again).
+  /// Bounds-only and partial-MC entries are exported too: every
+  /// CacheEntry field is a pure function of the canonical key (the
+  /// bit-identity contract), so a restored partial state resumes exactly
+  /// where the original left off — and the bounds-only entries are what
+  /// lets a warm boot keep pruning without re-resolving, preserving the
+  /// pre-kill hit rate.
   std::vector<std::pair<std::string, CacheEntry>> Export() const;
 
-  /// Re-inserts exported entries (hashes are recomputed from the reprs —
-  /// a canonical hash is a pure function of the repr). Counts as normal
-  /// insertions; capacity eviction applies as usual.
+  /// Re-inserts exported entries in order. Counts as normal insertions;
+  /// capacity eviction applies as usual.
   void Restore(const std::vector<std::pair<std::string, CacheEntry>>& entries);
 
-  const ReliabilityCacheOptions& options() const { return options_; }
-
  private:
-  struct Shard {
-    std::mutex mu;
-    /// Most recent at front. Stores (repr, entry).
-    std::list<std::pair<std::string, CacheEntry>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, CacheEntry>>::iterator>
-        index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t invalidations = 0;
-  };
+  using Lru = std::list<std::pair<std::string, CacheEntry>>;
 
-  Shard& ShardFor(const CanonicalKey& key);
+  /// Put by repr; `mu_` must be held.
+  void PutLocked(const std::string& repr, const CacheEntry& entry);
 
-  ReliabilityCacheOptions options_;
-  size_t per_shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  Lru lru_;  ///< Most recent at front.
+  std::unordered_map<std::string, Lru::iterator> index_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t insertions_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t invalidations_ = 0;
 };
 
 }  // namespace biorank::serve

@@ -72,8 +72,8 @@ struct SnapshotState {
   uint64_t wal_lsn = 0;
   uint64_t next_session_id = 1;
   std::vector<SnapshotSession> sessions;
-  /// Resolved cache entries, LRU-oldest first per shard, so restoring
-  /// with Put() in order reproduces the recency order.
+  /// Resolved cache entries, LRU-oldest first, so restoring them in
+  /// order reproduces the recency order.
   std::vector<SnapshotCacheEntry> cache_entries;
 };
 

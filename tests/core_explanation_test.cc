@@ -88,24 +88,6 @@ TEST(ExplanationTest, UnreachableTargetHasNoPaths) {
   EXPECT_TRUE(paths.value().empty());
 }
 
-TEST(ExplanationTest, MinProbabilityFilters) {
-  QueryGraphBuilder b;
-  NodeId weak = b.Node(1.0, "weak");
-  NodeId strong = b.Node(1.0, "strong");
-  NodeId t = b.Node(1.0, "t");
-  b.Edge(b.Source(), weak, 0.1);
-  b.Edge(weak, t, 0.1);
-  b.Edge(b.Source(), strong, 0.9);
-  b.Edge(strong, t, 0.9);
-  QueryGraph g = std::move(b).Build({t});
-  ExplanationOptions options;
-  options.min_probability = 0.5;
-  Result<std::vector<EvidencePath>> paths =
-      ExplainAnswer(g, t, options);
-  ASSERT_TRUE(paths.ok());
-  EXPECT_EQ(paths.value().size(), 1u);
-}
-
 TEST(ExplanationTest, RejectsBadArguments) {
   QueryGraph g = MakeFig4aSerialParallel();
   EXPECT_FALSE(ExplainAnswer(g, 999).ok());

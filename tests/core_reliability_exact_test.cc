@@ -122,15 +122,6 @@ TEST(FactoringTest, MatchesBruteForceOnFig4a) {
   EXPECT_NEAR(r.value(), 0.5, 1e-12);
 }
 
-TEST(FactoringTest, WorksWithoutReductions) {
-  QueryGraph g = MakeFig4bWheatstoneBridge();
-  FactoringOptions options;
-  options.use_reductions = false;
-  Result<double> r = ExactReliabilityFactoring(g, g.answers[0], options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value(), 15.0 / 32.0, 1e-12);
-}
-
 TEST(FactoringTest, HandlesUncertainNodesViaReification) {
   QueryGraphBuilder b;
   NodeId mid = b.Node(0.5, "mid");
@@ -153,9 +144,10 @@ TEST(FactoringTest, UnreachableTargetIsZero) {
 }
 
 TEST(FactoringTest, BudgetExceededFails) {
+  // The bridge is irreducible, so the root call conditions an edge and
+  // recurses into both branches: three calls against a budget of two.
   QueryGraph g = MakeFig4bWheatstoneBridge();
   FactoringOptions options;
-  options.use_reductions = false;
   options.max_calls = 2;
   Result<double> r = ExactReliabilityFactoring(g, g.answers[0], options);
   ASSERT_FALSE(r.ok());

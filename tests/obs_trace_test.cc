@@ -161,7 +161,6 @@ api::Server& TracedServer() {
     api::ServerOptions options;
     options.ranking.exact_max_edges = 0;
     options.obs.slow_query_threshold_s = 1e-12;
-    options.obs.slow_trace_capacity = 8;
     return new api::Server(options);
   }();
   return *server;

@@ -1,14 +1,16 @@
-// The sharded LRU reliability cache: hit/miss accounting, in-place
-// upgrade of bounds-only entries, LRU eviction under a tiny capacity,
-// and — because this is the first mutable state shared across pool
-// threads — a concurrent hammering test meant to run under
-// ThreadSanitizer (CI's tsan job).
+// The LRU reliability cache: hit/miss accounting, in-place upgrade of
+// bounds-only entries, LRU eviction under a tiny capacity, the
+// checkpoint export order, and — because concurrent requests share it —
+// concurrent hammering tests meant to run under ThreadSanitizer (CI's
+// tsan job).
 
 #include "serve/reliability_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/parallel.h"
 
@@ -69,7 +71,6 @@ TEST(ReliabilityCacheTest, BoundsEntryUpgradesInPlace) {
 TEST(ReliabilityCacheTest, LruEvictionUnderTinyCapacity) {
   ReliabilityCacheOptions options;
   options.capacity = 2;
-  options.shards = 1;  // One shard so the LRU order is global.
   ReliabilityCache cache(options);
   cache.Put(Key("a"), Value(0.1));
   cache.Put(Key("b"), Value(0.2));
@@ -83,41 +84,65 @@ TEST(ReliabilityCacheTest, LruEvictionUnderTinyCapacity) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
-TEST(ReliabilityCacheTest, ShardCountClampedToCapacity) {
+TEST(ReliabilityCacheTest, CapacityBoundsTheWholeCache) {
   ReliabilityCacheOptions options;
   options.capacity = 3;
-  options.shards = 64;
   ReliabilityCache cache(options);
-  EXPECT_EQ(cache.options().shards, 3);
   for (int i = 0; i < 100; ++i) {
     cache.Put(Key("k" + std::to_string(i)), Value(0.5));
   }
-  // Per-shard capacity is 1, so at most `shards` entries survive.
-  EXPECT_LE(cache.Stats().entries, 3u);
-}
-
-TEST(ReliabilityCacheTest, ClearDropsEntriesKeepsCounters) {
-  ReliabilityCache cache;
-  cache.Put(Key("a"), Value(0.1));
-  ASSERT_TRUE(cache.Get(Key("a")).has_value());
-  cache.Clear();
-  EXPECT_FALSE(cache.Get(Key("a")).has_value());
   CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 97u);
+  // The three most recent survive.
+  EXPECT_TRUE(cache.Get(Key("k97")).has_value());
+  EXPECT_TRUE(cache.Get(Key("k99")).has_value());
+  EXPECT_FALSE(cache.Get(Key("k96")).has_value());
 }
 
-TEST(ReliabilityCacheTest, EraseDropsOneEntryAndCounts) {
+TEST(ReliabilityCacheTest, ExportIsOldestFirstAndRestoreKeepsRecency) {
   ReliabilityCache cache;
   cache.Put(Key("a"), Value(0.1));
   cache.Put(Key("b"), Value(0.2));
-  EXPECT_TRUE(cache.Erase(Key("a")));
-  EXPECT_FALSE(cache.Erase(Key("a"))) << "second erase finds nothing";
-  EXPECT_FALSE(cache.Erase(Key("never-inserted")));
+  cache.Put(Key("c"), Value(0.3));
+  ASSERT_TRUE(cache.Get(Key("a")).has_value());  // Recency: b, c, a.
+  std::vector<std::pair<std::string, CacheEntry>> exported = cache.Export();
+  ASSERT_EQ(exported.size(), 3u);
+  EXPECT_EQ(exported[0].first, "b");
+  EXPECT_EQ(exported[1].first, "c");
+  EXPECT_EQ(exported[2].first, "a");
+  EXPECT_DOUBLE_EQ(exported[2].second.value, 0.1);
+
+  ReliabilityCache restored;
+  restored.Restore(exported);
+  EXPECT_EQ(restored.Stats().insertions, 3u);
+  std::vector<std::pair<std::string, CacheEntry>> again = restored.Export();
+  ASSERT_EQ(again.size(), 3u);
+  for (size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].first, exported[i].first);
+  }
+  // The restored order decides the next eviction, as in the original.
+  ReliabilityCacheOptions options;
+  options.capacity = 3;
+  ReliabilityCache small(options);
+  small.Restore(exported);
+  small.Put(Key("d"), Value(0.4));
+  EXPECT_FALSE(small.Get(Key("b")).has_value());
+  EXPECT_TRUE(small.Get(Key("a")).has_value());
+}
+
+TEST(ReliabilityCacheTest, InvalidatingOneKeyDropsOneEntryAndCounts) {
+  ReliabilityCache cache;
+  cache.Put(Key("a"), Value(0.1));
+  cache.Put(Key("b"), Value(0.2));
+  EXPECT_EQ(cache.InvalidateKeys({Key("a")}), 1u);
+  EXPECT_EQ(cache.InvalidateKeys({Key("a")}), 0u)
+      << "second invalidation finds nothing";
+  EXPECT_EQ(cache.InvalidateKeys({Key("never-inserted")}), 0u);
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.invalidations, 1u);
-  // Erase is bookkeeping, not a lookup: no hit/miss accounting.
+  // Invalidation is bookkeeping, not a lookup: no hit/miss accounting.
   EXPECT_EQ(stats.hits + stats.misses, 0u);
   EXPECT_FALSE(cache.Get(Key("a")).has_value());
   EXPECT_TRUE(cache.Get(Key("b")).has_value());
@@ -132,47 +157,39 @@ TEST(ReliabilityCacheTest, InvalidateKeysReportsOnlyLiveDrops) {
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.insertions, 3u);
   EXPECT_TRUE(cache.Get(Key("b")).has_value());
 }
 
-TEST(ReliabilityCacheTest, ClearCountsDroppedEntriesAsInvalidations) {
-  ReliabilityCache cache;
-  cache.Put(Key("a"), Value(0.1));
-  cache.Put(Key("b"), Value(0.2));
-  cache.Clear();
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.invalidations, 2u);
-  EXPECT_EQ(stats.insertions, 2u);
-}
-
-TEST(ReliabilityCacheTest, StatsSnapshotBalancesAcrossShards) {
+TEST(ReliabilityCacheTest, StatsSnapshotBalances) {
   // insertions - evictions - invalidations == entries must hold in any
-  // Stats() snapshot; with the all-shard lock it holds even while other
-  // threads mutate (checked concurrently below).
+  // Stats() snapshot; read under the cache lock it holds even while
+  // other threads mutate (checked concurrently below).
   ReliabilityCacheOptions options;
   options.capacity = 16;
-  options.shards = 4;
   ReliabilityCache cache(options);
   for (int i = 0; i < 100; ++i) {
     cache.Put(Key("k" + std::to_string(i)), Value(0.5));
-    if (i % 3 == 0) cache.Erase(Key("k" + std::to_string(i / 2)));
-    if (i == 50) cache.Clear();
+    if (i % 3 == 0) cache.InvalidateKeys({Key("k" + std::to_string(i / 2))});
+    if (i == 50) {
+      std::vector<CanonicalKey> all;
+      for (int j = 0; j <= i; ++j) all.push_back(Key("k" + std::to_string(j)));
+      cache.InvalidateKeys(all);
+    }
   }
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.insertions - stats.evictions - stats.invalidations,
             stats.entries);
 }
 
-TEST(ReliabilityCacheTest, ConcurrentEvictionEraseAndClearAreRaceFree) {
-  // The satellite concurrency test: every pool thread mixes puts, gets,
-  // erases, batch invalidations, clears, and Stats() snapshots on a
-  // cache small enough to evict constantly. Run under TSan in CI; the
-  // inline assertion is the snapshot balance invariant, which the
-  // all-shard Stats() lock must keep true at any instant.
+TEST(ReliabilityCacheTest, ConcurrentEvictionAndInvalidationAreRaceFree) {
+  // Every pool thread mixes puts, gets, single-key and batch
+  // invalidations, and Stats() snapshots on a cache small enough to
+  // evict constantly. Run under TSan in CI; the inline assertion is the
+  // snapshot balance invariant, which the locked Stats() read must keep
+  // true at any instant.
   ReliabilityCacheOptions options;
   options.capacity = 24;
-  options.shards = 4;
   ReliabilityCache cache(options);
   ThreadPool pool(3);
   constexpr int kShards = 48;
@@ -189,14 +206,13 @@ TEST(ReliabilityCacheTest, ConcurrentEvictionEraseAndClearAreRaceFree) {
           cache.Get(key);
           break;
         case 2:
-          cache.Erase(key);
+          cache.InvalidateKeys({key});
           break;
         case 3:
           cache.InvalidateKeys(
               {key, Key("k" + std::to_string((key_index + 1) % 64))});
           break;
         default: {
-          if (op % 50 == 0) cache.Clear();
           CacheStats stats = cache.Stats();
           EXPECT_EQ(
               stats.insertions - stats.evictions - stats.invalidations,
@@ -214,12 +230,11 @@ TEST(ReliabilityCacheTest, ConcurrentEvictionEraseAndClearAreRaceFree) {
 
 TEST(ReliabilityCacheTest, ConcurrentMixedGetsAndPutsAreRaceFree) {
   // Hammer a small cache from every pool thread with overlapping keys so
-  // shards see concurrent hits, inserts, upgrades, and evictions. The
+  // the lock sees concurrent hits, inserts, upgrades, and evictions. The
   // assertions are deliberately weak — the point is that TSan observes
   // the interleavings.
   ReliabilityCacheOptions options;
   options.capacity = 32;
-  options.shards = 4;
   ReliabilityCache cache(options);
   ThreadPool pool(3);
   constexpr int kShards = 64;
