@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/server.h"
+#include "core/canonical.h"
 #include "core/closed_form.h"
 #include "core/query_graph.h"
 #include "core/reliability_bounds.h"
@@ -39,6 +40,13 @@ std::string Bits(double value) {
 /// those to the default budget would take over an hour per run.
 constexpr int64_t kGoldenMaxCalls = 5000;
 
+/// The serving layer's factoring budget (kExactMaxCalls in
+/// serve/ranking_service.cc) and its edge cap (exact_max_edges): the
+/// residues the heavy-residue golden pins are the ones the serve path
+/// factors past kGoldenMaxCalls.
+constexpr int64_t kServeMaxCalls = 200000;
+constexpr int kServeMaxEdges = 24;
+
 Result<double> Factor(const QueryGraph& graph, NodeId target,
                       int64_t max_calls) {
   FactoringOptions options;
@@ -53,20 +61,21 @@ Result<double> Factor(const QueryGraph& graph, NodeId target,
 
 /// Factoring's golden fields for `target`: the value bits and the call
 /// count c, pinned through the budget alone (max_calls = c succeeds,
-/// c - 1 fails), or "budget -" past kGoldenMaxCalls. Tries the fixture's
+/// c - 1 fails), or "budget -" past `max_calls`. Tries the fixture's
 /// count `hint` first and bisects only when it is wrong.
 std::string FactoringFields(const QueryGraph& graph, NodeId target,
-                            int64_t hint) {
+                            int64_t hint,
+                            int64_t max_calls = kGoldenMaxCalls) {
   if (hint > 0) {
     Result<double> r = Factor(graph, target, hint);
     if (r.ok() && !Factor(graph, target, hint - 1).ok()) {
       return Bits(r.value()) + " " + std::to_string(hint);
     }
   }
-  Result<double> r = Factor(graph, target, kGoldenMaxCalls);
+  Result<double> r = Factor(graph, target, max_calls);
   if (!r.ok()) return "budget -";
   int64_t fails = 0;  // Every run makes at least one call.
-  int64_t fits = kGoldenMaxCalls;
+  int64_t fits = max_calls;
   while (fits - fails > 1) {
     const int64_t mid = fails + (fits - fails) / 2;
     (Factor(graph, target, mid).ok() ? fits : fails) = mid;
@@ -74,9 +83,60 @@ std::string FactoringFields(const QueryGraph& graph, NodeId target,
   return Bits(r.value()) + " " + std::to_string(fits);
 }
 
+/// 64 random layered DAGs in the serving ledger's fresh-DAG shape (3
+/// layers of 6 nodes, 12 answers), named "dag-<i>".
+std::vector<std::pair<std::string, QueryGraph>> GoldenDags() {
+  std::vector<std::pair<std::string, QueryGraph>> dags;
+  testing::RandomDagOptions dag;
+  dag.layers = 3;
+  dag.nodes_per_layer = 6;
+  dag.answers = 12;
+  dag.edge_density = 0.45;
+  dag.skip_density = 0.15;
+  for (uint64_t i = 0; i < 64; ++i) {
+    Rng rng = Rng::ForStream(20260808, i);
+    dags.emplace_back("dag-" + std::to_string(i),
+                      testing::MakeRandomLayeredDag(rng, dag));
+  }
+  return dags;
+}
+
+/// Reads a golden fixture's non-comment lines.
+std::vector<std::string> ReadFixture(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream fixture(path);
+  for (std::string line; std::getline(fixture, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Compares `actual` with `expected` line by line; on a mismatch writes
+/// `actual` under `header` to `actual_path` in the working directory.
+void ExpectMatchesFixture(const std::vector<std::string>& actual,
+                          const std::vector<std::string>& expected,
+                          const char* header, const std::string& actual_path) {
+  if (actual != expected) {
+    // Only for an intentional change to the kernel's results: diff this
+    // file, then copy it over the fixture in tests/testdata/.
+    std::ofstream out(actual_path);
+    out << header;
+    for (const std::string& line : actual) out << line << "\n";
+  }
+  ASSERT_EQ(actual.size(), expected.size()) << "see " << actual_path;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    if (actual[i] != expected[i] && ++mismatches <= 5) {
+      ADD_FAILURE() << "expected " << expected[i] << "\n  actual   "
+                    << actual[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "factoring results moved; actual values in "
+                            << actual_path;
+}
+
 /// The factoring golden corpus: the seeded restriction corpus, the 20
-/// Table-1 protein query graphs, and 64 random layered DAGs in the serving
-/// ledger's fresh-DAG shape (3 layers of 6 nodes, 12 answers).
+/// Table-1 protein query graphs, and GoldenDags.
 std::vector<std::pair<std::string, QueryGraph>> FactoringCorpus() {
   std::vector<std::pair<std::string, QueryGraph>> corpus;
   std::vector<QueryGraph> seeded = testing::MakeRestrictionCorpus();
@@ -92,17 +152,7 @@ std::vector<std::pair<std::string, QueryGraph>> FactoringCorpus() {
       corpus.emplace_back(query.spec.gene_symbol, std::move(query.graph));
     }
   }
-  testing::RandomDagOptions dag;
-  dag.layers = 3;
-  dag.nodes_per_layer = 6;
-  dag.answers = 12;
-  dag.edge_density = 0.45;
-  dag.skip_density = 0.15;
-  for (uint64_t i = 0; i < 64; ++i) {
-    Rng rng = Rng::ForStream(20260808, i);
-    corpus.emplace_back("dag-" + std::to_string(i),
-                        testing::MakeRandomLayeredDag(rng, dag));
-  }
+  for (auto& dag : GoldenDags()) corpus.push_back(std::move(dag));
   return corpus;
 }
 
@@ -119,11 +169,8 @@ TEST(FactoringGoldenTest, ValuesCallCountsAndBoundsMatchTheFixture) {
   // bits, and its call count decides which answers fall through to Monte
   // Carlo under a budget, so a kernel rewrite must leave all of them
   // unchanged.
-  std::vector<std::string> expected;
-  std::ifstream fixture(BIORANK_TESTDATA_DIR "/factoring_golden.txt");
-  for (std::string line; std::getline(fixture, line);) {
-    if (!line.empty() && line[0] != '#') expected.push_back(line);
-  }
+  const std::vector<std::string> expected =
+      ReadFixture(BIORANK_TESTDATA_DIR "/factoring_golden.txt");
 
   std::vector<std::string> actual;
   for (const auto& [name, graph] : FactoringCorpus()) {
@@ -154,24 +201,52 @@ TEST(FactoringGoldenTest, ValuesCallCountsAndBoundsMatchTheFixture) {
     }
   }
 
-  if (actual != expected) {
-    // Only for an intentional change to the kernel's results: diff this
-    // file, then copy it over tests/testdata/factoring_golden.txt.
-    std::ofstream out("factoring_golden.actual.txt");
-    out << kGoldenHeader;
-    for (const std::string& line : actual) out << line << "\n";
-  }
-  ASSERT_EQ(actual.size(), expected.size())
-      << "see factoring_golden.actual.txt";
-  size_t mismatches = 0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i] != expected[i] && ++mismatches <= 5) {
-      ADD_FAILURE() << "expected " << expected[i] << "\n  actual   "
-                    << actual[i];
+  ExpectMatchesFixture(actual, expected, kGoldenHeader,
+                       "factoring_golden.actual.txt");
+}
+
+constexpr char kResidueHeader[] =
+    "# Heavy serve-residue fixture, asserted by core_factoring_golden_test.\n"
+    "# One line per answer of the golden's dag-* graphs whose canonical\n"
+    "# residue has at most 24 edges and needs more than 5000 factoring\n"
+    "# calls: graph, target node, residue edges, factoring value bits and\n"
+    "# call count c at the serve budget of 200000 calls (max_calls = c\n"
+    "# succeeds, c - 1 fails), or \"budget -\" past it.\n";
+
+TEST(FactoringGoldenTest, HeavyServeResiduesMatchTheFixture) {
+  // The serve path factors each answer's canonical residue (at most 24
+  // edges) under a 200,000-call budget, far past the main golden's 5,000,
+  // so the residues that cost the most there are pinned here: their value
+  // bits and exact call counts, which decide whether an answer resolves
+  // exactly or falls through to Monte Carlo.
+  const std::vector<std::string> expected =
+      ReadFixture(BIORANK_TESTDATA_DIR "/factoring_residue_golden.txt");
+  std::vector<std::string> actual;
+  for (const auto& [name, graph] : GoldenDags()) {
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    for (NodeId target : graph.answers) {
+      Result<CanonicalCandidate> candidate =
+          CanonicalizeCandidate(graph, target, {}, &csr);
+      ASSERT_TRUE(candidate.ok()) << candidate.status();
+      const QueryGraph& residue = candidate.value().canonical;
+      const int edges = residue.graph.num_edges();
+      if (edges > kServeMaxEdges) continue;
+      if (Factor(residue, candidate.value().target, kGoldenMaxCalls).ok()) {
+        continue;
+      }
+      int64_t hint = 0;
+      if (actual.size() < expected.size()) {
+        std::sscanf(expected[actual.size()].c_str(),
+                    "%*s %*d %*d %*s %" SCNd64, &hint);
+      }
+      actual.push_back(name + " " + std::to_string(target) + " " +
+                       std::to_string(edges) + " " +
+                       FactoringFields(residue, candidate.value().target, hint,
+                                       kServeMaxCalls));
     }
   }
-  EXPECT_EQ(mismatches, 0u) << "factoring results moved; actual values in "
-                               "factoring_golden.actual.txt";
+  ExpectMatchesFixture(actual, expected, kResidueHeader,
+                       "factoring_residue_golden.actual.txt");
 }
 
 }  // namespace
