@@ -5,6 +5,10 @@
 #ifndef BIORANK_CORE_REDUCTION_H_
 #define BIORANK_CORE_REDUCTION_H_
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/query_graph.h"
 
 namespace biorank {
@@ -46,10 +50,34 @@ struct ReductionStats {
   }
 };
 
+/// Buffers a reduction works in, kept by callers that reduce many times
+/// (the factoring recursion) so that no call allocates. Contents between
+/// calls are meaningless.
+struct ReductionScratch {
+  /// Bit sets over node ids, back to back: the protected nodes, then one
+  /// dirty set per node rule (parallel, serial, sink, orphan).
+  std::vector<uint64_t> bits;
+  std::vector<std::pair<NodeId, EdgeId>> by_target;  ///< Parallel merge.
+};
+
 /// Applies the transformation rules repeatedly until none changes the
 /// graph (Section 3.1). The source and all answer nodes are protected from
 /// deletion and from serial collapse. Mutates `query_graph` in place
 /// (tombstoning removed elements) and returns counters.
+///
+/// Each pass runs the rules in a fixed order (self-loops, parallel,
+/// serial, sinks repeated, orphans repeated), and each node rule sweeps
+/// node ids upward, visiting only the nodes in its dirty set. A node is
+/// dirty for the serial, sink or orphan rule when it meets that rule's
+/// degree condition, checked at the start and after every mutation that
+/// changes its degrees; it is dirty for parallel merge at the start if it
+/// has two out-edges, and later when an edge is added out of it. A node
+/// dirtied above a sweep's cursor is visited in that sweep, one at or
+/// below it in the next. A clean node satisfies no rule, so the result
+/// (ids, adjacency order, probability bits, stats) is that of sweeping
+/// every node in id order. No rule reads a probability to decide, and
+/// none creates a self-loop, so the self-loop sweep runs in the first
+/// pass only.
 ///
 /// Rule semantics:
 ///  - Serial collapse of interior node x with unique in-edge (y,x) and
@@ -60,6 +88,21 @@ struct ReductionStats {
 ///    probability 1 - prod_i (1 - q(ei)).
 ReductionStats ReduceQueryGraph(QueryGraph& query_graph,
                                 const ReductionOptions& options = {});
+
+/// ReduceQueryGraph in caller-owned scratch.
+ReductionStats ReduceQueryGraph(QueryGraph& query_graph,
+                                const ReductionOptions& options,
+                                ReductionScratch& scratch);
+
+/// ReduceQueryGraph for a graph that was at a fixpoint under `options`
+/// until edge `removed` was removed: only its two endpoints can start
+/// dirty, since no other node's degrees changed. The result equals a
+/// full ReduceQueryGraph's, stats included. The factoring recursion's
+/// absent branch calls it; its present branch, which only raises a
+/// probability, needs no reduction at all.
+ReductionStats ReduceAfterEdgeRemoval(QueryGraph& query_graph, EdgeId removed,
+                                      ReductionScratch& scratch,
+                                      const ReductionOptions& options = {});
 
 }  // namespace biorank
 

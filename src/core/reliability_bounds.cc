@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "core/explanation.h"
 #include "core/graph_algo.h"
 #include "core/propagation.h"
 #include "core/reliability_exact.h"
@@ -42,13 +41,23 @@ Result<ReliabilityBounds> BoundReliability(
     return bounds;
   }
 
+  const QueryGraph sub = EvidencePathUnion(query_graph, target, paths.value());
+  Result<double> exact = ExactReliabilityFactoring(sub, sub.answers[0]);
+  if (!exact.ok()) return exact.status();
+  bounds.lower = exact.value();
+  if (bounds.lower > bounds.upper) bounds.upper = bounds.lower;  // Rounding.
+  return bounds;
+}
+
+QueryGraph EvidencePathUnion(const QueryGraph& query_graph, NodeId target,
+                             const std::vector<EvidencePath>& paths) {
   std::vector<bool> keep(query_graph.graph.node_capacity(), false);
-  for (const EvidencePath& path : paths.value()) {
+  for (const EvidencePath& path : paths) {
     for (NodeId node : path.nodes) keep[node] = true;
   }
   // Build the union subgraph, keeping only edges on some chosen path.
   std::vector<bool> keep_edge(query_graph.graph.edge_capacity(), false);
-  for (const EvidencePath& path : paths.value()) {
+  for (const EvidencePath& path : paths) {
     for (EdgeId e : path.edges) keep_edge[e] = true;
   }
   QueryGraph sub;
@@ -66,12 +75,7 @@ Result<ReliabilityBounds> BoundReliability(
   }
   sub.source = mapping[query_graph.source];
   sub.answers = {mapping[target]};
-
-  Result<double> exact = ExactReliabilityFactoring(sub, sub.answers[0]);
-  if (!exact.ok()) return exact.status();
-  bounds.lower = exact.value();
-  if (bounds.lower > bounds.upper) bounds.upper = bounds.lower;  // Rounding.
-  return bounds;
+  return sub;
 }
 
 }  // namespace biorank

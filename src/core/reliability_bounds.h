@@ -5,6 +5,9 @@
 #ifndef BIORANK_CORE_RELIABILITY_BOUNDS_H_
 #define BIORANK_CORE_RELIABILITY_BOUNDS_H_
 
+#include <vector>
+
+#include "core/explanation.h"
 #include "core/query_graph.h"
 #include "util/status.h"
 
@@ -37,6 +40,12 @@ struct ReliabilityBoundsOptions {
 Result<ReliabilityBounds> BoundReliability(
     const QueryGraph& query_graph, NodeId target,
     const ReliabilityBoundsOptions& options = {});
+
+/// The subgraph whose exact reliability is BoundReliability's lower
+/// bound: the nodes and edges of `paths`, evidence paths of `target` in
+/// `query_graph`, kept in ascending id order, with `answers = {target}`.
+QueryGraph EvidencePathUnion(const QueryGraph& query_graph, NodeId target,
+                             const std::vector<EvidencePath>& paths);
 
 }  // namespace biorank
 

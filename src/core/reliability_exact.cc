@@ -62,11 +62,22 @@ struct FactoringContext {
   int64_t max_calls = 0;
   bool budget_exceeded = false;
   DfsScratch dfs;
+  ReductionScratch reduction;
+};
+
+/// How a FactorRec call's graph differs from its caller's, which was at a
+/// reduction fixpoint and passed pruning 1.
+enum class Branch {
+  kRoot,     ///< No caller: reduce everything.
+  kPresent,  ///< The caller's pivot became certain.
+  kAbsent,   ///< The caller's pivot was removed.
 };
 
 /// Recursive edge-conditioning on a reified (edge-failures-only) graph, in
-/// place: `scope` reverts every mutation below on return.
-double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
+/// place: `scope` reverts every mutation below on return. `conditioned` is
+/// the caller's pivot (-1 at the root).
+double FactorRec(QueryGraph& query_graph, FactoringContext& ctx,
+                 Branch branch, EdgeId conditioned) {
   if (ctx.budget_exceeded) return 0.0;
   if (++ctx.calls > ctx.max_calls) {
     ctx.budget_exceeded = true;
@@ -76,13 +87,22 @@ double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   ProbabilisticEntityGraph::UndoScope scope(graph);
   NodeId s = query_graph.source;
   NodeId t = query_graph.answers[0];
-
-  ReduceQueryGraph(query_graph);
-
-  // Pruning 1: unreachable even if every uncertain edge were present.
-  auto any_alive = [&](EdgeId e) { return graph.edge(e).q > 0.0; };
   auto all_nodes = [&](NodeId) { return true; };
-  if (!Reaches(graph, s, t, all_nodes, any_alive, ctx.dfs)) return 0.0;
+
+  // Making the caller's pivot certain leaves its graph at the reduction
+  // fixpoint, since no rule reads a probability, and removes no q > 0
+  // path, so the present branch skips both the reduction and pruning 1.
+  // The absent branch re-reduces only around the removed pivot.
+  if (branch != Branch::kPresent) {
+    if (branch == Branch::kRoot) {
+      ReduceQueryGraph(query_graph, {}, ctx.reduction);
+    } else {
+      ReduceAfterEdgeRemoval(query_graph, conditioned, ctx.reduction);
+    }
+    // Pruning 1: unreachable even if every uncertain edge were present.
+    auto any_alive = [&](EdgeId e) { return graph.edge(e).q > 0.0; };
+    if (!Reaches(graph, s, t, all_nodes, any_alive, ctx.dfs)) return 0.0;
+  }
 
   // Pruning 2: reachable through certain edges alone. The same DFS picks
   // the pivot to condition on: the first uncertain edge it meets, which
@@ -102,10 +122,10 @@ double FactorRec(QueryGraph& query_graph, FactoringContext& ctx) {
   {
     ProbabilisticEntityGraph::UndoScope present(graph);
     graph.SetEdgeProb(pivot, 1.0);
-    r_present = FactorRec(query_graph, ctx);
+    r_present = FactorRec(query_graph, ctx, Branch::kPresent, pivot);
   }
   graph.RemoveEdge(pivot);
-  const double r_absent = FactorRec(query_graph, ctx);
+  const double r_absent = FactorRec(query_graph, ctx, Branch::kAbsent, pivot);
   return q * r_present + (1.0 - q) * r_absent;
 }
 
@@ -126,7 +146,7 @@ Result<double> FactorOnSnapshot(const QueryGraph& query_graph,
 
   FactoringContext ctx;
   ctx.max_calls = options.max_calls;
-  double value = FactorRec(reified.query_graph, ctx);
+  double value = FactorRec(reified.query_graph, ctx, Branch::kRoot, -1);
   if (ctx.budget_exceeded) {
     return Status::FailedPrecondition(
         "factoring: exceeded max_calls budget (graph too complex)");

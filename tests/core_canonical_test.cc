@@ -17,7 +17,10 @@
 #include <vector>
 
 #include "api/server.h"
+#include "core/explanation.h"
+#include "core/graph_algo.h"
 #include "core/query_graph.h"
+#include "core/reliability_bounds.h"
 #include "core/reliability_exact.h"
 #include "integrate/scenario_harness.h"
 #include "testing/random_graphs.h"
@@ -335,6 +338,67 @@ TEST(CanonicalGoldenTest, KeysStatsAndProvenanceMatchTheFixture) {
   }
   EXPECT_EQ(mismatches, 0u) << "candidates re-keyed; actual values in "
                                "canonical_golden.actual.txt";
+}
+
+/// "" if restricting `graph` to its single answer changes nothing,
+/// otherwise the first difference.
+std::string RestrictionDifference(const QueryGraph& graph) {
+  const QueryGraph restricted = RestrictToTarget(
+      BuildCsrSnapshot(graph.graph), graph.source, graph.answers[0]);
+  return testing::GraphDifference(graph, restricted);
+}
+
+TEST(CanonicalTest, CanonicalGraphsAndTheirPathUnionsAreAlreadyRestricted) {
+  // The serve path factors and bounds canonical graphs, and bounds factor
+  // the union of Yen's strongest evidence paths; both are already their
+  // target's evidence subgraph, so restricting them again must be the
+  // identity. Graphs: every answer of the canonical, factoring and
+  // iterative golden corpora (the restriction corpus, the Table-1 protein
+  // queries, the ledger-shape DAGs and the seed-1717 round-robin graphs).
+  // This holds for canonical inputs only: restriction orders edges by
+  // source node, which canonical graphs do and a raw graph's union, kept
+  // in edge id order, often does not.
+  std::vector<QueryGraph> corpus = testing::MakeRestrictionCorpus();
+  api::Server server;
+  Result<std::vector<ScenarioQuery>> table1 =
+      server.harness().BuildQueries(ScenarioId::kScenario1WellKnown);
+  ASSERT_TRUE(table1.ok()) << table1.status();
+  for (ScenarioQuery& query : table1.value()) {
+    corpus.push_back(std::move(query.graph));
+  }
+  for (QueryGraph& dag : testing::MakeLedgerDagCorpus()) {
+    corpus.push_back(std::move(dag));
+  }
+  Rng rng(1717);
+  for (int round = 0; round < 50; ++round) {
+    corpus.push_back(testing::MakeRoundRobinGraph(rng, round));
+  }
+
+  ExplanationOptions explain;  // BoundReliability's path count.
+  explain.max_paths = ReliabilityBoundsOptions{}.max_paths;
+  int canonical_graphs = 0;
+  int unions = 0;
+  for (const QueryGraph& graph : corpus) {
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    for (NodeId target : graph.answers) {
+      Result<CanonicalCandidate> c =
+          CanonicalizeCandidate(graph, target, {}, &csr);
+      ASSERT_TRUE(c.ok()) << c.status();
+      const QueryGraph& canonical = c.value().canonical;
+      EXPECT_EQ(RestrictionDifference(canonical), "");
+      ++canonical_graphs;
+      Result<std::vector<EvidencePath>> paths =
+          ExplainAnswer(canonical, c.value().target, explain);
+      ASSERT_TRUE(paths.ok()) << paths.status();
+      if (paths.value().empty()) continue;  // Bounds factor nothing.
+      EXPECT_EQ(RestrictionDifference(EvidencePathUnion(
+                    canonical, c.value().target, paths.value())),
+                "");
+      ++unions;
+    }
+  }
+  EXPECT_EQ(canonical_graphs, 2904);
+  EXPECT_EQ(unions, 2787);
 }
 
 }  // namespace

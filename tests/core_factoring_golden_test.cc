@@ -83,20 +83,12 @@ std::string FactoringFields(const QueryGraph& graph, NodeId target,
   return Bits(r.value()) + " " + std::to_string(fits);
 }
 
-/// 64 random layered DAGs in the serving ledger's fresh-DAG shape (3
-/// layers of 6 nodes, 12 answers), named "dag-<i>".
+/// The ledger-shape DAGs (testing::MakeLedgerDagCorpus), named "dag-<i>".
 std::vector<std::pair<std::string, QueryGraph>> GoldenDags() {
   std::vector<std::pair<std::string, QueryGraph>> dags;
-  testing::RandomDagOptions dag;
-  dag.layers = 3;
-  dag.nodes_per_layer = 6;
-  dag.answers = 12;
-  dag.edge_density = 0.45;
-  dag.skip_density = 0.15;
-  for (uint64_t i = 0; i < 64; ++i) {
-    Rng rng = Rng::ForStream(20260808, i);
-    dags.emplace_back("dag-" + std::to_string(i),
-                      testing::MakeRandomLayeredDag(rng, dag));
+  std::vector<QueryGraph> corpus = testing::MakeLedgerDagCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    dags.emplace_back("dag-" + std::to_string(i), std::move(corpus[i]));
   }
   return dags;
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/graph_algo.h"
+#include "core/reify.h"
+#include "testing/random_graphs.h"
 
 namespace biorank {
 namespace {
@@ -233,6 +238,84 @@ TEST(ReductionTest, CollapseToExistingParallelEdgeThenMerge) {
   std::vector<EdgeId> in = g.graph.InEdges(t);
   ASSERT_EQ(in.size(), 1u);
   EXPECT_NEAR(g.graph.edge(in[0]).q, 1.0 - 0.7 * 0.75, 1e-12);
+}
+
+/// The seeded-sweep property corpus: each graph of the restriction corpus
+/// and the ledger-shape DAGs with all its answers protected, and each of
+/// its answers' restricted, reified subgraphs (the factoring kernel's
+/// input), all reduced to a fixpoint.
+std::vector<QueryGraph> ReducedSweepCorpus() {
+  std::vector<QueryGraph> graphs = testing::MakeRestrictionCorpus();
+  for (QueryGraph& dag : testing::MakeLedgerDagCorpus()) {
+    graphs.push_back(std::move(dag));
+  }
+  std::vector<QueryGraph> corpus;
+  for (const QueryGraph& graph : graphs) {
+    corpus.push_back(graph);
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    for (NodeId target : graph.answers) {
+      corpus.push_back(
+          ReifyNodeFailures(RestrictToTarget(csr, graph.source, target))
+              .query_graph);
+    }
+  }
+  for (QueryGraph& graph : corpus) ReduceQueryGraph(graph);
+  return corpus;
+}
+
+/// Every ReductionStats counter.
+std::array<int, 10> Counters(const ReductionStats& s) {
+  return {s.nodes_before,     s.edges_before,     s.nodes_after,
+          s.edges_after,      s.sink_deletions,   s.orphan_deletions,
+          s.serial_collapses, s.parallel_merges,  s.self_loop_deletions,
+          s.passes};
+}
+
+TEST(ReductionTest, CertainEdgeLeavesAFixpointReduced) {
+  // No rule reads a probability, so factoring's present branch (an edge
+  // made certain) needs no reduction: a full one finds nothing to do.
+  int edges = 0;
+  for (const QueryGraph& graph : ReducedSweepCorpus()) {
+    for (EdgeId e : graph.graph.AliveEdges()) {
+      QueryGraph certain = graph;
+      certain.graph.SetEdgeProb(e, 1.0);
+      const ReductionStats stats = ReduceQueryGraph(certain);
+      EXPECT_EQ(stats.sink_deletions + stats.orphan_deletions +
+                    stats.serial_collapses + stats.parallel_merges +
+                    stats.self_loop_deletions + stats.passes,
+                0)
+          << "edge " << e;
+      ++edges;
+    }
+  }
+  EXPECT_GT(edges, 10000);
+}
+
+TEST(ReductionTest, SeededSweepAfterEdgeRemovalMatchesFullReduction) {
+  // Factoring's absent branch removes one edge from a fixpoint and sweeps
+  // only its endpoints; that must leave exactly the graph, down to edge
+  // ids, adjacency order and probability bits, and the stats of a full
+  // reduction. One scratch serves every sweep, as in the kernel.
+  ReductionScratch scratch;
+  int edges = 0;
+  int reducing = 0;
+  for (const QueryGraph& graph : ReducedSweepCorpus()) {
+    for (EdgeId e : graph.graph.AliveEdges()) {
+      QueryGraph full = graph;
+      QueryGraph seeded = graph;
+      full.graph.RemoveEdge(e);
+      seeded.graph.RemoveEdge(e);
+      const ReductionStats full_stats = ReduceQueryGraph(full);
+      const ReductionStats seeded_stats =
+          ReduceAfterEdgeRemoval(seeded, e, scratch);
+      EXPECT_EQ(testing::GraphDifference(full, seeded), "") << "edge " << e;
+      EXPECT_EQ(Counters(full_stats), Counters(seeded_stats)) << "edge " << e;
+      ++edges;
+      if (full_stats.passes > 0) ++reducing;
+    }
+  }
+  EXPECT_GT(edges, 10000);
+  EXPECT_GT(reducing, edges / 4);  // The sweep has real work to match.
 }
 
 }  // namespace

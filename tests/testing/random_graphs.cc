@@ -1,5 +1,6 @@
 #include "testing/random_graphs.h"
 
+#include <cstring>
 #include <string>
 
 namespace biorank::testing {
@@ -158,6 +159,49 @@ std::vector<QueryGraph> MakeRestrictionCorpus() {
     corpus.push_back(std::move(shaped));
   }
   return corpus;
+}
+
+std::vector<QueryGraph> MakeLedgerDagCorpus() {
+  RandomDagOptions dag;
+  dag.layers = 3;
+  dag.nodes_per_layer = 6;
+  dag.answers = 12;
+  dag.edge_density = 0.45;
+  dag.skip_density = 0.15;
+  std::vector<QueryGraph> corpus;
+  for (uint64_t i = 0; i < 64; ++i) {
+    Rng rng = Rng::ForStream(20260808, i);
+    corpus.push_back(MakeRandomLayeredDag(rng, dag));
+  }
+  return corpus;
+}
+
+std::string GraphDifference(const QueryGraph& a, const QueryGraph& b) {
+  auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  };
+  if (a.source != b.source) return "source";
+  if (a.answers != b.answers) return "answers";
+  const ProbabilisticEntityGraph& ga = a.graph;
+  const ProbabilisticEntityGraph& gb = b.graph;
+  if (ga.node_capacity() != gb.node_capacity()) return "node capacity";
+  if (ga.edge_capacity() != gb.edge_capacity()) return "edge capacity";
+  for (NodeId x = 0; x < ga.node_capacity(); ++x) {
+    if (ga.node(x).alive != gb.node(x).alive ||
+        !same_bits(ga.node(x).p, gb.node(x).p) ||
+        ga.OutEdges(x) != gb.OutEdges(x) || ga.InEdges(x) != gb.InEdges(x)) {
+      return "node " + std::to_string(x);
+    }
+  }
+  for (EdgeId e = 0; e < ga.edge_capacity(); ++e) {
+    const GraphEdge& ea = ga.edge(e);
+    const GraphEdge& eb = gb.edge(e);
+    if (ea.alive != eb.alive || ea.from != eb.from || ea.to != eb.to ||
+        !same_bits(ea.q, eb.q)) {
+      return "edge " + std::to_string(e);
+    }
+  }
+  return "";
 }
 
 QueryGraph RelabeledCopy(const QueryGraph& graph, Rng& rng,

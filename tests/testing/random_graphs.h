@@ -1,6 +1,7 @@
 #ifndef BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
 #define BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
 
+#include <string>
 #include <vector>
 
 #include "core/query_graph.h"
@@ -55,6 +56,18 @@ void ApplyDeltaShapes(Rng& rng, QueryGraph& query_graph);
 /// golden fixtures sweep it, and so does the 64-lane MC kernel's check
 /// against exact reliability.
 std::vector<QueryGraph> MakeRestrictionCorpus();
+
+/// 64 random layered DAGs in the serving ledger's fresh-DAG shape (3
+/// layers of 6 nodes, 12 answers; stream i of seed 20260808). The
+/// factoring golden sweeps them as "dag-<i>".
+std::vector<QueryGraph> MakeLedgerDagCorpus();
+
+/// The first difference between two query graphs, or "" if they are the
+/// same: source and answers, then node by node (alive flag, probability
+/// bits, alive out- and in-edge ids in adjacency order), then edge by
+/// edge (alive flag, endpoints, probability bits), over the full id
+/// ranges, tombstones included.
+std::string GraphDifference(const QueryGraph& a, const QueryGraph& b);
 
 /// `graph` with its alive nodes renumbered by a random permutation and
 /// its alive edges inserted in a random order; `relabel` maps each
