@@ -392,9 +392,9 @@ int main() {
   if (const obs::HistogramSnapshot* h =
           metrics.FindHistogram("biorank_api_query_seconds")) {
     report.SetMetric("hist_queries", static_cast<int64_t>(h->count));
-    report.SetMetric("hist_p50_ms", h->Quantile(0.5) * 1e3);
-    report.SetMetric("hist_p99_ms", h->Quantile(0.99) * 1e3);
-    report.SetMetric("hist_p999_ms", h->Quantile(0.999) * 1e3);
+    bench::SetQuantileMs(report, "hist_p50_ms", *h, 0.5);
+    bench::SetQuantileMs(report, "hist_p99_ms", *h, 0.99);
+    bench::SetQuantileMs(report, "hist_p999_ms", *h, 0.999);
   }
   Status metrics_status =
       bench::WriteMetricsDump("api_server", server.MetricsText());

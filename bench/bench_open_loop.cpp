@@ -349,8 +349,8 @@ int main() {
   for (const obs::HistogramSnapshot& h : blocking_metrics.histograms) {
     if (h.name == "biorank_api_query_seconds") {
       report.SetMetric("hist_queries", static_cast<int64_t>(h.count));
-      report.SetMetric("hist_p50_ms", h.Quantile(0.5) * 1e3);
-      report.SetMetric("hist_p99_ms", h.Quantile(0.99) * 1e3);
+      bench::SetQuantileMs(report, "hist_p50_ms", h, 0.5);
+      bench::SetQuantileMs(report, "hist_p99_ms", h, 0.99);
     }
   }
   Status write_status = report.Write();

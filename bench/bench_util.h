@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 
+#include "bench_json.h"
 #include "obs/metrics.h"
 #include "util/csv.h"
 
@@ -46,6 +47,16 @@ inline void MaybeWriteCsv(const CsvWriter& csv, const std::string& name) {
   } else {
     std::cerr << "csv write failed: " << status << "\n";
   }
+}
+
+/// Reports the histogram's `q` quantile in ms as metric `key`, but only
+/// once it holds at least 10 / (1 - q) samples (1,000 for p99, 10,000
+/// for p999): with fewer, under ten samples lie above the quantile and
+/// the estimate is little more than the top occupied bucket's edge.
+inline void SetQuantileMs(JsonReport& report, const std::string& key,
+                          const obs::HistogramSnapshot& histogram, double q) {
+  if (static_cast<double>(histogram.count) * (1.0 - q) < 10.0) return;
+  report.SetMetric(key, histogram.Quantile(q) * 1e3);
 }
 
 /// The value of the counter named `name` in a server's metrics
