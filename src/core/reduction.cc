@@ -86,8 +86,8 @@ class Reducer {
   }
 
   void Mark(NodeSet set, NodeId x) {
-    bits_[set * words_ + static_cast<size_t>(x >> 6)] |= uint64_t{1}
-                                                         << (x & 63);
+    const uint64_t bit = uint64_t{1} << (x & 63);
+    bits_[set * words_ + static_cast<size_t>(x >> 6)] |= bit;
   }
   bool Protected(NodeId x) const {
     return (bits_[x >> 6] >> (x & 63)) & 1;
@@ -108,8 +108,9 @@ class Reducer {
 
   /// Visits the members of `set` in ascending order, removing each before
   /// its visit. A member added above the cursor is visited in this sweep,
-  /// one added at or below it in the next, as with the full id-order
-  /// sweeps this replaces. Returns true if a visit changed the graph.
+  /// one added at or below it in the next: the order in which a sweep over
+  /// every node id would reach them. Returns true if a visit changed the
+  /// graph.
   template <typename Visit>
   bool Sweep(NodeSet set, Visit&& visit) {
     uint64_t* words = bits_ + set * words_;
@@ -120,7 +121,7 @@ class Reducer {
         const int bit = __builtin_ctzll(word);
         words[w] &= ~(uint64_t{1} << bit);
         above = bit == 63 ? 0 : ~uint64_t{0} << (bit + 1);
-        const NodeId x = static_cast<NodeId>(w * 64 + static_cast<size_t>(bit));
+        const NodeId x = static_cast<NodeId>(w * 64) + bit;
         if (graph_.IsValidNode(x) && visit(x)) changed = true;
       }
     }
