@@ -33,7 +33,6 @@ const Ranker& BenchRanker() {
     RankerOptions options;
     // The paper's benchmark reliability engine: reduction + MC 1000.
     options.reliability_engine = ReliabilityEngine::kMonteCarlo;
-    options.reduce_before_mc = true;
     options.mc.trials = 1000;
     return new Ranker(options);
   }();

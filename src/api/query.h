@@ -59,11 +59,11 @@ struct QueryOptions {
   /// How many top-ranked answers to return; <= 0 ranks the full answer
   /// set (both clamp to the answer count).
   int top_k = 0;
-  /// Monte Carlo root seed for irreducible residues. 0 = the server's
-  /// canonical seed, served through the shared reliability cache. A
-  /// different explicit seed is served by a request-private ranking
-  /// service (cached values are pure functions of (key, seed), so a
-  /// foreign seed must never read or publish through the shared cache).
+  /// Monte Carlo root seed for irreducible residues. 0 (or the server's
+  /// own seed) = the server's canonical seed, served through the shared
+  /// reliability cache. Any other seed is kInvalidArgument at every
+  /// entry point: cached values are pure functions of (key, seed), so
+  /// the one shared cache serves one seed.
   uint64_t seed = 0;
   /// When false, only materialize the integrated query graph (the
   /// Mediator::Run half); the response carries no ranking.
@@ -150,7 +150,7 @@ struct PhaseTiming {
 /// Caller-side handle to a server-resident anytime refinement. id == 0
 /// means "nothing to refine" (blocking responses, and anytime responses
 /// that resolved completely). Handles are never reused; a finished or
-/// cancelled handle fails Server::Refine with NotFound / kCancelled.
+/// cancelled handle fails Server::Refine with NotFound.
 struct RefinementHandle {
   uint64_t id = 0;
   bool valid() const { return id != 0; }

@@ -67,7 +67,7 @@ Server::~Server() {
 
 uint64_t Server::StorageFingerprint() const {
   // Every option that changes ranking values (or graph shape) goes into
-  // the key; formatting knobs (observability, admission, eviction) stay
+  // the key; formatting knobs (observability, admission, WAL sync) stay
   // out — they are free to differ across restarts of the same store.
   std::string key;
   auto field = [&key](uint64_t v) {
@@ -129,11 +129,11 @@ Status Server::BootStorage() {
     next_id = snap.state.next_session_id;
     for (storage::SnapshotSession& s : snap.state.sessions) {
       auto session = std::make_shared<Session>();
-      session->live.applier = std::make_unique<ingest::UpdateApplier>(
+      session->applier = std::make_unique<ingest::UpdateApplier>(
           std::move(s.graph), &service_, s.applied_lsn);
-      session->live.go_node = std::move(s.go_node);
-      session->live.answer_labels = std::move(s.answer_labels);
-      session->live.matched_proteins = s.matched_proteins;
+      session->go_node = std::move(s.go_node);
+      session->answer_labels = std::move(s.answer_labels);
+      session->matched_proteins = s.matched_proteins;
       applied_lsn[s.id] = s.applied_lsn;
       sessions_.emplace(s.id, std::move(session));
     }
@@ -175,12 +175,9 @@ Status Server::BootStorage() {
         // Re-materializing is deterministic (the universe and sources
         // are pure functions of the options), so the replayed session is
         // the one that was opened.
-        Result<Mediator::LiveExploratoryQuery> live =
-            mediator_.ServeLive(query, service_);
-        if (!live.ok()) return live.status();
-        auto session = std::make_shared<Session>();
-        session->live = std::move(live.value());
-        sessions_[record.session_id] = std::move(session);
+        Result<std::shared_ptr<Session>> session = MaterializeSession(query);
+        if (!session.ok()) return session.status();
+        sessions_[record.session_id] = std::move(session.value());
         applied_lsn[record.session_id] = 0;
         next_id = std::max(next_id, record.session_id + 1);
         ++recovery_report_.replayed_records;
@@ -209,7 +206,7 @@ Status Server::BootStorage() {
         // replayed apply revalidates against the same graph state and
         // cannot fail for a delta that succeeded live.
         Result<ingest::ApplyReport> applied =
-            it->second->live.applier->ApplyReplayed(delta, record.lsn);
+            it->second->applier->ApplyReplayed(delta, record.lsn);
         if (!applied.ok()) return applied.status();
         ++recovery_report_.replayed_records;
         break;
@@ -218,7 +215,7 @@ Status Server::BootStorage() {
   }
   next_session_id_.store(next_id, std::memory_order_relaxed);
   for (auto& [id, session] : sessions_) {
-    session->live.applier->AttachWal(wal_.get(), id);
+    session->applier->AttachWal(wal_.get(), id);
   }
   recovery_report_.sessions_recovered = sessions_.size();
   recovery_report_.seconds = SecondsSince(start);
@@ -256,13 +253,13 @@ Result<CheckpointReport> Server::Checkpoint() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   state.sessions.reserve(live.size());
   for (auto& [id, session] : live) {
-    ingest::UpdateApplier::FrozenState frozen = session->live.applier->Freeze();
+    ingest::UpdateApplier::FrozenState frozen = session->applier->Freeze();
     storage::SnapshotSession snap;
     snap.id = id;
     snap.applied_lsn = frozen.wal_lsn;
-    snap.matched_proteins = session->live.matched_proteins;
-    snap.go_node = session->live.go_node;
-    snap.answer_labels = session->live.answer_labels;
+    snap.matched_proteins = session->matched_proteins;
+    snap.go_node = session->go_node;
+    snap.answer_labels = session->answer_labels;
     snap.graph = std::move(frozen.graph);
     state.sessions.push_back(std::move(snap));
   }
@@ -418,16 +415,6 @@ void Server::InitMetrics() {
   });
 }
 
-void Server::RecordPhases(const PhaseTiming& timing) {
-  if (timing.queue_s > 0.0) metrics_.queue_seconds->Observe(timing.queue_s);
-  if (timing.integrate_s > 0.0) {
-    metrics_.integrate_seconds->Observe(timing.integrate_s);
-  }
-  if (timing.rank_s > 0.0) metrics_.rank_seconds->Observe(timing.rank_s);
-  if (timing.refine_s > 0.0) metrics_.refine_seconds->Observe(timing.refine_s);
-  metrics_.query_seconds->Observe(timing.total_s);
-}
-
 std::string Server::MetricsText() const {
   return obs::RenderPrometheusText(obs_registry_.TakeSnapshot());
 }
@@ -513,24 +500,35 @@ Result<QueryResponse> Server::Serve(const char* entry_point, const char* span,
     trace = owned.get();
   }
   QueryResponse response;
-  Status status;
+  Status status = CheckSeed(options.seed);
   {
     // The root span binds this thread's trace context; the serve layer
     // records its phase spans under it via obs::CurrentTrace(). Closed
     // before the slow-query offer so the captured tree has durations.
     obs::SpanScope root(trace, span);
-    obs::SpanScope admit(trace, "api.admit");
-    Result<AdmissionQueue::Ticket> ticket = admission_.Admit(deadline);
-    admit.End();
-    status = ticket.status();
     if (status.ok()) {
-      response.timing.queue_s = ticket.value().queue_s();
-      status = body(deadline, trace, response);
+      obs::SpanScope admit(trace, "api.admit");
+      Result<AdmissionQueue::Ticket> ticket = admission_.Admit(deadline);
+      admit.End();
+      status = ticket.status();
+      if (status.ok()) {
+        response.timing.queue_s = ticket.value().queue_s();
+        status = body(deadline, trace, response);
+      }
     }
     if (status.ok()) {
-      response.timing.total_s = SecondsSince(start);
+      PhaseTiming& timing = response.timing;
+      timing.total_s = SecondsSince(start);
       if (served != nullptr) served->Add();
-      RecordPhases(response.timing);
+      if (timing.queue_s > 0.0) metrics_.queue_seconds->Observe(timing.queue_s);
+      if (timing.integrate_s > 0.0) {
+        metrics_.integrate_seconds->Observe(timing.integrate_s);
+      }
+      if (timing.rank_s > 0.0) metrics_.rank_seconds->Observe(timing.rank_s);
+      if (timing.refine_s > 0.0) {
+        metrics_.refine_seconds->Observe(timing.refine_s);
+      }
+      metrics_.query_seconds->Observe(timing.total_s);
     }
   }
   if (!status.ok()) {
@@ -578,20 +576,10 @@ Status Server::RankWithOptions(const QueryGraph& graph,
     response.completeness.complete = true;
     return graph.Validate();
   }
-  // A foreign MC seed changes every irreducible residue's value, so it
-  // must not read or publish through the shared cache; a request-private
-  // service serves it (and any refinement it leaves behind).
-  std::unique_ptr<serve::RankingService> private_service;
-  if (options.seed != 0 && options.seed != options_.ranking.seed) {
-    serve::RankingServiceOptions foreign = options_.ranking;
-    foreign.seed = options.seed;
-    private_service = std::make_unique<serve::RankingService>(foreign);
-  }
-  serve::RankingService& service =
-      private_service != nullptr ? *private_service : service_;
   const SteadyClock::time_point rank_start = SteadyClock::now();
   Result<serve::RefinementState> prepared = serve::Prepare(
-      service, graph, ClampTopK(options.top_k, static_cast<int>(answers.size())));
+      service_, graph,
+      ClampTopK(options.top_k, static_cast<int>(answers.size())));
   if (!prepared.ok()) return prepared.status();
   serve::RefinementState& state = prepared.value();
   response.timing.rank_s = SecondsSince(rank_start);
@@ -603,7 +591,7 @@ Status Server::RankWithOptions(const QueryGraph& graph,
   if (blocking || options.mc_trial_budget > 0 ||
       deadline != SteadyClock::time_point::max()) {
     BIORANK_RETURN_IF_ERROR(AdvanceWithin(
-        service, state, blocking ? 0 : options.mc_trial_budget,
+        service_, state, blocking ? 0 : options.mc_trial_budget,
         blocking ? SteadyClock::time_point::max() : deadline,
         response.timing));
   }
@@ -618,7 +606,6 @@ Status Server::RankWithOptions(const QueryGraph& graph,
     refinement->labels.emplace(node, graph.graph.node(node).label);
   }
   refinement->state = std::move(state);
-  refinement->private_service = std::move(private_service);
   RefinementHandle handle;
   handle.id = next_refinement_id_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -637,11 +624,6 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
     std::shared_ptr<Refinement> refinement;
     {
       std::lock_guard<std::mutex> lock(refinements_mu_);
-      if (cancelled_refinements_.count(handle.id) > 0) {
-        return Status::Cancelled("api: refinement " +
-                                 std::to_string(handle.id) +
-                                 " was cancelled");
-      }
       auto it = refinements_.find(handle.id);
       if (it == refinements_.end()) {
         return Status::NotFound("api: no live refinement with handle " +
@@ -653,13 +635,10 @@ Result<QueryResponse> Server::Refine(RefinementHandle handle,
     bool complete = false;
     {
       std::lock_guard<std::mutex> lock(refinement->mu);
-      serve::RankingService& service = refinement->private_service != nullptr
-                                           ? *refinement->private_service
-                                           : service_;
       // The bounds-only phase already ran, so a Refine with no budget and
       // no deadline finishes the job.
       BIORANK_RETURN_IF_ERROR(
-          AdvanceWithin(service, refinement->state, options.mc_trial_budget,
+          AdvanceWithin(service_, refinement->state, options.mc_trial_budget,
                         deadline, response.timing));
       const auto& labels = refinement->labels;
       FillRanked(refinement->state,
@@ -694,12 +673,8 @@ Status Server::CancelRefinement(RefinementHandle handle) {
   Tick();
   std::lock_guard<std::mutex> lock(refinements_mu_);
   if (refinements_.erase(handle.id) > 0) {
-    cancelled_refinements_.insert(handle.id);
     metrics_.refinements_cancelled->Add();
     return Status::OK();
-  }
-  if (cancelled_refinements_.count(handle.id) > 0) {
-    return Status::OK();  // Cancelling twice is idempotent.
   }
   metrics_.errors->Add();
   return Status::NotFound("api: no live refinement with handle " +
@@ -757,33 +732,50 @@ Result<QueryResponse> Server::RankGraph(const QueryGraph& graph,
                });
 }
 
-Result<SessionInfo> Server::OpenSession(const QueryRequest& request) {
-  uint64_t now = Tick();
-  if (request.options.seed != 0 &&
-      request.options.seed != options_.ranking.seed) {
-    metrics_.errors->Add();
-    return Status::InvalidArgument(
-        "api: sessions share the canonical reliability cache and must use "
-        "the server's MC seed (leave options.seed = 0)");
-  }
-  Result<Mediator::LiveExploratoryQuery> live =
-      mediator_.ServeLive(request.query, service_);
-  if (!live.ok()) {
-    metrics_.errors->Add();
-    return live.status();
-  }
+Status Server::CheckSeed(uint64_t seed) const {
+  if (seed == 0 || seed == options_.ranking.seed) return Status::OK();
+  return Status::InvalidArgument(
+      "api: every ranking shares the canonical reliability cache and must "
+      "use the server's MC seed (leave options.seed = 0)");
+}
+
+Result<std::shared_ptr<Server::Session>> Server::MaterializeSession(
+    const ExploratoryQuery& query) {
+  Result<ExploratoryQueryResult> run = mediator_.Run(query);
+  if (!run.ok()) return run.status();
   auto session = std::make_shared<Session>();
-  session->live = std::move(live.value());
-  session->last_touch.store(now, std::memory_order_relaxed);
+  session->go_node = std::move(run.value().go_node);
+  session->matched_proteins = run.value().matched_proteins;
+  const QueryGraph& graph = run.value().query_graph;
+  session->answer_labels.reserve(graph.answers.size());
+  for (NodeId answer : graph.answers) {
+    session->answer_labels.emplace(answer, graph.graph.node(answer).label);
+  }
+  session->applier = std::make_unique<ingest::UpdateApplier>(
+      std::move(run.value().query_graph), &service_);
+  return session;
+}
+
+Result<SessionInfo> Server::OpenSession(const QueryRequest& request) {
+  const uint64_t now = Tick();
+  Status seed = CheckSeed(request.options.seed);
+  if (!seed.ok()) {
+    metrics_.errors->Add();
+    return seed;
+  }
+  Result<std::shared_ptr<Session>> session = MaterializeSession(request.query);
+  if (!session.ok()) {
+    metrics_.errors->Add();
+    return session.status();
+  }
+  Session& live = *session.value();
+  live.last_touch.store(now, std::memory_order_relaxed);
   SessionInfo info;
-  info.answers = session->live.applier->answer_count();
-  info.matched_proteins = session->live.matched_proteins;
-  info.go_node = session->live.go_node;
+  info.answers = live.applier->answer_count();
+  info.matched_proteins = live.matched_proteins;
+  info.go_node = live.go_node;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    if (options_.session_idle_ops > 0) {
-      EvictIdleLocked(options_.session_idle_ops, now);
-    }
     info.id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
     if (wal_ != nullptr) {
       // Log-then-install: the open record hits the WAL before the
@@ -797,67 +789,68 @@ Result<SessionInfo> Server::OpenSession(const QueryRequest& request) {
         metrics_.errors->Add();
         return lsn.status();
       }
-      session->live.applier->AttachWal(wal_.get(), info.id);
+      live.applier->AttachWal(wal_.get(), info.id);
     }
-    sessions_.emplace(info.id, std::move(session));
+    sessions_.emplace(info.id, std::move(session.value()));
   }
   metrics_.sessions_opened->Add();
   return info;
 }
 
-Result<std::shared_ptr<Server::Session>> Server::FindSession(SessionId id,
-                                                             uint64_t now) {
+Result<std::shared_ptr<Server::Session>> Server::FindSession(SessionId id) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    metrics_.errors->Add();
     return Status::NotFound("api: no live session with handle " +
                             std::to_string(id));
   }
-  it->second->last_touch.store(now, std::memory_order_relaxed);
+  it->second->last_touch.store(op_clock_.load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
   return it->second;
 }
 
 Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
-  uint64_t now = Tick();
-  SteadyClock::time_point start = SteadyClock::now();
-  Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) return session.status();
-  Session& live = *session.value();
-  QueryResponse response;
-  response.result.matched_proteins = live.live.matched_proteins;
-  int answers = live.live.applier->answer_count();
-  if (answers > 0) {
-    Result<serve::TopKResult> top =
-        live.live.applier->RankTopK(ClampTopK(top_k, answers));
-    if (!top.ok()) {
-      metrics_.errors->Add();
-      return top.status();
+  auto rank_session = [&](SteadyClock::time_point, obs::Trace*,
+                          QueryResponse& response) -> Status {
+    const SteadyClock::time_point start = SteadyClock::now();
+    Result<std::shared_ptr<Session>> found = FindSession(id);
+    if (!found.ok()) return found.status();
+    const Session& session = *found.value();
+    response.result.matched_proteins = session.matched_proteins;
+    const int answers = session.applier->answer_count();
+    if (answers > 0) {
+      Result<serve::TopKResult> top =
+          session.applier->RankTopK(ClampTopK(top_k, answers));
+      if (!top.ok()) return top.status();
+      const auto& labels = session.answer_labels;
+      FillRanked(top.value().top, top.value().stats,
+                 [&labels](NodeId node) {
+                   auto it = labels.find(node);
+                   return it != labels.end() ? it->second : std::string();
+                 },
+                 response);
     }
-    const auto& labels = live.live.answer_labels;
-    FillRanked(top.value().top, top.value().stats,
-               [&labels](NodeId node) {
-                 auto it = labels.find(node);
-                 return it != labels.end() ? it->second : std::string();
-               },
-               response);
-  }
-  response.timing.rank_s = SecondsSince(start);
-  response.timing.total_s = response.timing.rank_s;
-  metrics_.session_queries->Add();
-  RecordPhases(response.timing);
-  return response;
+    response.timing.rank_s = SecondsSince(start);
+    return Status::OK();
+  };
+  return Serve("QuerySession", "api.query_session", QueryOptions{},
+               metrics_.session_queries, rank_session);
 }
 
 Result<ingest::ApplyReport> Server::ApplyDelta(
     SessionId id, const ingest::EvidenceDelta& delta) {
-  uint64_t now = Tick();
-  Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) return session.status();
+  Tick();
+  Result<std::shared_ptr<Session>> session = FindSession(id);
+  if (!session.ok()) {
+    metrics_.errors->Add();
+    return session.status();
+  }
   SteadyClock::time_point start = SteadyClock::now();
   obs::SpanScope span(obs::CurrentTrace(), "ingest.apply_delta");
-  Result<ingest::ApplyReport> report =
-      mediator_.ApplyDelta(session.value()->live, delta);
+  // Validated against the mediator's schema metrics first (a revised
+  // source prior must name a registered entity set).
+  Result<ingest::ApplyReport> report = session.value()->applier->ApplyDelta(
+      delta, &mediator_.options().metrics);
   if (report.ok()) {
     const ingest::ApplyReport& applied = report.value();
     metrics_.deltas_applied->Add();
@@ -875,10 +868,13 @@ Result<ingest::ApplyReport> Server::ApplyDelta(
 }
 
 Result<QueryGraph> Server::SessionSnapshot(SessionId id) {
-  uint64_t now = Tick();
-  Result<std::shared_ptr<Session>> session = FindSession(id, now);
-  if (!session.ok()) return session.status();
-  return session.value()->live.applier->GraphSnapshot();
+  Tick();
+  Result<std::shared_ptr<Session>> session = FindSession(id);
+  if (!session.ok()) {
+    metrics_.errors->Add();
+    return session.status();
+  }
+  return session.value()->applier->GraphSnapshot();
 }
 
 Status Server::CloseSession(SessionId id) {
@@ -906,7 +902,9 @@ Status Server::CloseSession(SessionId id) {
   return Status::OK();
 }
 
-size_t Server::EvictIdleLocked(uint64_t min_idle_ops, uint64_t now) {
+size_t Server::EvictIdleSessions(uint64_t min_idle_ops) {
+  const uint64_t now = Tick();
+  std::lock_guard<std::mutex> lock(sessions_mu_);
   size_t evicted = 0;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     uint64_t touched = it->second->last_touch.load(std::memory_order_relaxed);
@@ -931,12 +929,6 @@ size_t Server::EvictIdleLocked(uint64_t min_idle_ops, uint64_t now) {
   }
   metrics_.sessions_evicted->Add(static_cast<uint64_t>(evicted));
   return evicted;
-}
-
-size_t Server::EvictIdleSessions(uint64_t min_idle_ops) {
-  uint64_t now = Tick();
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return EvictIdleLocked(min_idle_ops, now);
 }
 
 size_t Server::session_count() const {

@@ -21,10 +21,12 @@
 //               rebuild references): Query minus the mediator crawl.
 //   Refine    — advances an anytime response's RefinementHandle.
 //
-// Query, RankGraph and Refine run under one request skeleton (admission,
-// tracing, phase timing, error counting); the session and cancel calls
-// count their rejections too, so every error status a request returns
-// adds exactly one to biorank_api_errors_total. Every counter the server
+// The server is the one owner of a live session: the mediator only
+// crawls. Query, RankGraph, Refine and QuerySession run under one
+// request skeleton (seed check, admission, tracing, phase timing, error
+// counting); the other session calls and CancelRefinement count their
+// rejections too, so every error status a request returns adds exactly
+// one to biorank_api_errors_total. Every counter the server
 // keeps lives in its metrics registry; MetricsSnapshot() is the one read
 // path.
 //
@@ -45,7 +47,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "api/admission.h"
@@ -53,6 +54,7 @@
 #include "core/ranking.h"
 #include "datagen/protein_universe.h"
 #include "ingest/delta.h"
+#include "ingest/update_applier.h"
 #include "integrate/mediator.h"
 #include "integrate/scenario_harness.h"
 #include "obs/metrics.h"
@@ -90,10 +92,6 @@ struct ServerOptions {
   /// Offline scoring (the five relevance functions) used by the
   /// evaluation harness this server exposes via harness().
   RankerOptions ranker;
-  /// Idle-session auto-eviction: on OpenSession, sessions untouched for
-  /// more than this many server operations are closed first. 0 disables
-  /// auto-eviction (EvictIdleSessions remains available).
-  uint64_t session_idle_ops = 0;
   /// Deadline-ordered admission in front of Query/Refine (the SLO gate).
   /// The default (max_concurrent <= 0) admits everything immediately.
   AdmissionOptions admission;
@@ -140,8 +138,8 @@ class Server {
   /// Serves one typed request end to end: admission (deadline-ordered
   /// when the server caps concurrency), mediator crawl, then (unless
   /// options.rank is false or the answer set is empty) a ranking pass
-  /// through the shared service — or through a request-private service
-  /// when the request pins a foreign MC seed. Both modes run the one
+  /// through the shared service (a foreign QueryOptions::seed is
+  /// kInvalidArgument, before admission). Both modes run the one
   /// serve pipeline (serve/refinement.h): kBlocking advances every
   /// survivor to convergence before returning; kAnytime returns the
   /// bounds-only ranking plus whatever refinement the deadline/budget
@@ -155,18 +153,18 @@ class Server {
   /// `options` deadline). The response carries the updated ranking,
   /// cumulative stats, and completeness; when the ranking is final the
   /// handle is retired (response.refinement.id == 0) and the result is
-  /// bit-identical to the blocking answer. Errors: NotFound (unknown or
-  /// already-finished handle), kCancelled (handle cancelled),
-  /// kDeadlineExceeded (deadline passed in the admission queue).
+  /// bit-identical to the blocking answer. Errors: NotFound (unknown,
+  /// finished or cancelled handle), kDeadlineExceeded (deadline passed in
+  /// the admission queue).
   /// Refinement is deterministic: state advances by whole shards of the
   /// per-candidate trial schedule, so any increment sequence converges
   /// to the same values. Concurrent Refine calls on one handle serialize.
   Result<QueryResponse> Refine(RefinementHandle handle,
                                const QueryOptions& options = {});
 
-  /// Cancels a live refinement: the handle's state is dropped and every
-  /// later Refine on it fails with kCancelled. NotFound for handles that
-  /// never existed or already finished; cancelling twice is OK.
+  /// Cancels a live refinement: its state is dropped and the handle
+  /// answers NotFound from then on, as a finished one does. NotFound for
+  /// handles that are not live.
   Status CancelRefinement(RefinementHandle handle);
 
   /// Fans `batch` (independent requests) across the shared pool and
@@ -197,15 +195,15 @@ class Server {
   /// stays resident, evidence deltas apply incrementally, and queries
   /// ride the per-answer canonicals. `request.options.top_k` and `.mode`
   /// are ignored (k is per QuerySession call; sessions always serve
-  /// blocking) and a foreign `options.seed` — nonzero and different from
-  /// the server's canonical seed — is rejected: sessions share the
-  /// canonical cache, which is only valid under that seed.
+  /// blocking); a foreign `options.seed` is kInvalidArgument, as at
+  /// Query.
   Result<SessionInfo> OpenSession(const QueryRequest& request);
 
-  /// Ranks a live session's answer set (top_k <= 0 ranks all). The
-  /// response carries labeled answers and matched_proteins but no graph
-  /// copy (see SessionSnapshot) and no go_node map (OpenSession's
-  /// SessionInfo delivered it once; it is fixed for the session).
+  /// Ranks a live session's answer set (top_k <= 0 ranks all) under the
+  /// request skeleton, blocking and with no deadline. The response
+  /// carries labeled answers and matched_proteins but no graph copy (see
+  /// SessionSnapshot) and no go_node map (OpenSession's SessionInfo
+  /// delivered it once; it is fixed for the session).
   Result<QueryResponse> QuerySession(SessionId id, int top_k = 0);
 
   /// Validates (graph + schema metrics) and applies one evidence delta
@@ -275,8 +273,18 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
+  /// A live session: the crawled graph behind an ingest UpdateApplier
+  /// bound to service_, plus the crawl bookkeeping.
   struct Session {
-    Mediator::LiveExploratoryQuery live;
+    std::unique_ptr<ingest::UpdateApplier> applier;
+    /// GO-term ontology index -> answer node id (for building deltas and
+    /// gold-standard lookups against the live graph).
+    std::unordered_map<int, NodeId> go_node;
+    /// Answer node id -> record label, captured at materialization (the
+    /// answer set is fixed for the session, so labels never go stale):
+    /// session responses are labeled without snapshotting the graph.
+    std::unordered_map<NodeId, std::string> answer_labels;
+    int matched_proteins = 0;
     /// Op-clock value of the last operation that touched this session.
     std::atomic<uint64_t> last_touch{0};
   };
@@ -285,46 +293,50 @@ class Server {
   /// anytime response still has open answers. The state owns its
   /// canonicalizations (self-contained reduced residues), so the
   /// original query graph does not stay resident; labels are captured
-  /// once at registration. `private_service` is set when the request
-  /// pinned a foreign MC seed (refinement must keep resolving under
-  /// that seed, never through the shared cache).
+  /// once at registration.
   struct Refinement {
     std::mutex mu;  ///< Serializes Refine increments on this handle.
     serve::RefinementState state;
     std::unordered_map<NodeId, std::string> labels;
-    std::unique_ptr<serve::RankingService> private_service;
   };
 
   /// Bumps the op clock (every public operation is one tick).
   uint64_t Tick() { return op_clock_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
-  /// Handle lookup; touches the session's idle clock on success, counts
-  /// one request error on NotFound.
-  Result<std::shared_ptr<Session>> FindSession(SessionId id, uint64_t now);
+  /// Handle lookup; touches the session's idle clock with the current
+  /// op-clock value on success. The caller counts a NotFound.
+  Result<std::shared_ptr<Session>> FindSession(SessionId id);
 
-  /// Evicts sessions idle for more than `min_idle_ops` at clock `now`.
-  size_t EvictIdleLocked(uint64_t min_idle_ops, uint64_t now);
+  /// Crawls `query` and stands the graph up as a session on service_
+  /// (OpenSession and the WAL replay of an open record).
+  Result<std::shared_ptr<Session>> MaterializeSession(
+      const ExploratoryQuery& query);
 
-  /// The one request skeleton Query, RankGraph and Refine run under:
-  /// ticks the op clock, resolves the deadline, starts the trace (the
-  /// caller's, or a server-owned one when slow-query capture is armed)
-  /// under a root span named `span`, and admits through the deadline-ordered
-  /// queue (a request that cannot start before its deadline gets the
-  /// typed rejection and no partial answer). `body(deadline, trace,
-  /// response)` then runs holding the ticket, so everything it does
-  /// counts against the concurrency cap. On success the skeleton stamps
-  /// queue_s/total_s and the phase histograms, bumps `served` (when
-  /// non-null) and offers the trace to the slow-query log as
-  /// `entry_point`; any non-OK status, admission's or the body's, counts
-  /// once in biorank_api_errors_total.
+  /// The one seed rule: a seed that is nonzero and not the server's is
+  /// kInvalidArgument (every ranking shares the canonical cache).
+  Status CheckSeed(uint64_t seed) const;
+
+  /// The one request skeleton Query, RankGraph, Refine and QuerySession
+  /// run under: ticks the op clock, resolves the deadline, starts the
+  /// trace (the caller's, or a server-owned one when slow-query capture
+  /// is armed) under a root span named `span`, checks the seed, and
+  /// admits through the deadline-ordered queue (a request that cannot
+  /// start before its deadline gets the typed rejection and no partial
+  /// answer). `body(deadline, trace, response)` then runs holding the
+  /// ticket, so everything it does counts against the concurrency cap.
+  /// On success the skeleton stamps queue_s/total_s and the phase
+  /// histograms, bumps `served` (when non-null) and offers the trace to
+  /// the slow-query log as `entry_point`; any non-OK status, the seed
+  /// check's, admission's or the body's, counts once in
+  /// biorank_api_errors_total.
   template <typename Body>
   Result<QueryResponse> Serve(const char* entry_point, const char* span,
                               const QueryOptions& options,
                               obs::Counter* served, Body&& body);
 
   /// The body shared by Query (after its crawl) and RankGraph: unless
-  /// options.rank is false, prepare on the shared (or a foreign-seed
-  /// private) service, advance per the request's mode/budget/deadline,
+  /// options.rank is false, prepare on the shared service, advance per
+  /// the request's mode/budget/deadline,
   /// and register a refinement handle only when answers are still open.
   /// Fills the ranking half of `response` (rank_s = prepare, refine_s =
   /// advance).
@@ -358,11 +370,6 @@ class Server {
   Result<uint64_t> LogSessionEventLocked(storage::WalRecordType type,
                                          SessionId id,
                                          const std::string& body);
-
-  /// Records one finished request's phases into the shared latency
-  /// histograms — Serve and QuerySession stamp through here, so the
-  /// histograms cover every ranking entry point.
-  void RecordPhases(const PhaseTiming& timing);
 
   /// Per-server registry-backed counters/histograms (see InitMetrics
   /// for names). Raw handles: the registry owns the metrics and lives
@@ -427,9 +434,6 @@ class Server {
   std::atomic<uint64_t> next_refinement_id_{1};
   mutable std::mutex refinements_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Refinement>> refinements_;
-  /// Ids cancelled while (or after) being live: Refine on these answers
-  /// kCancelled, never NotFound, so callers can tell the two apart.
-  std::unordered_set<uint64_t> cancelled_refinements_;
 
   std::atomic<uint64_t> next_trace_id_{1};
 };

@@ -103,19 +103,14 @@ Result<std::vector<double>> Ranker::ReliabilityScores(
       [[fallthrough]];
     }
     case ReliabilityEngine::kMonteCarlo: {
-      if (options_.reduce_before_mc) {
-        QueryGraph reduced = query_graph;
-        ReduceQueryGraph(reduced);
-        Result<McEstimate> estimate =
-            EstimateReliabilityMc(reduced, options_.mc);
-        if (!estimate.ok()) return estimate.status();
-        // Reduction preserves NodeIds (tombstones), so the score vector
-        // already lines up with the original graph's answer ids.
-        return std::move(estimate.value().scores);
-      }
-      Result<McEstimate> estimate =
-          EstimateReliabilityMc(query_graph, options_.mc);
+      // The Section 3.1 reductions always run first (the paper's
+      // fastest configuration, "R&M2").
+      QueryGraph reduced = query_graph;
+      ReduceQueryGraph(reduced);
+      Result<McEstimate> estimate = EstimateReliabilityMc(reduced, options_.mc);
       if (!estimate.ok()) return estimate.status();
+      // Reduction preserves NodeIds (tombstones), so the score vector
+      // already lines up with the original graph's answer ids.
       return std::move(estimate.value().scores);
     }
   }

@@ -57,7 +57,7 @@ enum class ReliabilityEngine {
   /// subgraphs usually reduce completely even when the full graph
   /// doesn't).
   kAuto,
-  kMonteCarlo,   ///< Algorithm 3.1 with McOptions.
+  kMonteCarlo,   ///< Reductions, then Algorithm 3.1 with McOptions (R&M2).
   kClosedForm,   ///< Reductions only; fails on irreducible targets.
   kExact,        ///< Factoring; fails on overly complex graphs.
 };
@@ -68,9 +68,6 @@ struct RankerOptions {
   PropagationOptions propagation;
   DiffusionOptions diffusion;
   ReliabilityEngine reliability_engine = ReliabilityEngine::kAuto;
-  /// Apply the Section 3.1 reduction rules before Monte Carlo reliability
-  /// (the paper's fastest configuration, "R&M2").
-  bool reduce_before_mc = true;
 };
 
 /// Facade that evaluates any of the five relevance functions on a query

@@ -80,8 +80,8 @@ class UpdateApplier {
   /// Validates and applies one delta under the writer lock, invalidates
   /// exactly the orphaned cache keys, and re-canonicalizes exactly the
   /// dirty answers. When `metrics` is non-null the delta is additionally
-  /// validated against the schema layer (Mediator::ApplyDelta passes its
-  /// metrics). On validation failure nothing changes.
+  /// validated against the schema layer (api::Server::ApplyDelta passes
+  /// the mediator's metrics). On validation failure nothing changes.
   Result<ApplyReport> ApplyDelta(const EvidenceDelta& delta,
                                  const ProbabilisticMetrics* metrics =
                                      nullptr);

@@ -1,6 +1,7 @@
 #include "integrate/mediator.h"
 
 #include <algorithm>
+#include <string>
 
 #include "schema/transforms.h"
 
@@ -274,31 +275,6 @@ Result<ExploratoryQueryResult> Mediator::Run(
   result.matched_proteins = static_cast<int>(matches.size());
   BIORANK_RETURN_IF_ERROR(result.query_graph.Validate());
   return result;
-}
-
-Result<Mediator::LiveExploratoryQuery> Mediator::ServeLive(
-    const ExploratoryQuery& query, serve::RankingService& service) const {
-  Result<ExploratoryQueryResult> run = Run(query);
-  if (!run.ok()) return run.status();
-  LiveExploratoryQuery live;
-  live.go_node = std::move(run.value().go_node);
-  live.matched_proteins = run.value().matched_proteins;
-  const QueryGraph& graph = run.value().query_graph;
-  live.answer_labels.reserve(graph.answers.size());
-  for (NodeId answer : graph.answers) {
-    live.answer_labels.emplace(answer, graph.graph.node(answer).label);
-  }
-  live.applier = std::make_unique<ingest::UpdateApplier>(
-      std::move(run.value().query_graph), &service);
-  return live;
-}
-
-Result<ingest::ApplyReport> Mediator::ApplyDelta(
-    LiveExploratoryQuery& live, const ingest::EvidenceDelta& delta) const {
-  if (live.applier == nullptr) {
-    return Status::InvalidArgument("mediator: live query has no applier");
-  }
-  return live.applier->ApplyDelta(delta, &options_.metrics);
 }
 
 }  // namespace biorank

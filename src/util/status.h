@@ -25,7 +25,6 @@ enum class StatusCode {
   kUnavailable,       ///< A dependency (shard, transport) failed to answer.
   kResourceExhausted, ///< Admission control rejected the request (backpressure).
   kDeadlineExceeded,  ///< The request's deadline passed before it could be served.
-  kCancelled,         ///< The caller cancelled the operation (e.g. a refinement).
   kDataLoss,          ///< Unrecoverable corruption (checksum mismatch, bad file).
 };
 
@@ -70,9 +69,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
   static Status DataLoss(std::string msg) {
     return Status(StatusCode::kDataLoss, std::move(msg));

@@ -37,7 +37,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 using testing::CounterValue;
-using testing::GaugeValue;
 
 uint64_t ServerCounter(const Server& server, std::string_view name) {
   return CounterValue(server.MetricsSnapshot(), name);
@@ -310,26 +309,6 @@ TEST(ApiAnytimeTest, AnytimeFeedsTheServeCountersLikeBlocking) {
             RankingFingerprint(blocking.value()));
 }
 
-TEST(ApiAnytimeTest, ForeignSeedAnytimeStaysOffTheSharedCache) {
-  Server server(McForcedOptions(1, true));
-  QueryGraph graph = McGraph(31);
-  QueryOptions options = AnytimeOptions(5);
-  options.seed = 0xfeedface;
-  const obs::Snapshot before = server.MetricsSnapshot();
-  Result<QueryResponse> first = server.RankGraph(graph, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  QueryResponse final_response =
-      RefineToConvergence(server, std::move(first).value(), 4096);
-  const obs::Snapshot after = server.MetricsSnapshot();
-  EXPECT_EQ(GaugeValue(after, "biorank_serve_cache_entries"),
-            GaugeValue(before, "biorank_serve_cache_entries"));
-  for (const char* lookups :
-       {"biorank_serve_cache_hits_total", "biorank_serve_cache_misses_total"}) {
-    EXPECT_EQ(CounterValue(after, lookups), CounterValue(before, lookups));
-  }
-  EXPECT_EQ(final_response.completeness.refining, 0);
-}
-
 TEST(ApiAnytimeTest, CancelAndStaleHandleSemantics) {
   Server server(McForcedOptions(1, true));
   QueryGraph graph = McGraph(37);
@@ -338,16 +317,17 @@ TEST(ApiAnytimeTest, CancelAndStaleHandleSemantics) {
   RefinementHandle handle = open.value().refinement;
   ASSERT_TRUE(handle.valid());
 
-  // Cancel is idempotent; a cancelled handle answers kCancelled (the
-  // caller learns it raced a cancel, not that the id never existed).
+  // A cancelled handle is gone, exactly like a finished one: a second
+  // cancel and a later Refine both answer NotFound, one error each, and
+  // the server keeps no record of the id.
   ASSERT_TRUE(server.CancelRefinement(handle).ok());
   EXPECT_EQ(server.refinement_count(), 0u);
-  EXPECT_TRUE(server.CancelRefinement(handle).ok());
   const uint64_t errors_before =
       ServerCounter(server, "biorank_api_errors_total");
-  EXPECT_EQ(server.Refine(handle).status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(server.CancelRefinement(handle).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.Refine(handle).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(ServerCounter(server, "biorank_api_errors_total"),
-            errors_before + 1);
+            errors_before + 2);
   EXPECT_EQ(ServerCounter(server, "biorank_api_refinements_cancelled_total"),
             1u);
 

@@ -2,15 +2,17 @@
 // threads opening, querying, snapshotting, and closing live sessions
 // against one server (all sessions sharing one canonical reliability
 // cache), racing a writer thread that applies evidence deltas to its own
-// session. Run under ThreadSanitizer in CI (the tsan job). Asserts the
-// two contracts the front door makes:
+// session. Every session query goes through the admission queue, capped
+// below the thread count so queries park and wake. Run under
+// ThreadSanitizer in CI (the tsan job). Asserts the two contracts the
+// front door makes:
 //
 //  * determinism — every ranking a hammer thread observes on an
 //    untouched graph is bit-identical to a serial replay recorded before
 //    any thread started, no matter how opens/queries/deltas interleave;
 //  * accounting — the shared cache's snapshot invariant (insertions -
-//    evictions - invalidations == entries) and the server's session
-//    counters survive the stampede.
+//    evictions - invalidations == entries), the server's session
+//    counters and the admission ledger survive the stampede.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +38,9 @@ TEST(ApiConcurrencyTest, SessionStampedeStaysDeterministic) {
   constexpr int kIterations = 3;
   constexpr int kTopK = 10;
 
-  Server server;
+  ServerOptions options;
+  options.admission.max_concurrent = 2;
+  Server server(options);
   std::vector<std::string> symbols;
   for (int i = 0; i < kSymbols + 1; ++i) {
     symbols.push_back(
@@ -140,6 +144,16 @@ TEST(ApiConcurrencyTest, SessionStampedeStaysDeterministic) {
   EXPECT_EQ(GaugeValue(metrics, "biorank_api_open_sessions"), 0.0);
   EXPECT_EQ(CounterValue(metrics, "biorank_ingest_deltas_total"),
             static_cast<uint64_t>(kIterations) * 2);
+  // Every session query took exactly one admission ticket and gave it
+  // back: serial replay, two passes per hammer iteration, one per delta.
+  const uint64_t session_queries =
+      kSymbols + static_cast<uint64_t>(kThreads) * kIterations * 2 +
+      static_cast<uint64_t>(kIterations) * 2;
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_session_queries_total"),
+            session_queries);
+  EXPECT_EQ(CounterValue(metrics, "biorank_api_admission_admitted_total"),
+            session_queries);
+  EXPECT_EQ(GaugeValue(metrics, "biorank_api_admission_inflight"), 0.0);
   // The cache-stat invariant under concurrent insertion, eviction, and
   // selective invalidation: the snapshot's collector reads all six cache
   // metrics from one CacheStats call, which holds every shard lock.

@@ -115,25 +115,44 @@ TEST(ApiServerTest, ErrorStatusesPropagateThroughTheFacade) {
             StatusCode::kUnimplemented);
 }
 
-TEST(ApiServerTest, ForeignSeedNeverTouchesTheSharedCache) {
-  // A request pinning a foreign MC seed is served by a request-private
-  // service: the shared cache must see no new entries and no lookups.
+TEST(ApiServerTest, ForeignSeedIsRejectedAtEveryEntryPoint) {
+  // The shared cache serves one seed, so a request pinning any other
+  // nonzero seed is kInvalidArgument before it does any work: no cache
+  // lookup, no new entry, and exactly one error per rejected call.
   Server server;
+  const uint64_t foreign = server.options().ranking.seed + 1;
   QueryRequest request =
       MakeProteinFunctionRequest(WellStudiedSymbol(server, 0), 5);
-  Result<QueryResponse> shared = server.Query(request);
-  ASSERT_TRUE(shared.ok()) << shared.status();
+  ASSERT_TRUE(server.Query(request).ok());
   const obs::Snapshot before = server.MetricsSnapshot();
-  request.options.seed = 0xfeedface;
-  Result<QueryResponse> foreign = server.Query(request);
-  ASSERT_TRUE(foreign.ok()) << foreign.status();
+  request.options.seed = foreign;
+  QueryOptions options;
+  options.seed = foreign;
+  EXPECT_EQ(server.Query(request).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.RankGraph(MakeFig4bWheatstoneBridge(), options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.RunBatch({request}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Refine(RefinementHandle{1}, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.OpenSession(request).status().code(),
+            StatusCode::kInvalidArgument);
   const obs::Snapshot after = server.MetricsSnapshot();
+  EXPECT_EQ(CacheLookups(after), CacheLookups(before));
   EXPECT_EQ(GaugeValue(after, "biorank_serve_cache_entries"),
             GaugeValue(before, "biorank_serve_cache_entries"));
-  EXPECT_EQ(CacheLookups(after), CacheLookups(before));
-  // This workload resolves exactly (no MC residues), so the values are
-  // seed-independent — the rankings must agree.
-  EXPECT_EQ(RankingFingerprint(foreign.value()), RankingFingerprint(shared.value()));
+  EXPECT_EQ(CounterValue(after, "biorank_api_errors_total"),
+            CounterValue(before, "biorank_api_errors_total") + 5);
+  EXPECT_EQ(CounterValue(after, "biorank_api_admission_admitted_total"),
+            CounterValue(before, "biorank_api_admission_admitted_total"));
+  EXPECT_EQ(server.session_count(), 0u);
+
+  // The server's own seed, spelled out, is the canonical seed.
+  request.options.seed = server.options().ranking.seed;
+  EXPECT_TRUE(server.Query(request).ok());
 }
 
 TEST(ApiServerTest, RunBatchMatchesSerialExecutionBitForBit) {
@@ -280,47 +299,33 @@ TEST(ApiServerTest, SessionLifecycle) {
   EXPECT_NE(reopened.value().id, info.id);
 }
 
-TEST(ApiServerTest, SessionRejectsForeignSeed) {
-  Server server;
-  QueryRequest request = MakeProteinFunctionRequest(WellStudiedSymbol(server, 0));
-  request.options.seed = 7;
-  EXPECT_EQ(server.OpenSession(request).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(ApiServerTest, IdleSessionsAreEvicted) {
-  ServerOptions options;
-  options.session_idle_ops = 3;
-  Server server(options);
+  Server server;
   const std::string symbol = WellStudiedSymbol(server, 0);
   Result<SessionInfo> idle =
       server.OpenSession(MakeProteinFunctionRequest(symbol));
   ASSERT_TRUE(idle.ok()) << idle.status();
+  Result<SessionInfo> busy =
+      server.OpenSession(MakeProteinFunctionRequest(symbol));
+  ASSERT_TRUE(busy.ok()) << busy.status();
 
-  // Burn server operations without touching the session; the next
-  // OpenSession sweeps it out.
+  // Burn server operations, touching only the busy session: every touch
+  // resets its clock, so the sweep takes the idle one alone.
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(server.Query(MakeProteinFunctionRequest(symbol, 3)).ok());
+    ASSERT_TRUE(server.QuerySession(busy.value().id, 3).ok());
   }
-  Result<SessionInfo> fresh =
-      server.OpenSession(MakeProteinFunctionRequest(symbol));
-  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(server.EvictIdleSessions(3), 1u);
   EXPECT_EQ(server.session_count(), 1u);
   EXPECT_EQ(server.QuerySession(idle.value().id).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(CounterValue(server.MetricsSnapshot(),
                          "biorank_api_sessions_evicted_total"),
             1u);
-
-  // A session kept busy is not evicted: every touch resets its clock.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(server.QuerySession(fresh.value().id, 3).ok());
-  }
-  EXPECT_EQ(server.EvictIdleSessions(options.session_idle_ops), 0u);
+  EXPECT_EQ(server.EvictIdleSessions(3), 0u);
   EXPECT_EQ(server.session_count(), 1u);
 
-  // The manual sweep with a zero-idle threshold evicts immediately once
-  // later operations age the session.
+  // A one-op threshold evicts once later operations age the session.
   ASSERT_TRUE(server.Query(MakeProteinFunctionRequest(symbol, 3)).ok());
   ASSERT_TRUE(server.Query(MakeProteinFunctionRequest(symbol, 3)).ok());
   EXPECT_EQ(server.EvictIdleSessions(1), 1u);

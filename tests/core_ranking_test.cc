@@ -133,7 +133,6 @@ TEST(RankerTest, McWithReductionsMatchesTruth) {
   QueryGraph g = MakeFig4aSerialParallel();
   RankerOptions options;
   options.reliability_engine = ReliabilityEngine::kMonteCarlo;
-  options.reduce_before_mc = true;
   options.mc.trials = 100000;
   Ranker ranker(options);
   Result<std::vector<double>> scores =

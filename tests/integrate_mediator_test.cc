@@ -4,6 +4,7 @@
 
 #include "core/graph_algo.h"
 #include "integrate/exploratory_query.h"
+#include "serve/ranking_service.h"
 
 namespace biorank {
 namespace {
@@ -311,51 +312,6 @@ TEST_F(MediatorTest, RankingKeepsAnswersWithEmptyQueryRelevantSubgraphs) {
   const serve::RankedCandidate& last = ranked.value().top.back();
   EXPECT_EQ(last.node, severed);
   EXPECT_DOUBLE_EQ(last.reliability, 0.0);
-}
-
-TEST_F(MediatorTest, ServeLiveAppliesDeltasIncrementally) {
-  const Protein& protein = universe_.protein(universe_.well_studied()[0]);
-  serve::RankingService service;
-  Result<Mediator::LiveExploratoryQuery> live = mediator_.ServeLive(
-      MakeProteinFunctionQuery(protein.gene_symbol), service);
-  ASSERT_TRUE(live.ok()) << live.status();
-  ASSERT_NE(live.value().applier, nullptr);
-  EXPECT_FALSE(live.value().go_node.empty());
-
-  Result<serve::TopKResult> before = live.value().applier->RankTopK(5);
-  ASSERT_TRUE(before.ok()) << before.status();
-
-  // A schema-validated delta: AmiGO's prior is revised downward.
-  ingest::EvidenceDelta delta;
-  delta.revise_source_priors.push_back({"AmiGO", 0.9});
-  Result<ingest::ApplyReport> report =
-      mediator_.ApplyDelta(live.value(), delta);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_GT(report.value().dirty_answers, 0);
-
-  // An unknown source is rejected by the mediator's schema metrics.
-  ingest::EvidenceDelta unknown;
-  unknown.revise_source_priors.push_back({"NoSuchSource", 0.9});
-  EXPECT_EQ(mediator_.ApplyDelta(live.value(), unknown).status().code(),
-            StatusCode::kNotFound);
-
-  // The live ranking after the delta matches a from-scratch service on
-  // the updated graph.
-  Result<serve::TopKResult> after = live.value().applier->RankTopK(5);
-  ASSERT_TRUE(after.ok()) << after.status();
-  serve::RankingServiceOptions reference_options;
-  reference_options.enable_cache = false;
-  reference_options.num_threads = 1;
-  serve::RankingService reference(reference_options);
-  Result<serve::TopKResult> rebuilt =
-      reference.RankTopK(live.value().applier->GraphSnapshot(), 5);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  ASSERT_EQ(after.value().top.size(), rebuilt.value().top.size());
-  for (size_t i = 0; i < after.value().top.size(); ++i) {
-    EXPECT_EQ(after.value().top[i].node, rebuilt.value().top[i].node);
-    EXPECT_EQ(after.value().top[i].reliability,
-              rebuilt.value().top[i].reliability);
-  }
 }
 
 TEST_F(MediatorTest, DefaultMetricsMatchSection2Narrative) {

@@ -24,6 +24,7 @@
 #include "obs/export.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
+#include "testing/metrics.h"
 
 namespace biorank {
 namespace {
@@ -251,6 +252,50 @@ TEST(ObsTracingIntegrationTest, SlowQueryCaptureHasNestedSpanTree) {
   // Metrics agree that a capture happened.
   const std::string text = server.MetricsText();
   EXPECT_NE(text.find("biorank_api_slow_queries_total"), std::string::npos);
+}
+
+TEST(ObsTracingIntegrationTest, SessionQueryRunsUnderTheRequestSkeleton) {
+  // A session query is a request like any other: with capture armed the
+  // server traces it under an api.query_session root, the serve phases
+  // nest beneath that root, and the slow-query ring keeps the tree.
+  api::ServerOptions options;
+  options.obs.slow_query_threshold_s = 1e-12;
+  api::Server server(options);
+  const ProteinUniverse& universe = server.universe();
+  api::Result<api::SessionInfo> session =
+      server.OpenSession(api::MakeProteinFunctionRequest(
+          universe.protein(universe.well_studied()[0]).gene_symbol));
+  ASSERT_TRUE(session.ok()) << session.status();
+  api::Result<api::QueryResponse> ranked =
+      server.QuerySession(session.value().id, 5);
+  ASSERT_TRUE(ranked.ok()) << ranked.status();
+  ASSERT_EQ(ranked.value().top.size(), 5u);
+
+  std::vector<obs::CapturedTrace> captured = server.slow_queries().Snapshot();
+  ASSERT_EQ(captured.size(), 1u);  // OpenSession is not a traced request.
+  const obs::CapturedTrace& trace = captured[0];
+  EXPECT_EQ(trace.entry_point, "QuerySession");
+  ASSERT_FALSE(trace.spans.empty());
+  EXPECT_EQ(trace.spans[0].name, "api.query_session");
+  EXPECT_EQ(trace.spans[0].parent, -1);
+  std::vector<std::string> names;
+  for (size_t i = 1; i < trace.spans.size(); ++i) {
+    names.push_back(trace.spans[i].name);
+    EXPECT_GE(trace.spans[i].parent, 0) << trace.spans[i].name;
+    EXPECT_LT(trace.spans[i].parent, static_cast<int>(i))
+        << trace.spans[i].name;
+  }
+  for (const char* name :
+       {"api.admit", "serve.cache_bounds", "serve.prune", "serve.publish"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+  }
+  const obs::Snapshot metrics = server.MetricsSnapshot();
+  EXPECT_EQ(testing::CounterValue(metrics, "biorank_api_slow_queries_total"),
+            1u);
+  EXPECT_EQ(testing::CounterValue(metrics,
+                                  "biorank_api_admission_admitted_total"),
+            1u);
 }
 
 TEST(ObsTracingIntegrationTest, ServerExportsTheMetricSurface) {

@@ -31,7 +31,6 @@ TEST(StatusTest, AllCodesHaveDistinctNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInternal), "Internal");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
                "DeadlineExceeded");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kCancelled), "Cancelled");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kDataLoss), "DataLoss");
 }
 
@@ -43,13 +42,10 @@ TEST(StatusTest, DataLossHasNamedConstructor) {
   EXPECT_FALSE(Status::DataLoss("x") == Status::Internal("x"));
 }
 
-TEST(StatusTest, SchedulingCodesHaveNamedConstructors) {
+TEST(StatusTest, DeadlineExceededHasNamedConstructor) {
   Status deadline = Status::DeadlineExceeded("too slow");
   EXPECT_EQ(deadline.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(deadline.ToString(), "DeadlineExceeded: too slow");
-  Status cancelled = Status::Cancelled("caller gave up");
-  EXPECT_EQ(cancelled.code(), StatusCode::kCancelled);
-  EXPECT_EQ(cancelled.ToString(), "Cancelled: caller gave up");
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
