@@ -219,9 +219,10 @@ EXACT_METRICS = {
     "ingest_updates": ("dirty_answers", "clean_answers", "stale_keys",
                        "invalidated_entries", "cache_entries",
                        "cache_invalidations", "preserved_hit_rate"),
-    # How each candidate resolved (bounds, exact factoring within its
-    # budget, MC) and what the reducer leaves: a kernel change that moves
-    # a budget outcome or a reduction result moves one of these counts.
+    # How each candidate resolved (bounds, an exact kernel: the DAG sweep
+    # or factoring within its budget, MC) and what the reducer leaves: a
+    # kernel change that moves an exact outcome or a reduction result
+    # moves one of these counts.
     "serve_topk": ("candidates", "bound_exact", "exact_resolutions",
                    "mc_resolutions", "mc_trials",
                    "irreducible_exact_resolutions",

@@ -140,7 +140,7 @@ struct PhaseTiming {
   /// Ranking prepare (canonicalize, cache lookup, bounds, top-k cut);
   /// a session query's whole ranking pass.
   double rank_s = 0.0;
-  /// Ranking advance (exact factoring and MC on the survivors), in both
+  /// Ranking advance (exact kernels and MC on the survivors), in both
   /// modes: a blocking request's run to convergence, an anytime call's
   /// share of refinement.
   double refine_s = 0.0;

@@ -86,7 +86,7 @@ uint64_t Server::StorageFingerprint() const {
   field(options_.mediator.include_minor_sources ? 1 : 0);
   const serve::RankingServiceOptions& r = options_.ranking;
   field(r.seed);
-  field(serve::kServedMcEstimatorVersion);
+  field(serve::kServedEstimatorVersion);
   field(static_cast<uint64_t>(r.exact_max_edges));
   field(static_cast<uint64_t>(r.mc_shard_trials));
   // Doubles ride their bit patterns (the values are configuration
@@ -355,7 +355,7 @@ void Server::InitMetrics() {
       "Ranking prepare: canonicalize, cache lookup, bounds, top-k cut");
   metrics_.refine_seconds = reg.GetHistogram(
       "biorank_api_refine_seconds",
-      "Ranking advance: exact factoring and MC on the survivors, per call");
+      "Ranking advance: exact kernels and MC on the survivors, per call");
   metrics_.apply_seconds = reg.GetHistogram(
       "biorank_ingest_apply_seconds", "Evidence-delta apply latency");
   // Gauges and the point-in-time state of the cache and the admission
@@ -829,6 +829,9 @@ Result<QueryResponse> Server::QuerySession(SessionId id, int top_k) {
                    return it != labels.end() ? it->second : std::string();
                  },
                  response);
+      response.completeness = top.value().completeness;
+    } else {
+      response.completeness.complete = true;  // Nothing to rank.
     }
     response.timing.rank_s = SecondsSince(start);
     return Status::OK();

@@ -1,6 +1,8 @@
 #include "core/reliability_exact.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "core/graph_algo.h"
 #include "core/reduction.h"
@@ -11,6 +13,10 @@ namespace biorank {
 namespace {
 
 bool IsUncertain(double p) { return p > 0.0 && p < 1.0; }
+
+/// Live states past which ExactReliabilityDagSweep declines: about where its
+/// cost meets 7,896 64-lane MC trials on the ledger-shape DAG residues.
+constexpr size_t kDagSweepMaxStates = 8192;
 
 /// Epoch-stamped visit marks and one DFS stack, reused by every search of
 /// a kernel run so that no search allocates.
@@ -234,6 +240,124 @@ Result<std::vector<double>> ExactReliabilityAllAnswers(
     scores.push_back(r.value());
   }
   return scores;
+}
+
+Result<double> ExactReliabilityDagSweep(const CsrQuerySnapshot& snapshot,
+                                        NodeId target) {
+  const CsrSnapshot& csr = snapshot.csr;
+  const uint32_t n = csr.num_nodes();
+  if (target < 0 || target >= csr.orig_capacity() ||
+      csr.dense_id[static_cast<size_t>(target)] == kCsrInvalid) {
+    return Status::InvalidArgument("dag sweep: invalid target");
+  }
+  const uint32_t s = snapshot.source;
+  const uint32_t t = csr.dense_id[static_cast<size_t>(target)];
+
+  // Kahn order, smallest ready dense id first. A node takes part when the
+  // source reaches it (bit 1, set here) and it reaches the target (bit 2,
+  // set below); then the source comes first and the target last.
+  std::vector<uint32_t> indegree(n, 0), order;
+  for (uint32_t to : csr.out_to) ++indegree[to];
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>> ready;
+  for (uint32_t d = 0; d < n; ++d) {
+    if (indegree[d] == 0) ready.push(d);
+  }
+  std::vector<uint8_t> part(n, 0);
+  part[s] = 1;
+  while (!ready.empty()) {
+    const uint32_t d = ready.top();
+    ready.pop();
+    order.push_back(d);
+    for (uint32_t j = csr.out_offset[d]; j < csr.out_offset[d + 1]; ++j) {
+      part[csr.out_to[j]] |= part[d] & 1;
+      if (--indegree[csr.out_to[j]] == 0) ready.push(csr.out_to[j]);
+    }
+  }
+  if (order.size() != n) return Status::FailedPrecondition("dag sweep: cycle");
+  if (s == t) return csr.node_p[s];
+  if (part[t] == 0) return 0.0;
+  part[t] = 3;
+  std::vector<uint32_t> pending(n, 0);  // Taking-part successors to come.
+  for (size_t i = n; i-- > 0;) {
+    const uint32_t v = order[i];
+    for (uint32_t j = csr.out_offset[v]; j < csr.out_offset[v + 1]; ++j) {
+      if (part[csr.out_to[j]] == 3 && part[v] != 0) {
+        part[v] = 3;
+        ++pending[v];
+      }
+    }
+  }
+
+  std::vector<int> slot(n, -1);
+  slot[s] = 0;
+  uint64_t used = 1;
+  std::vector<uint64_t> masks{1}, next_masks;
+  std::vector<double> mass{csr.node_p[s]}, next_mass;
+  std::vector<std::pair<int, double>> fold;  // (slot, 1 - q) per in-edge.
+  std::vector<uint32_t> table;
+  for (uint32_t v : order) {
+    if (part[v] != 3 || v == s) continue;
+    fold.clear();
+    uint64_t freed = 0;
+    for (uint32_t j = csr.in_offset[v]; j < csr.in_offset[v + 1]; ++j) {
+      const uint32_t u = csr.in_from[j];
+      if (part[u] != 3) continue;
+      fold.emplace_back(slot[u], 1.0 - csr.in_q[j]);
+      if (--pending[u] == 0) freed |= uint64_t{1} << slot[u];
+    }
+    auto reached = [&](uint64_t mask) {
+      double fail = 1.0;
+      for (const auto& [b, f] : fold) {
+        if ((mask >> b) & 1) fail *= f;
+      }
+      return csr.node_p[v] * (1.0 - fail);
+    };
+    if (v == t) {
+      double value = 0.0;
+      for (size_t k = 0; k < masks.size(); ++k) {
+        value += mass[k] * reached(masks[k]);
+      }
+      return value;
+    }
+    used &= ~freed;
+    if (~used == 0) return Status::FailedPrecondition("dag sweep: too wide");
+    const int b = __builtin_ctzll(~used);
+    used |= uint64_t{1} << b;
+    slot[v] = b;
+    next_masks.clear();
+    next_mass.clear();
+    // Children merge only when a slot freed (else distinct masks stay
+    // distinct), through an open-addressing table of 1 + index.
+    const int shift = __builtin_clzll(2 * masks.size() + 1);
+    if (freed != 0) table.assign(size_t{1} << (64 - shift), 0);
+    auto emit = [&](uint64_t mask, double m) {
+      if (mask == 0) return;  // No reached open node: the target is lost.
+      if (freed != 0) {
+        size_t h = (mask * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
+        for (; table[h] != 0; h = (h + 1) & (table.size() - 1)) {
+          if (next_masks[table[h] - 1] == mask) {
+            next_mass[table[h] - 1] += m;
+            return;
+          }
+        }
+        table[h] = static_cast<uint32_t>(next_masks.size() + 1);
+      }
+      next_masks.push_back(mask);
+      next_mass.push_back(m);
+    };
+    for (size_t k = 0; k < masks.size(); ++k) {
+      const double r = reached(masks[k]);
+      const uint64_t base = masks[k] & ~freed;
+      if (r < 1.0) emit(base, mass[k] * (1.0 - r));
+      if (r > 0.0) emit(base | uint64_t{1} << b, mass[k] * r);
+    }
+    if (next_masks.size() > kDagSweepMaxStates) {
+      return Status::FailedPrecondition("dag sweep: state cap exceeded");
+    }
+    masks.swap(next_masks);
+    mass.swap(next_mass);
+  }
+  return 0.0;  // Unreachable: the target is the last taking-part node.
 }
 
 }  // namespace biorank

@@ -1,7 +1,7 @@
 // Exact source-target reliability: brute-force enumeration of
-// possible worlds and the factoring (conditioning) algorithm. Both are
-// exponential in the worst case; they serve as ground truth for the
-// estimators and property tests.
+// possible worlds, the factoring (conditioning) algorithm, and a
+// topological frontier sweep for DAGs. All are exponential in the worst
+// case, the sweep only in the width of its open-node frontier.
 
 #ifndef BIORANK_CORE_RELIABILITY_EXACT_H_
 #define BIORANK_CORE_RELIABILITY_EXACT_H_
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/csr_snapshot.h"
 #include "core/query_graph.h"
 #include "util/status.h"
 
@@ -56,6 +57,16 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
 /// `query_graph.answers`.
 Result<std::vector<double>> ExactReliabilityAllAnswers(
     const QueryGraph& query_graph, const FactoringOptions& options = {});
+
+/// Exact reliability of `target` (an original node id) on a DAG: one sweep
+/// in Kahn order (smallest dense id first) over the nodes on source-target
+/// paths, whose states are 64-bit masks of reached open nodes (a successor
+/// still to come) with their masses. Equal masks merge in first-seen
+/// order, so the bits are a function of the snapshot; cost is exponential
+/// in the frontier width alone. FailedPrecondition on a cycle, a frontier
+/// past 64 nodes or too many live states.
+Result<double> ExactReliabilityDagSweep(const CsrQuerySnapshot& snapshot,
+                                        NodeId target);
 
 }  // namespace biorank
 

@@ -28,7 +28,7 @@ RankingService::RankingService(RankingServiceOptions options)
         reg.GetCounter("biorank_serve_bound_exact_total",
                        "Candidates resolved by closed bounds");
     metrics_.exact = reg.GetCounter("biorank_serve_exact_total",
-                                    "Candidates resolved by factoring");
+                                    "Candidates resolved by an exact kernel");
     metrics_.monte_carlo = reg.GetCounter(
         "biorank_serve_monte_carlo_total", "Candidates resolved by Monte Carlo");
     metrics_.mc_trials =
@@ -38,7 +38,7 @@ RankingService::RankingService(RankingServiceOptions options)
         "Dedup + cache lookup + deterministic bounds phase latency");
     metrics_.mc_seconds = reg.GetHistogram(
         "biorank_serve_mc_seconds",
-        "Exact-factoring / Monte Carlo resolve phase latency");
+        "Exact (DAG sweep, factoring) / Monte Carlo resolve phase latency");
   }
 }
 
@@ -67,8 +67,9 @@ Status RankingService::CanonicalizeTargets(
 
 namespace {
 
-/// Factoring call budget for one surviving candidate's exact resolution.
+/// Factoring's call budget and edge cap, for residues the sweep declined.
 constexpr int64_t kExactMaxCalls = 200000;
+constexpr int kFactoringMaxEdges = 24;
 
 /// A prepared state advanced to convergence, read off as a TopKResult.
 Result<TopKResult> Converge(RankingService& service,
@@ -79,6 +80,7 @@ Result<TopKResult> Converge(RankingService& service,
   TopKResult result;
   result.top = CurrentRanking(state);
   result.stats = state.stats;
+  result.completeness = Summarize(state);
   return result;
 }
 
@@ -206,17 +208,23 @@ double RankingService::ClassifySurvivors(const std::vector<int>& unique_index,
 
 Status RankingService::TryResolveExact(UniqueState& u) {
   if (u.entry.has_value || u.exact_attempted) return Status::OK();
-  // A partial MC tally means factoring already failed (or was out of
-  // budget) when this key first survived; stay on the MC path rather
-  // than re-paying the factoring budget every increment.
+  // A partial MC tally means the exact kernels already declined (or were
+  // out of budget) when this key first survived; stay on the MC path
+  // rather than re-paying them every increment.
   if (u.entry.trials > 0) return Status::OK();
   const QueryGraph& graph = u.canonical->canonical;
   if (graph.graph.num_edges() > options_.exact_max_edges) return Status::OK();
   u.exact_attempted = true;
-  FactoringOptions factoring;
-  factoring.max_calls = kExactMaxCalls;
+  Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(graph);
+  if (!snapshot.ok()) return snapshot.status();
   Result<double> exact =
-      ExactReliabilityFactoring(graph, u.canonical->target, factoring);
+      ExactReliabilityDagSweep(snapshot.value(), u.canonical->target);
+  // Factoring takes the small residues the sweep declines.
+  if (!exact.ok() && exact.status().code() == StatusCode::kFailedPrecondition &&
+      graph.graph.num_edges() <= kFactoringMaxEdges) {
+    exact = ExactReliabilityFactoring(graph, u.canonical->target,
+                                      FactoringOptions{kExactMaxCalls});
+  }
   if (exact.ok()) {
     u.entry.has_value = true;
     u.entry.value = exact.value();
@@ -227,7 +235,7 @@ Status RankingService::TryResolveExact(UniqueState& u) {
   if (exact.status().code() != StatusCode::kFailedPrecondition) {
     return exact.status();
   }
-  // Too complex to factor within budget: the caller falls through to MC.
+  // Declined by every exact kernel: the caller falls through to MC.
   return Status::OK();
 }
 

@@ -5,8 +5,8 @@
 //   canonicalize (core/canonical) -> reliability_cache lookup
 //     -> deterministic bounds (core/reliability_bounds)
 //     -> prune against the top-k cut
-//     -> exact factoring on reducible residues, else shared-pool MC
-//        on the RNG stream derived from the canonical hash.
+//     -> the exact DAG sweep, else factoring on small residues, else
+//        shared-pool MC on the RNG stream derived from the canonical hash.
 //
 // Output is bit-identical at any thread count and with the cache on or
 // off: every resolved value is a pure function of the candidate's
@@ -39,7 +39,7 @@ enum class Resolution {
   kCacheValue,   ///< Canonical key had a resolved value (cache or request-local memo).
   kPruned,       ///< Bounds proved it outside the top k; never resolved.
   kBoundExact,   ///< Bounds closed (lower == upper within tolerance): value free.
-  kExact,        ///< Factoring on the reduced canonical graph.
+  kExact,        ///< DAG sweep or factoring on the reduced canonical graph.
   kMonteCarlo,   ///< Seeded shared-pool MC on the canonical graph.
   kRefining,     ///< Anytime: MC in progress, value still a bracket.
 };
@@ -72,7 +72,7 @@ struct RequestStats {
   int cache_misses = 0;     ///< Lookups that had to canonicalize-and-bound.
   int pruned = 0;           ///< Misses eliminated by the top-k cut.
   int bound_exact = 0;      ///< Misses resolved by closed bounds.
-  int exact = 0;            ///< Misses resolved by factoring.
+  int exact = 0;            ///< Misses resolved by an exact kernel.
   int monte_carlo = 0;      ///< Misses resolved by Monte Carlo.
   int64_t mc_trials = 0;    ///< Total MC trials spent.
 
@@ -101,11 +101,12 @@ struct RequestStats {
   }
 };
 
-/// Version of the Monte Carlo estimator the service serves: 1 was the
-/// traversal kernel, 2 is the 64-lane kNaive kernel. Served values are a
-/// function of it, so api::Server folds it into its storage fingerprint
-/// and a store written under another version is refused at boot.
-inline constexpr uint64_t kServedMcEstimatorVersion = 2;
+/// Version of the kernels the service serves from: 1 was the traversal MC
+/// kernel, 2 the 64-lane kNaive one, 3 adds the DAG sweep (bump it when its
+/// cap or factoring's limits move). Served values are a function of it,
+/// so api::Server folds it into its storage fingerprint and a store
+/// written under another version is refused at boot.
+inline constexpr uint64_t kServedEstimatorVersion = 3;
 
 /// Bounds whose width is at most this resolve the candidate outright
 /// (covers fully-reduced single-edge residues, where lower and upper
@@ -119,10 +120,10 @@ struct RankingServiceOptions {
   ReliabilityCacheOptions cache;
   ReliabilityBoundsOptions bounds;
   /// Surviving candidates whose reduced canonical graph has at most this
-  /// many edges are resolved exactly by factoring; larger residues go to
-  /// Monte Carlo. A fixed factoring call budget caps pathological
-  /// cases (on FailedPrecondition the candidate falls through to MC).
-  int exact_max_edges = 24;
+  /// many edges are tried exactly: the DAG sweep, then factoring (at most
+  /// 24 edges, fixed call budget) on what it declines. The rest go to
+  /// Monte Carlo; 0 forces Monte Carlo.
+  int exact_max_edges = 128;
   /// Theorem 3.1 parameters for the MC trial count: relative error
   /// epsilon with confidence 1 - delta (0.02 / 0.05 -> 7,896 trials).
   double mc_epsilon = 0.02;
@@ -147,11 +148,26 @@ struct RankingServiceOptions {
   obs::Registry* registry = nullptr;
 };
 
+/// How settled a (possibly still-refining) ranking is. Counts are per
+/// request candidate (duplicates counted once each, like RequestStats).
+struct Completeness {
+  int resolved = 0;   ///< Candidates with a final value (exact, cached, or converged MC).
+  int bounded = 0;    ///< Candidates settled by bounds alone (pruned from the top k).
+  int refining = 0;   ///< Candidates whose value is still an open bracket.
+  /// Widest upper-lower bracket among the still-refining candidates
+  /// (0 when none remain).
+  double widest_bracket = 0.0;
+  /// True once every candidate is resolved or pruned: the ranking is
+  /// final and bit-identical to the blocking answer.
+  bool complete = false;
+};
+
 /// The result of one top-k request: surviving candidates sorted by
 /// descending reliability (ties by ascending NodeId), truncated to k.
 struct TopKResult {
   std::vector<RankedCandidate> top;
   RequestStats stats;
+  Completeness completeness;  ///< Of the converged ranking: complete.
 };
 
 /// A candidate whose canonicalization the caller already holds. The
@@ -174,7 +190,7 @@ struct UniqueState {
   const CanonicalCandidate* canonical = nullptr;
   CacheEntry entry;
   bool have_bounds = false;
-  bool exact_attempted = false;  ///< Factoring tried (pay its budget once).
+  bool exact_attempted = false;  ///< Exact kernels tried (pay them once).
   int64_t trials_spent = 0;      ///< MC trials this caller ran (vs adopted).
   Resolution resolution = Resolution::kPruned;
   Status status;
@@ -262,10 +278,10 @@ class RankingService {
                            std::vector<UniqueState>& uniques, int k,
                            RequestStats& stats, std::vector<int>& survivors);
 
-  /// Phase 6a: exact factoring on a survivor whose reduced residue is
-  /// within the configured edge budget. At most one attempt per unique
-  /// (the result is deterministic, so retrying cannot change it); a
-  /// FailedPrecondition (budget blown) falls through to MC silently.
+  /// Phase 6a: the DAG sweep, then factoring on small residues it declined,
+  /// on a survivor whose residue is within the edge budget. At most one
+  /// attempt per unique (the result is deterministic, so retrying cannot
+  /// change it); a FailedPrecondition from both falls through to MC.
   /// No-op when the entry already has a value or partial MC trials.
   Status TryResolveExact(UniqueState& u);
 

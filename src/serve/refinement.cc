@@ -169,10 +169,10 @@ Status Advance(RankingService& service, RefinementState& state,
     }
   }
 
-  // Phase 6 — resolve the survivors: factoring on small reduced
-  // residues, Monte Carlo on the canonical-hash stream otherwise. Both
-  // are pure functions of the canonical key, so fan-out order is
-  // irrelevant. The fan-out runs on pool threads, which carry no
+  // Phase 6 — resolve the survivors: the DAG sweep, then factoring on
+  // small reduced residues, Monte Carlo on the canonical-hash stream
+  // otherwise. All are pure functions of the canonical key, so fan-out
+  // order is irrelevant. The fan-out runs on pool threads, which carry no
   // thread-local trace binding; per-survivor spans attach to the resolve
   // span by explicit parent index instead.
   {

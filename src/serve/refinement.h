@@ -3,10 +3,10 @@
 //
 //   Prepare        phases 1-5: canonicalize (or take caller-held
 //                  canonicals), dedup + cache lookup, deterministic
-//                  bounds, the top-k cut, classification. No factoring,
-//                  no Monte Carlo: a ranking read off the prepared state
-//                  is the pure bounds-only answer.
-//   Advance        phase 6: the survivors' exact-factoring / Monte Carlo
+//                  bounds, the top-k cut, classification. No exact
+//                  kernel, no Monte Carlo: a ranking read off the
+//                  prepared state is the pure bounds-only answer.
+//   Advance        phase 6: the survivors' exact (sweep, factoring) / MC
 //                  fan-out, by whole shards of the deterministic trial
 //                  schedule, stopping between survivors at a deadline.
 //   CurrentRanking phase 8: resolved candidates by value, still-refining
@@ -40,20 +40,6 @@
 #include "util/status.h"
 
 namespace biorank::serve {
-
-/// How settled a (possibly still-refining) ranking is. Counts are per
-/// request candidate (duplicates counted once each, like RequestStats).
-struct Completeness {
-  int resolved = 0;   ///< Candidates with a final value (exact, cached, or converged MC).
-  int bounded = 0;    ///< Candidates settled by bounds alone (pruned from the top k).
-  int refining = 0;   ///< Candidates whose value is still an open bracket.
-  /// Widest upper-lower bracket among the still-refining candidates
-  /// (0 when none remain).
-  double widest_bracket = 0.0;
-  /// True once every candidate is resolved or pruned: the ranking is
-  /// final and bit-identical to the blocking answer.
-  bool complete = false;
-};
 
 /// Resumable state of one ranking. `uniques` point either into
 /// `canonicals` (prepared from a graph: the state owns its
@@ -95,7 +81,7 @@ Result<RefinementState> Prepare(
 
 /// Advances every unresolved survivor by up to `trial_budget` MC trials
 /// (rounded up to whole shards; <= 0 runs each survivor to convergence),
-/// trying exact factoring first where the residue is small enough.
+/// trying the exact kernels (TryResolveExact) first.
 /// Before the fan-out, survivors adopt any further progress another
 /// request published for their key (sequentially, in unique order, so
 /// the cache's LRU order stays a deterministic function of the request

@@ -31,7 +31,7 @@ struct CacheEntry {
   double upper = 1.0;       ///< Deterministic upper reliability bound.
   bool has_value = false;   ///< True once the reliability is resolved.
   double value = 0.0;       ///< Resolved reliability (clamped to bounds).
-  bool exact = false;       ///< Value from closed form / factoring, not MC.
+  bool exact = false;       ///< Value from an exact kernel, not MC.
   int64_t trials = 0;       ///< MC trials spent so far (0 for exact values).
   /// Integer reach count over the first `trials` trials of the shard
   /// schedule. While `trials` is short of the service's convergence

@@ -299,6 +299,31 @@ TEST(ApiServerTest, SessionLifecycle) {
   EXPECT_NE(reopened.value().id, info.id);
 }
 
+TEST(ApiServerTest, SessionRankingReportsTheSameCompletenessAsQuery) {
+  // A session ranking is blocking and final, so it reports the
+  // completeness of the one-shot Query of the same protein and k.
+  Server server;
+  const std::string symbol = WellStudiedSymbol(server, 0);
+  Result<SessionInfo> opened =
+      server.OpenSession(MakeProteinFunctionRequest(symbol));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Result<QueryResponse> live = server.QuerySession(opened.value().id, 5);
+  ASSERT_TRUE(live.ok()) << live.status();
+  Result<QueryResponse> oneshot =
+      server.Query(MakeProteinFunctionRequest(symbol, 5));
+  ASSERT_TRUE(oneshot.ok()) << oneshot.status();
+  const serve::Completeness& a = live.value().completeness;
+  const serve::Completeness& b = oneshot.value().completeness;
+  EXPECT_TRUE(a.complete);
+  EXPECT_TRUE(b.complete);
+  EXPECT_GT(a.resolved, 0);
+  EXPECT_EQ(a.resolved, b.resolved);
+  EXPECT_EQ(a.bounded, b.bounded);
+  EXPECT_EQ(a.refining, 0);
+  EXPECT_EQ(b.refining, 0);
+  EXPECT_EQ(a.widest_bracket, b.widest_bracket);
+}
+
 TEST(ApiServerTest, IdleSessionsAreEvicted) {
   Server server;
   const std::string symbol = WellStudiedSymbol(server, 0);

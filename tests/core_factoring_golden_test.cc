@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,6 +243,92 @@ TEST(FactoringGoldenTest, HeavyServeResiduesMatchTheFixture) {
   }
   ExpectMatchesFixture(actual, expected, kResidueHeader,
                        "factoring_residue_golden.actual.txt");
+}
+
+}  // namespace
+}  // namespace biorank
+
+namespace biorank {
+namespace {
+
+/// The value `bits` (16 hex digits) encode.
+double FromBits(const std::string& bits) {
+  const uint64_t raw = std::stoull(bits, nullptr, 16);
+  double value;
+  std::memcpy(&value, &raw, sizeof(value));
+  return value;
+}
+
+/// The DAG sweep on `graph`'s query snapshot.
+Result<double> Sweep(const QueryGraph& graph, NodeId target) {
+  Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(graph);
+  if (!snapshot.ok()) return snapshot.status();
+  return ExactReliabilityDagSweep(snapshot.value(), target);
+}
+
+TEST(FactoringGoldenTest, DagSweepMatchesFactoringOnEveryGoldenDagAnswer) {
+  // The serve path sweeps canonical residues, so this does too: every
+  // golden answer with an acyclic residue that factoring resolved within
+  // the golden's budget, and every heavy serve residue, sweeps to the
+  // pinned factoring value. Cyclic residues decline.
+  std::map<std::string, QueryGraph> graphs;
+  for (auto& [name, graph] : FactoringCorpus()) {
+    graphs.emplace(name, std::move(graph));
+  }
+  double worst = 0.0;
+  int compared = 0, declined = 0;
+  for (const std::string& line :
+       ReadFixture(BIORANK_TESTDATA_DIR "/factoring_golden.txt")) {
+    std::istringstream fields(line);
+    std::string name, bits;
+    NodeId target = kInvalidNode;
+    fields >> name >> target >> bits;
+    const QueryGraph& graph = graphs.at(name);
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    Result<CanonicalCandidate> candidate =
+        CanonicalizeCandidate(graph, target, {}, &csr);
+    ASSERT_TRUE(candidate.ok()) << candidate.status();
+    const QueryGraph& residue = candidate.value().canonical;
+    Result<double> swept = Sweep(residue, candidate.value().target);
+    if (!testing::IsAcyclic(residue)) {
+      EXPECT_EQ(swept.status().code(), StatusCode::kFailedPrecondition);
+      ++declined;
+      continue;
+    }
+    if (bits == "budget") continue;
+    ASSERT_TRUE(swept.ok()) << line << ": " << swept.status();
+    const double error = std::abs(swept.value() - FromBits(bits));
+    EXPECT_LE(error, 1e-12) << line;
+    worst = std::max(worst, error);
+    ++compared;
+  }
+  int residues = 0;
+  for (const std::string& line :
+       ReadFixture(BIORANK_TESTDATA_DIR "/factoring_residue_golden.txt")) {
+    std::istringstream fields(line);
+    std::string name, bits;
+    NodeId target = kInvalidNode;
+    int edges = 0;
+    fields >> name >> target >> edges >> bits;
+    const QueryGraph& graph = graphs.at(name);
+    const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+    Result<CanonicalCandidate> candidate =
+        CanonicalizeCandidate(graph, target, {}, &csr);
+    ASSERT_TRUE(candidate.ok()) << candidate.status();
+    Result<double> swept =
+        Sweep(candidate.value().canonical, candidate.value().target);
+    ASSERT_TRUE(swept.ok()) << line << ": " << swept.status();
+    const double error = std::abs(swept.value() - FromBits(bits));
+    EXPECT_LE(error, 1e-12) << line;
+    worst = std::max(worst, error);
+    ++residues;
+  }
+  EXPECT_GE(compared, 1500);
+  EXPECT_GE(declined, 50);
+  EXPECT_EQ(residues, 24);
+  std::printf("compared %d answers and %d residues (largest error %.3g), "
+              "%d cyclic answers declined\n",
+              compared, residues, worst, declined);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "core/closed_form.h"
+#include "core/csr_snapshot.h"
+#include "core/graph_algo.h"
 #include "core/query_graph.h"
 #include "core/reliability_bounds.h"
 #include "testing/random_graphs.h"
@@ -251,6 +254,136 @@ std::string Bits(double value) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016" PRIx64, bits);
   return hex;
+}
+
+/// The DAG sweep on `graph`'s query snapshot.
+Result<double> Sweep(const QueryGraph& graph, NodeId target) {
+  Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(graph);
+  if (!snapshot.ok()) return snapshot.status();
+  return ExactReliabilityDagSweep(snapshot.value(), target);
+}
+
+TEST(DagSweepTest, MatchesBruteForceOnTheRestrictionCorpus) {
+  // Every answer of an acyclic corpus graph whose restricted subgraph is
+  // small enough to enumerate; every answer of a cyclic graph declines.
+  // Prints how many acyclic answers the state cap declined.
+  int compared = 0, declined = 0, capped = 0;
+  for (const QueryGraph& g : testing::MakeRestrictionCorpus()) {
+    const bool acyclic = testing::IsAcyclic(g);
+    const CsrSnapshot csr = BuildCsrSnapshot(g.graph);
+    for (NodeId target : g.answers) {
+      Result<double> swept = Sweep(g, target);
+      if (!acyclic) {
+        ASSERT_FALSE(swept.ok());
+        EXPECT_EQ(swept.status().code(), StatusCode::kFailedPrecondition);
+        ++declined;
+        continue;
+      }
+      if (!swept.ok()) {  // Past the state cap: unreduced graphs are wide.
+        EXPECT_EQ(swept.status().code(), StatusCode::kFailedPrecondition);
+        ++capped;
+        continue;
+      }
+      const QueryGraph restricted = RestrictToTarget(csr, g.source, target);
+      Result<double> brute =
+          ExactReliabilityBruteForce(restricted, restricted.answers[0], 18);
+      if (!brute.ok()) continue;
+      EXPECT_NEAR(swept.value(), brute.value(), 1e-12) << "target " << target;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 100);
+  EXPECT_GE(declined, 100);
+  std::printf("compared %d, cyclic %d, over the cap %d\n", compared, declined,
+              capped);
+}
+
+TEST(DagSweepTest, SourceTargetAndUnreachableCases) {
+  QueryGraphBuilder b;
+  NodeId mid = b.Node(0.5, "mid");
+  NodeId t = b.Node(0.8, "t");
+  NodeId island = b.Node(0.9, "island");
+  b.Edge(b.Source(), mid, 0.9);
+  b.Edge(mid, t, 0.7);
+  QueryGraph g = std::move(b).Build({t, island});
+  EXPECT_NEAR(Sweep(g, t).value(), 0.9 * 0.5 * 0.7 * 0.8, 1e-15);
+  EXPECT_EQ(Sweep(g, island).value(), 0.0);
+  EXPECT_EQ(Sweep(g, g.source).value(), 1.0);
+  EXPECT_EQ(Sweep(g, 99).status().code(), StatusCode::kInvalidArgument);
+  QueryGraph bridge = MakeFig4bWheatstoneBridge();
+  EXPECT_NEAR(Sweep(bridge, bridge.answers[0]).value(), 15.0 / 32.0, 1e-15);
+}
+
+/// The source fanned out to `width` certain nodes over edges of
+/// probability `q`, each joined to the target by an edge of probability
+/// 0.5: reliability 1 - (1 - q/2)^width.
+QueryGraph Fan(int width, double q) {
+  QueryGraphBuilder b;
+  std::vector<NodeId> middle;
+  for (int i = 0; i < width; ++i) middle.push_back(b.Node(1.0));
+  NodeId t = b.Node(1.0, "t");
+  for (NodeId m : middle) b.Edge(b.Source(), m, q);
+  for (NodeId m : middle) b.Edge(m, t, 0.5);
+  return std::move(b).Build({t});
+}
+
+TEST(DagSweepTest, DeclinesDeterministicallyPastTheStateCapAndWideFrontiers) {
+  // Twelve uncertain branches keep 2^12 - 1 reached subsets open at once,
+  // under the cap; fourteen keep 2^14 - 1, past it.
+  QueryGraph narrow = Fan(12, 0.5);
+  Result<double> fits = Sweep(narrow, narrow.answers[0]);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_NEAR(fits.value(), 1.0 - std::pow(0.75, 12), 1e-12);
+
+  QueryGraph wide = Fan(14, 0.5);
+  Result<double> first = Sweep(wide, wide.answers[0]);
+  Result<double> second = Sweep(wide, wide.answers[0]);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(first.status().ToString(), second.status().ToString());
+
+  // Certain fan-out edges keep one state, but 65 open nodes exceed the
+  // 64 mask slots; 64 fit.
+  QueryGraph certain = Fan(64, 1.0);
+  EXPECT_NEAR(Sweep(certain, certain.answers[0]).value(),
+              1.0 - std::pow(0.5, 64), 1e-12);
+  QueryGraph too_wide = Fan(65, 1.0);
+  EXPECT_EQ(Sweep(too_wide, too_wide.answers[0]).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(DagSweepTest, DeclinesACycleOffEveryPath) {
+  // A cycle that no source-target path touches still declines: the sweep
+  // needs a topological order of the whole snapshot.
+  QueryGraphBuilder b;
+  NodeId t = b.Node(0.8, "t");
+  NodeId x = b.Node(0.9), y = b.Node(0.9);
+  b.Edge(b.Source(), t, 0.5);
+  b.Edge(x, y, 0.5);
+  b.Edge(y, x, 0.5);
+  QueryGraph g = std::move(b).Build({t});
+  EXPECT_EQ(Sweep(g, t).status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(DagSweepTest, TwoCallsReturnTheSameBits) {
+  std::vector<QueryGraph> corpus = testing::MakeLedgerDagCorpus();
+  for (QueryGraph& g : testing::MakeRestrictionCorpus()) {
+    corpus.push_back(std::move(g));
+  }
+  int swept = 0;
+  for (const QueryGraph& g : corpus) {
+    Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(g);
+    ASSERT_TRUE(snapshot.ok());
+    for (NodeId target : g.answers) {
+      Result<double> a = ExactReliabilityDagSweep(snapshot.value(), target);
+      Result<double> b = ExactReliabilityDagSweep(snapshot.value(), target);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) continue;
+      EXPECT_EQ(Bits(a.value()), Bits(b.value()));
+      ++swept;
+    }
+  }
+  EXPECT_GE(swept, 768);
 }
 
 TEST(FactoringReentrancyTest, ConcurrentCallsMatchSerialBitsAndKeepInputs) {

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "core/query_graph.h"
 #include "core/reliability_exact.h"
+#include "serve/refinement.h"
 #include "testing/random_graphs.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -139,6 +142,173 @@ TEST(RankingServiceTest, BitIdenticalWithCacheOnAndOff) {
   EXPECT_GT(cached.cache().Stats().hits, 0u);
   EXPECT_EQ(uncached.cache().Stats().hits + uncached.cache().Stats().misses,
             0u);
+}
+
+/// Canonical candidates of every answer of `graph`.
+std::vector<CanonicalCandidate> Canonicals(const QueryGraph& graph) {
+  const CsrSnapshot csr = BuildCsrSnapshot(graph.graph);
+  std::vector<CanonicalCandidate> out;
+  for (NodeId target : graph.answers) {
+    Result<CanonicalCandidate> c =
+        CanonicalizeCandidate(graph, target, {}, &csr);
+    EXPECT_TRUE(c.ok()) << c.status();
+    if (c.ok()) out.push_back(std::move(c.value()));
+  }
+  return out;
+}
+
+/// One TryResolveExact, then Monte Carlo to convergence if it declined,
+/// on a fresh unique state for `canonical`.
+UniqueState Resolve(RankingService& service,
+                    const CanonicalCandidate& canonical) {
+  UniqueState u;
+  u.canonical = &canonical;
+  u.entry.lower = 0.0;
+  u.entry.upper = 1.0;
+  EXPECT_TRUE(service.TryResolveExact(u).ok());
+  if (!u.entry.has_value) {
+    EXPECT_TRUE(service.AdvanceMonteCarlo(u, 0).ok());
+  }
+  return u;
+}
+
+TEST(RankingServiceTest, LargeDagResiduesResolveExactlyWithoutTrials) {
+  // Ledger-shape DAG residues past factoring's 24 edges: the sweep
+  // resolves them exactly, with no Monte Carlo trial.
+  RankingService service;
+  int large = 0;
+  for (const QueryGraph& g : testing::MakeLedgerDagCorpus()) {
+    for (const CanonicalCandidate& c : Canonicals(g)) {
+      if (c.canonical.graph.num_edges() <= 24) continue;
+      Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(c.canonical);
+      ASSERT_TRUE(snapshot.ok());
+      Result<double> swept =
+          ExactReliabilityDagSweep(snapshot.value(), c.target);
+      if (!swept.ok()) continue;  // Past the state cap: Monte Carlo.
+      UniqueState u = Resolve(service, c);
+      EXPECT_EQ(u.resolution, Resolution::kExact);
+      EXPECT_TRUE(u.entry.exact);
+      EXPECT_EQ(u.trials_spent, 0);
+      EXPECT_EQ(u.entry.value, swept.value());
+      ++large;
+    }
+    if (large >= 40) break;
+  }
+  EXPECT_GE(large, 40);
+}
+
+/// Series-composed cells s_i -> {a_i, b_i} -> s_{i+1} with a 2-cycle
+/// a_i <-> b_i: irreducible, cyclic, 6 edges per cell.
+QueryGraph CyclicLadder(int cells) {
+  QueryGraphBuilder b;
+  NodeId from = b.Source();
+  for (int i = 0; i < cells; ++i) {
+    NodeId a = b.Node(0.9), c = b.Node(0.8), to = b.Node(0.95);
+    b.Edge(from, a, 0.6);
+    b.Edge(from, c, 0.7);
+    b.Edge(a, c, 0.5);
+    b.Edge(c, a, 0.4);
+    b.Edge(a, to, 0.8);
+    b.Edge(c, to, 0.3);
+    from = to;
+  }
+  return std::move(b).Build({from});
+}
+
+TEST(RankingServiceTest, CyclicResiduesStillTakeFactoringOrMonteCarlo) {
+  RankingService service;
+  // Two cells (12 edges): the sweep declines the cycle, factoring
+  // resolves it exactly.
+  QueryGraph small = CyclicLadder(2);
+  std::vector<CanonicalCandidate> small_c = Canonicals(small);
+  ASSERT_EQ(small_c.size(), 1u);
+  UniqueState u = Resolve(service, small_c[0]);
+  EXPECT_EQ(u.resolution, Resolution::kExact);
+  EXPECT_EQ(u.trials_spent, 0);
+  Result<double> brute = ExactReliabilityBruteForce(small, small.answers[0]);
+  ASSERT_TRUE(brute.ok());
+  EXPECT_NEAR(u.entry.value, brute.value(), 1e-12);
+
+  // Five cells (30 edges): past factoring's edge cap, so Monte Carlo.
+  QueryGraph large = CyclicLadder(5);
+  std::vector<CanonicalCandidate> large_c = Canonicals(large);
+  ASSERT_EQ(large_c.size(), 1u);
+  ASSERT_GT(large_c[0].canonical.graph.num_edges(), 24);
+  UniqueState v = Resolve(service, large_c[0]);
+  EXPECT_EQ(v.resolution, Resolution::kMonteCarlo);
+  EXPECT_EQ(v.trials_spent, service.McTrialsPerCandidate());
+}
+
+TEST(RankingServiceTest, ZeroExactMaxEdgesStillForcesMonteCarlo) {
+  RankingServiceOptions options;
+  options.exact_max_edges = 0;
+  RankingService service(options);
+  const QueryGraph g = testing::MakeLedgerDagCorpus()[0];
+  Result<TopKResult> result = service.RankTopK(g, 4);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result.value().stats.exact, 0);
+  EXPECT_GT(result.value().stats.monte_carlo, 0);
+  EXPECT_GT(result.value().stats.mc_trials, 0);
+}
+
+TEST(RankingServiceTest, SweptRankingsAreBitIdenticalAnytimeAndAcrossThreads) {
+  RankingServiceOptions inline_options;
+  inline_options.num_threads = 1;
+  inline_options.enable_cache = false;
+  RankingServiceOptions pooled_options = inline_options;
+  pooled_options.num_threads = 4;
+  ThreadPool pool(3);
+  pooled_options.pool = &pool;
+  RankingService inline_service(inline_options);
+  RankingService pooled_service(pooled_options);
+  std::vector<QueryGraph> corpus = testing::MakeLedgerDagCorpus();
+  corpus.resize(8);
+  int exact = 0;
+  for (const QueryGraph& g : corpus) {
+    Result<TopKResult> blocking = inline_service.RankTopK(g, 5);
+    Result<TopKResult> pooled = pooled_service.RankTopK(g, 5);
+    ASSERT_TRUE(blocking.ok()) << blocking.status();
+    ASSERT_TRUE(pooled.ok()) << pooled.status();
+    EXPECT_EQ(Flatten(blocking.value()), Flatten(pooled.value()));
+    EXPECT_TRUE(blocking.value().completeness.complete);
+    exact += blocking.value().stats.exact;
+
+    Result<RefinementState> state = Prepare(pooled_service, g, 5);
+    ASSERT_TRUE(state.ok()) << state.status();
+    while (!state.value().complete()) {
+      ASSERT_TRUE(Advance(pooled_service, state.value(), 512).ok());
+    }
+    TopKResult anytime;
+    anytime.top = CurrentRanking(state.value());
+    EXPECT_EQ(Flatten(anytime), Flatten(blocking.value()));
+  }
+  EXPECT_GT(exact, 0);
+}
+
+TEST(RankingServiceTest, SweepMovesFactoredValuesByUlpsAtMost) {
+  // Residues of at most 24 edges were factored before the sweep ran
+  // ahead of factoring; their served values move by rounding alone.
+  RankingService service;
+  double worst = 0.0;
+  int factored = 0;
+  for (const QueryGraph& g : testing::MakeLedgerDagCorpus()) {
+    for (const CanonicalCandidate& c : Canonicals(g)) {
+      if (c.canonical.graph.num_edges() > 24) continue;
+      FactoringOptions factoring;
+      factoring.max_calls = 200000;
+      Result<double> old_value =
+          ExactReliabilityFactoring(c.canonical, c.target, factoring);
+      if (!old_value.ok()) continue;
+      UniqueState u = Resolve(service, c);
+      ASSERT_EQ(u.resolution, Resolution::kExact);
+      worst = std::max(worst, std::abs(u.entry.value - old_value.value()));
+      ++factored;
+    }
+  }
+  EXPECT_GE(factored, 30);
+  EXPECT_LE(worst, 1e-12);
+  std::printf("%d formerly factored residues, largest move %.3g\n", factored,
+              worst);
 }
 
 TEST(RankingServiceTest, BitIdenticalAcrossThreadCounts) {

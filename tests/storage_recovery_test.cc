@@ -285,13 +285,14 @@ uint64_t WalHeaderFingerprint(const std::string& dir) {
 TEST(StorageRecoveryTest, DefaultFingerprintIsUnchanged) {
   // Retiring settable ranking options into constants must hash the same
   // values in the same slots, so stores written by a default server keep
-  // booting warm.
+  // booting warm. (Moved from 0x42b9cb6f1c9ce567 when served values moved:
+  // estimator version 3 and the exact_max_edges default of 128.)
   std::string dir = FreshDir("recovery_default_fp");
   {
     Server server(DurableOptions(dir));
     ASSERT_TRUE(server.storage_status().ok());
   }
-  EXPECT_EQ(WalHeaderFingerprint(dir), 0x42b9cb6f1c9ce567ULL);
+  EXPECT_EQ(WalHeaderFingerprint(dir), 0x10e7780abcfa8e49ULL);
 }
 
 TEST(StorageRecoveryTest, StoreFromTheTraversalServingEstimatorIsRefused) {
@@ -312,6 +313,30 @@ TEST(StorageRecoveryTest, StoreFromTheTraversalServingEstimatorIsRefused) {
   ASSERT_TRUE(util::AtomicFileWrite(
                   storage::WalPath(dir),
                   storage::WalFileHeader(kTraversalServingFingerprint))
+                  .ok());
+  Server booted(DurableOptions(dir));
+  EXPECT_EQ(booted.storage_status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(booted.durable());
+}
+
+TEST(StorageRecoveryTest, StoreFromTheMcServingEstimatorIsRefused) {
+  // The default-options fingerprint of servers that served every residue
+  // past 24 edges by Monte Carlo (estimator version 2). The DAG sweep
+  // serves most of those exactly now, so a default server must stamp a
+  // different fingerprint and refuse such a store.
+  constexpr uint64_t kMcServingFingerprint = 0x42b9cb6f1c9ce567ULL;
+  std::string dir = FreshDir("recovery_sweep_version");
+  {
+    Server server(DurableOptions(dir));
+    ASSERT_TRUE(server.storage_status().ok());
+  }
+  uint64_t fingerprint = WalHeaderFingerprint(dir);
+  ASSERT_NE(fingerprint, 0u);
+  EXPECT_NE(fingerprint, kMcServingFingerprint);
+
+  ASSERT_TRUE(util::AtomicFileWrite(
+                  storage::WalPath(dir),
+                  storage::WalFileHeader(kMcServingFingerprint))
                   .ok());
   Server booted(DurableOptions(dir));
   EXPECT_EQ(booted.storage_status().code(), StatusCode::kFailedPrecondition);

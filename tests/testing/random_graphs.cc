@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace biorank::testing {
 
@@ -174,6 +176,35 @@ std::vector<QueryGraph> MakeLedgerDagCorpus() {
     corpus.push_back(MakeRandomLayeredDag(rng, dag));
   }
   return corpus;
+}
+
+bool IsAcyclic(const QueryGraph& query_graph) {
+  const ProbabilisticEntityGraph& graph = query_graph.graph;
+  // 0 unvisited, 1 on the DFS path, 2 finished.
+  std::vector<int> color(static_cast<size_t>(graph.node_capacity()), 0);
+  std::vector<std::pair<NodeId, std::vector<EdgeId>>> stack;
+  for (NodeId root : graph.AliveNodes()) {
+    if (color[static_cast<size_t>(root)] != 0) continue;
+    color[static_cast<size_t>(root)] = 1;
+    stack.emplace_back(root, graph.OutEdges(root));
+    while (!stack.empty()) {
+      auto& [node, pending] = stack.back();
+      if (pending.empty()) {
+        color[static_cast<size_t>(node)] = 2;
+        stack.pop_back();
+        continue;
+      }
+      const EdgeId e = pending.back();
+      pending.pop_back();
+      const NodeId next = graph.edge(e).to;
+      if (color[static_cast<size_t>(next)] == 1) return false;
+      if (color[static_cast<size_t>(next)] == 0) {
+        color[static_cast<size_t>(next)] = 1;
+        stack.emplace_back(next, graph.OutEdges(next));
+      }
+    }
+  }
+  return true;
 }
 
 std::string GraphDifference(const QueryGraph& a, const QueryGraph& b) {

@@ -62,6 +62,11 @@ std::vector<QueryGraph> MakeRestrictionCorpus();
 /// factoring golden sweeps them as "dag-<i>".
 std::vector<QueryGraph> MakeLedgerDagCorpus();
 
+/// Whether the alive part of `query_graph` has no directed cycle (a
+/// self-loop counts as one), by a depth-first search over the pointer
+/// graph.
+bool IsAcyclic(const QueryGraph& query_graph);
+
 /// The first difference between two query graphs, or "" if they are the
 /// same: source and answers, then node by node (alive flag, probability
 /// bits, alive out- and in-edge ids in adjacency order), then edge by
